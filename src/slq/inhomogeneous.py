@@ -331,32 +331,34 @@ def vstar_on_steps(terms: AffineTerms | None, g: InhomogeneityGrid | None,
                    dt: float, nsteps: int, m: int) -> np.ndarray:
     """Exact v* at the left endpoints of a uniform step grid.
 
-    Propagates eta backward one step at a time with the exact one-step
-    matrix-exponential map, which is valid because every forcing breakpoint
-    is required to be a multiple of dt.
+    Propagates eta backward one step at a time over the forcing support with
+    the exact one-step matrix-exponential map, which is valid because every
+    forcing breakpoint is required to be a multiple of dt.  Beyond the
+    support eta vanishes and v* is exactly zero; on it, v*_j =
+    -N(P)^+ (B'eta_j + D'P sigma_k + rho_k) (+ projected nu_k) for all steps
+    at once.
     """
     if terms is None or g is None:
         return np.zeros((nsteps, m))
     n = terms.eta.shape[1]
+    K = g.times.size - 1
+    # interval of each left endpoint as interval_of assigns it, K past the support
+    ks = np.searchsorted(g.times, np.arange(nsteps) * dt, side="right") - 1
     end = min(int(round(g.support_end / dt)), nsteps)
     eta = np.zeros((nsteps + 1, n))
     if end > 0:
         eta[end] = terms.eta_at(end * dt)
         props = {}
         for j in range(end - 1, -1, -1):
-            k = g.interval_of(j * dt)
+            k = int(ks[j])
             if k not in props:
                 props[k] = _propagator(terms._drift_T, terms._phi[k], dt)
             prop, integ = props[k]
             eta[j] = prop @ eta[j + 1] + integ
     v = np.zeros((nsteps, m))
-    for j in range(nsteps):
-        t = j * dt
-        k = g.interval_of(t)
-        w_vec = terms._BT @ eta[j]
-        if k is not None:
-            w_vec = w_vec + terms._DTP @ g.sigma[k] + g.rho[k]
-        v[j] = -terms._N_dag @ w_vec
-        if k is not None and terms._nu_term is not None:
-            v[j] += terms._nu_term[k]
+    on = int(np.count_nonzero(ks < K))
+    w_const = g.sigma @ terms._DTP.T + g.rho
+    v[:on] = -((eta[:on] @ terms._BT.T + w_const[ks[:on]]) @ terms._N_dag.T)
+    if terms._nu_term is not None:
+        v[:on] += terms._nu_term[ks[:on]]
     return v

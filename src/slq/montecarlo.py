@@ -2,11 +2,22 @@
 
 The running cost is accumulated with the left-point rule (the Ito-consistent
 choice), the state with the explicit Euler-Maruyama scheme; weak order one is
-enough for mean-cost estimation at the tolerances used here.  Noise comes
-from the Philox counter-based generator keyed by (seed, path index), so every
-result is bit-reproducible and independent of path scheduling and buffering.
-The discarded tail of the infinite-horizon cost is estimated through the
-closed-loop Lyapunov certificate and reported next to the estimate.
+enough for mean-cost estimation at the tolerances used here.  The discarded
+tail of the infinite-horizon cost is estimated through the closed-loop
+Lyapunov certificate and reported next to the estimate.
+
+Layout.  The kernel is state-major: the state of all P paths is one (n, P)
+array, so every numpy call runs over a contiguous row of P paths instead of
+an inner axis of length n.  Each step is one gemm with the stacked matrix
+[I + dt A_cl; C_cl; I; Theta], whose last n + m rows give Z = [X; U], and
+one quadratic form <W Z, Z> with W = [[Q, S'], [S, R]].
+
+Noise.  Path p's standard normals come, in time order, from the Philox
+counter-based generator keyed by (seed, p).  They are drawn a group of paths
+at a time and transposed into a step-major (w, P) block, so step k's
+increments for all paths are one contiguous row.  The block width w only
+sets how much is buffered: it never touches the streams or the arithmetic,
+so every result is bit-reproducible and independent of buffering.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ __all__ = [
 ]
 
 _NOISE_BUFFER_BYTES = 192_000_000
+_STAGE_BYTES = 4_000_000
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -81,21 +93,30 @@ def _validate(cfg: SimConfig, g: InhomogeneityGrid | None, nsteps: int):
                 )
 
 
-def _noise_blocks(seed: int, n_paths: int, nsteps: int):
-    """Yield (start, dW_block) spanning all paths, in time blocks.
+def _brownian_increments(seed: int, n_paths: int, nsteps: int, dt: float):
+    """Yield (start, dW): row j of dW holds step start + j's increments for all paths.
 
-    Path p's increments come, in time order, from Philox keyed by (seed, p);
-    the block width only controls buffering, never the streams.
+    Path p's normals are drawn in time order from Philox keyed by (seed, p),
+    a group of paths at a time into a path-major staging buffer of about
+    _STAGE_BYTES that is transposed into the step-major block.  The block
+    takes the rest of _NOISE_BUFFER_BYTES.
     """
     gens = [np.random.Generator(np.random.Philox(key=[seed, p])) for p in range(n_paths)]
-    width = max(64, min(nsteps, _NOISE_BUFFER_BYTES // (8 * n_paths)))
-    buf = np.empty((n_paths, width))
+    width = max(64, min(nsteps, (_NOISE_BUFFER_BYTES - _STAGE_BYTES) // (8 * n_paths)))
+    stage_rows = max(1, min(n_paths, _STAGE_BYTES // (8 * width)))
+    stage = np.empty((stage_rows, width))
+    block = np.empty((width, n_paths))
+    sqrt_dt = np.sqrt(dt)
     k = 0
     while k < nsteps:
         w = min(width, nsteps - k)
-        for i, gen in enumerate(gens):
-            gen.standard_normal(out=buf[i, :w])
-        yield k, buf[:, :w]
+        for p0 in range(0, n_paths, stage_rows):
+            p1 = min(p0 + stage_rows, n_paths)
+            for i in range(p0, p1):
+                gens[i].standard_normal(out=stage[i - p0, :w])
+            block[:w, p0:p1] = stage[:p1 - p0, :w].T
+        block[:w] *= sqrt_dt
+        yield k, block[:w]
         k += w
 
 
@@ -130,51 +151,68 @@ def _finish(costs: np.ndarray, ex_xx: np.ndarray, tail: float | None,
     )
 
 
-def _euler_cost_run(sys: ControlledSystem, w: CostWeights, x0: np.ndarray,
-                    cfg: SimConfig, nsteps: int,
-                    AT: np.ndarray, CT: np.ndarray,
-                    drift_c: np.ndarray, diff_c: np.ndarray,
-                    q_arr: np.ndarray, rho_arr: np.ndarray,
-                    feedback_T: np.ndarray | None, v_arr: np.ndarray | None,
-                    u_arr: np.ndarray | None):
-    """One pass over time for all paths; returns (per-path costs, E[X_T X_T'])."""
-    n, m = sys.n, sys.m
-    dt = cfg.dt
-    sqrt_dt = np.sqrt(dt)
-    step_T = np.eye(n) + dt * AT          # X <- X @ step_T + ...
-    has_drift_c = bool(np.any(drift_c))
-    has_diff_c = bool(np.any(diff_c))
-    has_lin = bool(np.any(q_arr)) or bool(np.any(rho_arr))
-    has_S = bool(np.any(w.S))
+def _step_columns(rows: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, int]:
+    """Per-step rows as (live, k, 1) columns to broadcast over paths.
 
-    X = np.tile(x0, (cfg.n_paths, 1))
-    costs = np.zeros(cfg.n_paths)
-    for k0, block in _noise_blocks(cfg.seed, cfg.n_paths, nsteps):
-        for j in range(block.shape[1]):
+    ``live`` counts the leading steps up to the last nonzero row: forcing has
+    compact support, so on most steps of a long horizon the term is zero and
+    the kernel skips it.
+    """
+    nonzero = np.flatnonzero(np.any(rows != 0.0, axis=1))
+    live = int(nonzero[-1]) + 1 if nonzero.size else 0
+    return (scale * rows[:live])[:, :, None], live
+
+
+def _euler_cost_run(w: CostWeights, x0: np.ndarray, cfg: SimConfig, nsteps: int,
+                    A_cl: np.ndarray, C_cl: np.ndarray, Theta: np.ndarray,
+                    drift_c: np.ndarray, diff_c: np.ndarray, u_c: np.ndarray,
+                    q_arr: np.ndarray, rho_arr: np.ndarray):
+    """One Euler-Maruyama pass over time for all paths, in the (n, P) layout.
+
+    With [Y_0; Y_1; Z] = [I + dt A_cl; C_cl; I; Theta] X and Z[n:] += u_c[k],
+    so that Z = [X; U], step k adds the running cost
+    <W Z, Z> + 2 <[q_k; rho_k], Z>, W = [[Q, S'], [S, R]], at the left point
+    and then moves the state to Y_0 + (Y_1 + diff_c[k]) dW_k + dt drift_c[k].
+    Returns (per-path costs, E[X_T X_T']).
+    """
+    n = x0.size
+    P = cfg.n_paths
+    dt = cfg.dt
+    stacked = np.vstack([np.eye(n) + dt * A_cl, C_cl, np.eye(n), Theta])
+    W = np.block([[w.Q, w.S.T], [w.S, w.R]])
+    drift_col, drift_live = _step_columns(drift_c, dt)
+    diff_col, diff_live = _step_columns(diff_c)
+    u_col, u_live = _step_columns(u_c)
+    lin_col, lin_live = _step_columns(np.hstack([q_arr, rho_arr]), 2.0)
+    ones = np.ones(W.shape[0])
+    # with n = 1 the stacked product is an outer product, and numpy's matmul
+    # leaves BLAS for an inner dimension of 1; multiply forms the same products
+    advance = np.multiply if n == 1 else np.matmul
+
+    X = np.tile(x0[:, None], (1, P))
+    Y = np.empty((stacked.shape[0], P))
+    WZ = np.empty((W.shape[0], P))
+    step, diff, Z, U = Y[:n], Y[n:2 * n], Y[2 * n:], Y[3 * n:]
+    costs = np.zeros(P)
+    for k0, dW in _brownian_increments(cfg.seed, P, nsteps, dt):
+        for j in range(dW.shape[0]):
             k = k0 + j
-            if feedback_T is not None:
-                U = X @ feedback_T
-                if v_arr is not None:
-                    U = U + v_arr[k]
-            else:
-                U = np.broadcast_to(u_arr[k], (cfg.n_paths, m))
-            c = np.einsum("ij,ij->i", X @ w.Q, X)
-            c += np.einsum("ij,ij->i", U @ w.R, U)
-            if has_S:
-                c += 2.0 * np.einsum("ij,ij->i", X @ w.S.T, U)
-            if has_lin:
-                c += 2.0 * (X @ q_arr[k]) + 2.0 * (U @ rho_arr[k])
-            costs += c
-            dW = block[:, j:j + 1] * sqrt_dt
-            diff = X @ CT
-            if has_diff_c:
-                diff = diff + diff_c[k]
-            Xn = X @ step_T + diff * dW
-            if has_drift_c:
-                Xn += dt * drift_c[k]
-            X = Xn
+            advance(stacked, X, out=Y)
+            if k < u_live:
+                U += u_col[k]
+            np.matmul(W, Z, out=WZ)
+            if k < lin_live:
+                WZ += lin_col[k]
+            WZ *= Z
+            costs += ones @ WZ
+            if k < diff_live:
+                diff += diff_col[k]
+            diff *= dW[j]
+            np.add(step, diff, out=X)
+            if k < drift_live:
+                X += drift_col[k]
     costs *= dt
-    ex_xx = (X.T @ X) / cfg.n_paths
+    ex_xx = (X @ X.T) / P
     return costs, ex_xx
 
 
@@ -213,10 +251,10 @@ def simulate_closed_loop(
     diff_c = sig_arr if v_arr is None else v_arr @ sys.D.T + sig_arr
 
     costs, ex_xx = _euler_cost_run(
-        sys, w, x0, cfg, nsteps,
-        AT=(sys.A + sys.B @ Theta).T, CT=(sys.C + sys.D @ Theta).T,
-        drift_c=drift_c, diff_c=diff_c, q_arr=q_arr, rho_arr=rho_arr,
-        feedback_T=Theta.T, v_arr=v_arr, u_arr=None,
+        w, x0, cfg, nsteps, A_cl=sys.A + sys.B @ Theta, C_cl=sys.C + sys.D @ Theta,
+        Theta=Theta, drift_c=drift_c, diff_c=diff_c,
+        u_c=np.zeros((nsteps, m)) if v_arr is None else v_arr,
+        q_arr=q_arr, rho_arr=rho_arr,
     )
     tail = None
     if cfg.report_tail:
@@ -247,11 +285,9 @@ def simulate_open_loop(
 
     b_arr, sig_arr, q_arr, rho_arr = forcing_on_steps(g, cfg.dt, nsteps, n, m)
     costs, ex_xx = _euler_cost_run(
-        sys, w, x0, cfg, nsteps,
-        AT=sys.A.T, CT=sys.C.T,
+        w, x0, cfg, nsteps, A_cl=sys.A, C_cl=sys.C, Theta=np.zeros((m, n)),
         drift_c=u_arr @ sys.B.T + b_arr, diff_c=u_arr @ sys.D.T + sig_arr,
-        q_arr=q_arr, rho_arr=rho_arr,
-        feedback_T=None, v_arr=None, u_arr=u_arr,
+        u_c=u_arr, q_arr=q_arr, rho_arr=rho_arr,
     )
     tail = None
     if cfg.report_tail and not np.any(u_arr[-1]):
@@ -295,24 +331,23 @@ def feedback_parametrization_check(
     v_arr = np.zeros((nsteps, m)) if v_grid is None else np.asarray(v_grid, float).reshape(nsteps, m)
 
     b_arr, sig_arr, _, _ = forcing_on_steps(g, cfg.dt, nsteps, n, m)
-    AclT = (sys.A + sys.B @ Th).T
-    CclT = (sys.C + sys.D @ Th).T
-    drift_c = v_arr @ sys.B.T + b_arr
-    diff_c = v_arr @ sys.D.T + sig_arr
+    A_cl = sys.A + sys.B @ Th
+    C_cl = sys.C + sys.D @ Th
+    drift_c = (v_arr @ sys.B.T + b_arr)[:, :, None]
+    diff_c = (v_arr @ sys.D.T + sig_arr)[:, :, None]
+    v_c, b_c, sig_c = v_arr[:, :, None], b_arr[:, :, None], sig_arr[:, :, None]
     dt = cfg.dt
-    sqrt_dt = np.sqrt(dt)
 
     worst = 0.0
-    Xfb = np.tile(x0, (cfg.n_paths, 1))
+    Xfb = np.tile(x0[:, None], (1, cfg.n_paths))
     Xraw = Xfb.copy()
-    for k0, block in _noise_blocks(cfg.seed, cfg.n_paths, nsteps):
-        for j in range(block.shape[1]):
+    for k0, dW in _brownian_increments(cfg.seed, cfg.n_paths, nsteps, dt):
+        for j in range(dW.shape[0]):
             k = k0 + j
-            U = Xfb @ Th.T + v_arr[k]
-            dWk = block[:, j:j + 1] * sqrt_dt
-            Xfb = Xfb + (Xfb @ AclT + drift_c[k]) * dt + (Xfb @ CclT + diff_c[k]) * dWk
-            Xraw = (Xraw + (Xraw @ sys.A.T + U @ sys.B.T + b_arr[k]) * dt
-                    + (Xraw @ sys.C.T + U @ sys.D.T + sig_arr[k]) * dWk)
+            U = Th @ Xfb + v_c[k]
+            Xfb = Xfb + (A_cl @ Xfb + drift_c[k]) * dt + (C_cl @ Xfb + diff_c[k]) * dW[j]
+            Xraw = (Xraw + (sys.A @ Xraw + sys.B @ U + b_c[k]) * dt
+                    + (sys.C @ Xraw + sys.D @ U + sig_c[k]) * dW[j])
             gap = float(np.max(np.abs(Xraw - Xfb)))
             if gap > worst:
                 worst = gap

@@ -14,8 +14,9 @@ from slq import (
     solve_gare,
     solve_lyapunov,
 )
+from slq import montecarlo
 from slq.errors import InvalidInputError, SimulationBudgetError
-from slq.inhomogeneous import vstar_on_steps
+from slq.inhomogeneous import forcing_on_steps, vstar_on_steps
 
 
 def make_solution(Theta):
@@ -184,3 +185,118 @@ def test_cost_quantiles_are_ordered():
     r = simulate_closed_loop(sys1, w, sol, [1.0], SimConfig(5.0, 1e-2, 200, seed=13))
     qs = [r.cost_quantiles[q] for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert qs == sorted(qs)
+
+
+def test_noise_streams_independent_of_block_width(monkeypatch):
+    # a small buffer splits the run into several blocks and the paths into
+    # staging chunks with a partial last one; column p must still be path p's
+    # own Philox (seed, p) stream in time order
+    seed, n_paths, nsteps = 11, 37, 1000
+    stage = 8 * 16 * 150                          # 16 paths of a 150-step block
+    monkeypatch.setattr(montecarlo, "_STAGE_BYTES", stage)
+    monkeypatch.setattr(montecarlo, "_NOISE_BUFFER_BYTES", stage + 8 * n_paths * 150)
+    starts, blocks = [], []
+    for k0, dW in montecarlo._brownian_increments(seed, n_paths, nsteps, 1.0):
+        starts.append(k0)
+        blocks.append(dW.copy())
+    assert starts == list(range(0, nsteps, 150))
+    got = np.concatenate(blocks)
+    assert got.shape == (nsteps, n_paths)
+    for p in range(n_paths):
+        want = np.random.Generator(np.random.Philox(key=[seed, p])).standard_normal(nsteps)
+        assert np.array_equal(got[:, p], want)
+
+
+def test_results_independent_of_block_width(monkeypatch):
+    sys2 = ControlledSystem([[-1, 0.3], [0, -1.5]], 0.3 * np.eye(2), np.eye(2), 0.1 * np.eye(2))
+    w = CostWeights(np.eye(2), [[0.1, 0.0], [0.2, 0.1]], np.eye(2))
+    g = InhomogeneityGrid(np.array([0.0, 0.5, 1.0]), b=[[0.4, 0.0], [0.0, -0.3]],
+                          sigma=[[0.2, 0.1], [0.0, 0.0]], q=[[0.0, 0.0], [0.1, 0.0]],
+                          rho=[[0.1, 0.0], [0.0, 0.0]])
+    sol = solve_gare(sys2, w)
+    terms = solve_eta(sol, sys2, w, g)
+    cfg = SimConfig(2.0, 1e-2, 40, seed=4)
+    u = 0.2 * np.cos(np.linspace(0.0, 5.0, 2 * cfg.steps())).reshape(-1, 2)
+
+    def run():
+        closed = simulate_closed_loop(sys2, w, sol, [1.0, -1.0], cfg, terms=terms, g=g)
+        opened = simulate_open_loop(sys2, w, u, [1.0, -1.0], cfg, g=g)
+        return closed, opened
+
+    one_block = run()
+    stage = 8 * 16 * 70
+    monkeypatch.setattr(montecarlo, "_STAGE_BYTES", stage)
+    for budget in (stage + 8 * 40 * 70, stage):   # widths 70 and the 64 floor
+        monkeypatch.setattr(montecarlo, "_NOISE_BUFFER_BYTES", budget)
+        assert run() == one_block
+
+
+def euler_cost_by_loops(A, B, Q, S, R, x0, dt, nsteps, u_of, b, q, rho):
+    """Deterministic Euler recursion and left-point cost, one scalar at a time."""
+    n, m = len(A), len(B[0])
+    x = list(x0)
+    cost = 0.0
+    for k in range(nsteps):
+        u = u_of(k, x)
+        c = 0.0
+        for i in range(n):
+            for j in range(n):
+                c += Q[i][j] * x[i] * x[j]
+            for j in range(m):
+                c += 2.0 * S[j][i] * x[i] * u[j]
+            c += 2.0 * q[k][i] * x[i]
+        for i in range(m):
+            for j in range(m):
+                c += R[i][j] * u[i] * u[j]
+            c += 2.0 * rho[k][i] * u[i]
+        cost += c * dt
+        x = [x[i] + dt * (sum(A[i][j] * x[j] for j in range(n))
+                          + sum(B[i][j] * u[j] for j in range(m)) + b[k][i])
+             for i in range(n)]
+    return cost
+
+
+def oracle_problem():
+    # C = D = 0 and sigma = 0: every path follows the same deterministic recursion
+    A = [[-1.0, 0.4], [0.2, -0.7]]
+    B = [[1.0, 0.0], [0.3, 0.8]]
+    sys2 = ControlledSystem(A, np.zeros((2, 2)), B, np.zeros((2, 2)))
+    w = CostWeights([[2.0, 0.3], [0.3, 1.0]], [[0.2, -0.1], [0.4, 0.3]], [[1.0, 0.1], [0.1, 0.5]])
+    g = InhomogeneityGrid(np.array([0.0, 0.3, 0.8]), b=[[0.5, -0.2], [0.0, 0.4]],
+                          sigma=np.zeros((2, 2)), q=[[0.1, 0.0], [-0.2, 0.3]],
+                          rho=[[0.0, 0.2], [0.1, 0.0]])
+    cfg = SimConfig(2.0, 1e-2, 16, seed=6)     # 16 paths: the mean of equal costs is exact
+    forcing = forcing_on_steps(g, cfg.dt, cfg.steps(), 2, 2)
+    return sys2, w, g, cfg, forcing
+
+
+def assert_deterministic_estimate(r, want):
+    assert r.cost_quantiles[0.0] == r.cost_quantiles[1.0]
+    assert r.std_error == 0.0
+    assert r.estimate == pytest.approx(want, rel=1e-12)
+
+
+def test_closed_loop_kernel_matches_loop_oracle():
+    sys2, w, g, cfg, (b, _, q, rho) = oracle_problem()
+    nsteps = cfg.steps()
+    Theta = np.array([[-0.5, 0.1], [0.2, -0.4]])
+    v = 0.3 * np.sin(np.linspace(0.0, 4.0, 2 * nsteps)).reshape(nsteps, 2)
+    r = simulate_closed_loop(sys2, w, make_solution(Theta), [1.0, -0.5], cfg, g=g, v_grid=v)
+
+    def u_of(k, x):
+        return [sum(Theta[i, j] * x[j] for j in range(2)) + v[k, i] for i in range(2)]
+
+    want = euler_cost_by_loops(sys2.A.tolist(), sys2.B.tolist(), w.Q.tolist(), w.S.tolist(),
+                               w.R.tolist(), [1.0, -0.5], cfg.dt, nsteps, u_of, b, q, rho)
+    assert_deterministic_estimate(r, want)
+
+
+def test_open_loop_kernel_matches_loop_oracle():
+    sys2, w, g, cfg, (b, _, q, rho) = oracle_problem()
+    nsteps = cfg.steps()
+    u = 0.4 * np.cos(np.linspace(0.0, 3.0, 2 * nsteps)).reshape(nsteps, 2)
+    r = simulate_open_loop(sys2, w, u, [0.5, 1.0], cfg, g=g)
+    want = euler_cost_by_loops(sys2.A.tolist(), sys2.B.tolist(), w.Q.tolist(), w.S.tolist(),
+                               w.R.tolist(), [0.5, 1.0], cfg.dt, nsteps,
+                               lambda k, x: list(u[k]), b, q, rho)
+    assert_deterministic_estimate(r, want)
