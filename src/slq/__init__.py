@@ -13,7 +13,6 @@ from .errors import (
     InvalidInputError,
     InvalidTerminalError,
     LyapunovUnsolvableError,
-    NoSolutionError,
     NotStabilizableError,
     NotStableError,
     SimulationBudgetError,
@@ -29,7 +28,7 @@ from .inhomogeneous import (
     check_range_ez,
     solve_eta,
 )
-from .linalg import expm, is_pd, is_psd, pinv, range_contained, solve_matrix_eq, symmetrize
+from .linalg import is_pd, is_psd, pinv, symmetrize
 from .montecarlo import (
     FeedbackCheck,
     SimConfig,

@@ -185,7 +185,7 @@ def _flow_config(cfg: dict) -> FlowConfig:
     )
 
 
-def _gare_config(cfg: dict) -> GareConfig:
+def _gare_config(cfg: dict, stabilizer: np.ndarray) -> GareConfig:
     return GareConfig(
         epsilon_schedule=tuple(float(e) for e in cfg["epsilon_schedule"]),
         path_tol=float(cfg["path_tol"]),
@@ -193,6 +193,7 @@ def _gare_config(cfg: dict) -> GareConfig:
         range_tol=float(cfg["range_tol"]),
         psd_tol=float(cfg["psd_tol"]),
         flow=_flow_config(cfg),
+        reduction_stabilizer=stabilizer,
     )
 
 
@@ -309,16 +310,16 @@ def _sim_horizon(cfg: dict, sys: ControlledSystem, Theta: np.ndarray,
     return np.ceil(float(horizon) / dt) * dt
 
 
-def _simulation_block(problem: ProblemData, cfg: dict, sol: GareSolution,
+def _simulation_block(problem: ProblemData, cfg: dict, Theta: np.ndarray,
                       terms, value: float | None) -> dict:
     sim = cfg["simulate"]
-    horizon = _sim_horizon(cfg, problem.sys, sol.Theta, problem.grid)
+    horizon = _sim_horizon(cfg, problem.sys, Theta, problem.grid)
     sim_cfg = SimConfig(
         horizon=horizon, dt=float(sim["dt"]), n_paths=int(sim["paths"]),
         seed=int(cfg["seed"]),
     )
     result = simulate_closed_loop(
-        problem.sys, problem.w, sol, problem.x0, sim_cfg,
+        problem.sys, problem.w, Theta, problem.x0, sim_cfg,
         terms=terms, g=problem.grid,
     )
     block = {
@@ -339,6 +340,15 @@ def _simulation_block(problem: ProblemData, cfg: dict, sol: GareSolution,
     return block
 
 
+def _stabilizability_block(report) -> dict:
+    return {
+        "gamma": report.gamma,
+        "P": report.P,
+        "flow_status": report.flow_status,
+        "residual": report.residual,
+    }
+
+
 def cmd_check(args) -> int:
     problem = load_problem(args.problem)
     cfg = _resolve_config(problem, args)
@@ -348,12 +358,7 @@ def cmd_check(args) -> int:
         "command": "check",
         "config": cfg,
         "verdict": {"stabilizable": report.stabilizable},
-        "stabilizability": {
-            "gamma": report.gamma,
-            "P": report.P,
-            "flow_status": report.flow_status,
-            "residual": report.residual,
-        },
+        "stabilizability": _stabilizability_block(report),
     }
     _emit(doc, args.out)
     return _EXIT_OK if report.stabilizable else _EXIT_NOT_STABILIZABLE
@@ -362,20 +367,16 @@ def cmd_check(args) -> int:
 def _run_solve(problem: ProblemData, cfg: dict, args):
     """Shared solve pipeline; returns (exit_code, report_doc, sol, terms)."""
     doc: dict = {"version": __version__, "command": "solve", "config": cfg}
+    oracle = getattr(args, "oracle", False) and problem.sys.n == 1 and problem.sys.m == 1
     stab = stabilizability_report(problem.sys, _flow_config(cfg))
-    doc["stabilizability"] = {
-        "gamma": stab.gamma,
-        "P": stab.P,
-        "flow_status": stab.flow_status,
-        "residual": stab.residual,
-    }
+    doc["stabilizability"] = _stabilizability_block(stab)
     if not stab.stabilizable:
         doc["verdict"] = {"stabilizable": False, "solvable": False}
-        if getattr(args, "oracle", False) and problem.sys.n == 1 and problem.sys.m == 1:
+        if oracle:
             doc["oracle_1d"] = _oracle_block(problem, None)
         return _EXIT_NOT_STABILIZABLE, doc, None, None
 
-    outcome = solve_gare(problem.sys, problem.w, _gare_config(cfg))
+    outcome = solve_gare(problem.sys, problem.w, _gare_config(cfg, stab.gamma))
     if isinstance(outcome, GareUnsolvable):
         doc["verdict"] = {"stabilizable": True, "solvable": False}
         doc["unsolvable"] = {
@@ -384,7 +385,7 @@ def _run_solve(problem: ProblemData, cfg: dict, args):
             "diagnostics": {k: v for k, v in outcome.diagnostics.items()
                             if not isinstance(v, np.ndarray) or k == "sigma"},
         }
-        if getattr(args, "oracle", False) and problem.sys.n == 1 and problem.sys.m == 1:
+        if oracle:
             doc["oracle_1d"] = _oracle_block(problem, None)
         return _EXIT_UNSOLVABLE, doc, None, None
 
@@ -414,10 +415,10 @@ def _run_solve(problem: ProblemData, cfg: dict, args):
         value = float(problem.x0 @ sol.P @ problem.x0)
     doc["value"] = {"x0": [float(v) for v in problem.x0], "V": value}
 
-    if getattr(args, "oracle", False) and problem.sys.n == 1 and problem.sys.m == 1:
+    if oracle:
         doc["oracle_1d"] = _oracle_block(problem, sol)
     if getattr(args, "simulate", None):
-        doc["simulation"] = _simulation_block(problem, cfg, sol, terms, value)
+        doc["simulation"] = _simulation_block(problem, cfg, sol.Theta, terms, value)
     return _EXIT_OK, doc, sol, terms
 
 
@@ -454,9 +455,6 @@ def cmd_simulate(args) -> int:
             doc["verdict"] = {"stabilizer": False, "detail": detail}
             _emit(doc, args.out)
             return _EXIT_NOT_STABILIZABLE
-        sol = GareSolution(P=np.zeros((problem.sys.n, problem.sys.n)),
-                           Theta=theta, Pi=np.zeros_like(theta),
-                           epsilon_path=[], diagnostics={})
         terms = None
         value = None
     else:
@@ -465,9 +463,10 @@ def cmd_simulate(args) -> int:
         if code != _EXIT_OK:
             _emit(solve_doc, args.out)
             return code
+        theta = sol.Theta
         value = solve_doc["value"]["V"]
 
-    doc["simulation"] = _simulation_block(problem, cfg, sol, terms, value)
+    doc["simulation"] = _simulation_block(problem, cfg, theta, terms, value)
     doc["verdict"] = {"stabilizer": True}
     _emit(doc, args.out)
     return _EXIT_OK

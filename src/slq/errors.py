@@ -13,10 +13,6 @@ class InvalidTerminalError(InvalidInputError):
     """Riccati flow started from a terminal value where R + D'GD is not positive."""
 
 
-class NoSolutionError(SlqError):
-    """A linear matrix equation has no solution (range condition violated)."""
-
-
 class LyapunovUnsolvableError(SlqError):
     """The Lyapunov system is singular or the candidate fails the residual test.
 

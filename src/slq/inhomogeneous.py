@@ -22,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InvalidInputError, UnsupportedInputError, ValueUndefinedError
-from .linalg import expm, fro, symmetrize
+from .linalg import fro, symmetrize
 from .riccati import CostWeights, GareSolution, control_pseudoinverse
 from .stability import ControlledSystem
 
@@ -176,7 +177,7 @@ def _propagator(M: np.ndarray, phi_k: np.ndarray, tau: float):
     blk = np.zeros((n + 1, n + 1))
     blk[:n, :n] = M
     blk[:n, n] = phi_k
-    E = expm(blk, tau)
+    E = scipy.linalg.expm(blk * tau)
     return E[:n, :n], E[:n, n]
 
 

@@ -10,22 +10,18 @@ matrices are handled without special cases.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .errors import InvalidInputError, NoSolutionError
+from .errors import InvalidInputError
 
 __all__ = [
     "DEFAULT_PSD_TOL",
     "DEFAULT_RANK_TOL",
     "as_matrix",
-    "expm",
     "fro",
     "is_pd",
     "is_psd",
     "pinv",
-    "range_contained",
     "range_defect",
-    "solve_matrix_eq",
     "symmetrize",
 ]
 
@@ -96,36 +92,6 @@ def range_defect(L, N, rel_tol: float = DEFAULT_RANK_TOL) -> float:
     return fro(Nm @ (Nd @ Lm) - Lm) / (1.0 + fro(Lm))
 
 
-def range_contained(L, N, tol: float = 1e-9) -> bool:
-    """True iff the column space of L is contained in that of N.
-
-    Decided by ``||N N^+ L - L|| <= tol * (1 + ||L||)``, which is exactly the
-    solvability criterion for N X = L.
-    """
-    return range_defect(L, N) <= tol
-
-
-def solve_matrix_eq(N, L, Y=None, tol: float = 1e-9) -> np.ndarray:
-    """Solve N X = L, returning X = N^+ L + (I - N^+ N) Y.
-
-    Y parametrizes the affine family of solutions; Y = 0 gives the
-    minimum-norm one.  Raises :class:`NoSolutionError` when the range
-    condition fails.
-    """
-    Nm = as_matrix(N, "N")
-    Lm = as_matrix(L, "L")
-    if not range_contained(Lm, Nm, tol):
-        raise NoSolutionError("N X = L has no solution: range(L) not within range(N)")
-    Nd = pinv(Nm)
-    X = Nd @ Lm
-    if Y is not None:
-        Ym = as_matrix(Y, "Y")
-        if Ym.shape != (Nm.shape[1], Lm.shape[1]):
-            raise InvalidInputError("Y has incompatible shape")
-        X = X + (np.eye(Nm.shape[1]) - Nd @ Nm) @ Ym
-    return X
-
-
 def _min_eig(M) -> tuple[float, float]:
     A = symmetrize(M)
     w = np.linalg.eigvalsh(A)
@@ -143,12 +109,3 @@ def is_pd(M, tol: float = DEFAULT_PSD_TOL) -> bool:
     lam, nrm = _min_eig(M)
     return lam >= tol * (1.0 + nrm)
 
-
-def expm(M, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential e^(M t) (scaling-and-squaring with Pade approximant)."""
-    A = as_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise InvalidInputError("expm requires a square matrix")
-    if not np.isfinite(t):
-        raise InvalidInputError("t must be finite")
-    return scipy.linalg.expm(A * float(t))

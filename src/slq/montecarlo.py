@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError, LyapunovUnsolvableError, SimulationBudgetError
 from .inhomogeneous import AffineTerms, InhomogeneityGrid, forcing_on_steps, vstar_on_steps
-from .riccati import CostWeights, GareSolution
+from .riccati import CostWeights
 from .stability import ControlledSystem, solve_lyapunov
 
 __all__ = [
@@ -219,14 +219,16 @@ def _euler_cost_run(w: CostWeights, x0: np.ndarray, cfg: SimConfig, nsteps: int,
 def simulate_closed_loop(
     sys: ControlledSystem,
     w: CostWeights,
-    sol: GareSolution,
+    Theta,
     x,
     cfg: SimConfig,
     terms: AffineTerms | None = None,
     g: InhomogeneityGrid | None = None,
     v_grid=None,
 ) -> SimResult:
-    """Estimate the cost of the strategy u = Theta* X + v* by simulation.
+    """Estimate the cost of the strategy u = Theta X + v* by simulation.
+
+    ``Theta`` is the m x n feedback gain, e.g. ``GareSolution.Theta``.
 
     Simulates dX = [(A + B Th)X + B v* + b]dt + [(C + D Th)X + D v* + sigma]dW
     over cfg.horizon and accumulates the running cost pathwise.  Every
@@ -241,7 +243,7 @@ def simulate_closed_loop(
     if x0.size != n:
         raise InvalidInputError("x has the wrong dimension")
 
-    Theta = sol.Theta
+    Theta = np.asarray(Theta, dtype=float).reshape(m, n)
     b_arr, sig_arr, q_arr, rho_arr = forcing_on_steps(g, cfg.dt, nsteps, n, m)
     if v_grid is not None:
         v_arr = np.asarray(v_grid, dtype=float).reshape(nsteps, m)

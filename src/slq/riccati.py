@@ -16,8 +16,10 @@ flow sit:
   one with a stable uncontrolled pair;
 * ``solve_gare`` -- the generalized ARE with pseudoinverse, range condition
   and semidefinite constraint, computed as the epsilon -> 0 limit of the
-  regularized strictly convex solutions;
-* ``verify_static_stabilizing`` -- an independent recheck of a candidate P.
+  regularized strictly convex solutions; the limit is accepted through
+  ``verify_static_stabilizing``;
+* ``verify_static_stabilizing`` -- the one check of a candidate P against the
+  GARE conditions, which also picks its stabilizing feedback.
 """
 
 from __future__ import annotations
@@ -108,10 +110,6 @@ class GareMaps:
         L = self.cross_part(P)
         N = self.control_part(P)
         return symmetrize(self.lyapunov_part(P) - L @ pinv(N) @ L.T)
-
-    def range_defect(self, P) -> float:
-        """Normalized defect of  range(L(P)') <= range(N(P))."""
-        return range_defect(self.cross_part(P).T, self.control_part(P))
 
 
 @dataclass
@@ -464,21 +462,22 @@ def solve_gare(
 ) -> GareSolution | GareUnsolvable:
     """Compute the static stabilizing solution of the generalized ARE.
 
-    Pipeline: stabilize the system with a pre-feedback Sigma, reduce to the
-    stable case, follow the strictly convex solutions P_eps of the problems
-    with control weight R + eps I down the epsilon schedule, detect settling
-    of the path, and verify the three GARE conditions of the limit on the
-    original (untransformed) data before constructing the feedback.
+    Pipeline: stabilize the system with a pre-feedback Sigma (the given
+    ``cfg.reduction_stabilizer``, else the one found by the stabilizability
+    flow), reduce to the stable case, follow the strictly convex solutions
+    P_eps of the problems with control weight R + eps I down the epsilon
+    schedule, detect settling of the path, and accept the limit through
+    :func:`verify_static_stabilizing` on the original (untransformed) data,
+    which also supplies the feedback.
 
-    Raises :class:`NotStabilizableError` when the system has no stabilizer.
+    Raises :class:`NotStabilizableError` when the system has no stabilizer,
+    and :class:`InvalidInputError` when ``cfg.reduction_stabilizer`` is not one.
     Returns :class:`GareUnsolvable` when the epsilon path breaks down or its
     limit fails verification (the problem has no optimal control).
     """
     cfg = cfg or GareConfig()
     if cfg.reduction_stabilizer is not None:
         Sigma = as_matrix(cfg.reduction_stabilizer, "reduction_stabilizer")
-        if not is_stabilizer(sys, Sigma):
-            raise InvalidInputError("reduction_stabilizer is not a stabilizer")
     else:
         from .stabilizability import find_stabilizer
 
@@ -532,34 +531,20 @@ def solve_gare(
     diagnostics["settled_at_epsilon"] = eps_last
     diagnostics["extrapolation_norm"] = fro(P - P_last)
 
-    maps = GareMaps(sys, w)
-    res_norm = fro(maps.residual(P))
-    N = maps.control_part(P)
-    Lt = maps.cross_part(P).T
-    rdefect = range_defect(Lt, N)
-    n_min = float(np.linalg.eigvalsh(N)[0])
-    diagnostics.update(are_residual=res_norm, range_defect=rdefect, n_min_eig=n_min)
-
-    if res_norm > cfg.res_tol * (1.0 + fro(P)):
-        return GareUnsolvable("limit fails the ARE residual check", path, diagnostics)
-    if rdefect > cfg.range_tol:
-        return GareUnsolvable("limit fails the range condition", path, diagnostics)
-    if n_min < -cfg.psd_tol * (1.0 + fro(N)):
-        return GareUnsolvable("R + D'PD is not positive semidefinite", path, diagnostics)
-
-    picked = _select_feedback(sys, N, Lt, cfg.psd_tol, cfg.flow)
-    if picked is None:
-        return GareUnsolvable(
-            "no feedback of the admissible family stabilizes the system",
-            path,
-            diagnostics,
-        )
-    Theta, Pi = picked
+    check = verify_static_stabilizing(sys, w, P, cfg)
+    diagnostics.update(are_residual=check.are_residual, range_defect=check.range_defect,
+                       n_min_eig=check.n_min_eig)
+    if check.reason is not None:
+        return GareUnsolvable(check.reason, path, diagnostics)
+    Theta, Pi = check.theta, check.pi
     if not is_stabilizer(sys, Theta):
         raise InternalInconsistencyError("selected feedback failed the stabilizer check")
 
     # Consistency of the reduction: N(P) (Sigma* + Sigma) = -L(P)' must hold
     # once the range condition does, for any transformed-problem feedback.
+    maps = GareMaps(sys, w)
+    N = maps.control_part(P)
+    Lt = maps.cross_part(P).T
     Lt_t = (P @ tsys.B + tsys.C.T @ P @ tsys.D + tw.S.T).T
     Sigma_star = -control_pseudoinverse(N, cfg.psd_tol) @ Lt_t
     identity_gap = fro(N @ (Sigma_star + Sigma) + Lt) / (1.0 + fro(Lt))
@@ -580,8 +565,13 @@ class GareVerification:
     n_min_eig: float
     range_defect: float
     stabilizer_found: bool
-    theta: np.ndarray | None
-    passed: bool
+    theta: np.ndarray | None         # the stabilizing feedback of the induced family
+    pi: np.ndarray | None            # the free parameter that gives theta
+    reason: str | None               # the first failed check, None when all pass
+
+    @property
+    def passed(self) -> bool:
+        return self.reason is None
 
 
 def verify_static_stabilizing(
@@ -589,9 +579,10 @@ def verify_static_stabilizing(
 ) -> GareVerification:
     """Recompute, from scratch, whether P is a static stabilizing GARE solution.
 
-    All four findings (residual, semidefiniteness of N(P), range condition,
+    All four findings (residual, range condition, semidefiniteness of N(P),
     existence of a stabilizing feedback in the induced family) are evaluated
-    directly from the inputs, independent of how P was produced.
+    directly from the inputs, independent of how P was produced; ``reason``
+    names the first that fails, in that order.
     """
     cfg = cfg or GareConfig()
     Pm = symmetrize(P, "P")
@@ -602,17 +593,19 @@ def verify_static_stabilizing(
     rdefect = range_defect(Lt, N)
     n_min = float(np.linalg.eigvalsh(N)[0])
     picked = _select_feedback(sys, N, Lt, cfg.psd_tol, cfg.flow)
-    passed = (
-        res_norm <= cfg.res_tol * (1.0 + fro(Pm))
-        and rdefect <= cfg.range_tol
-        and n_min >= -cfg.psd_tol * (1.0 + fro(N))
-        and picked is not None
+    failures = (
+        (res_norm > cfg.res_tol * (1.0 + fro(Pm)), "limit fails the ARE residual check"),
+        (rdefect > cfg.range_tol, "limit fails the range condition"),
+        (n_min < -cfg.psd_tol * (1.0 + fro(N)), "R + D'PD is not positive semidefinite"),
+        (picked is None, "no feedback of the admissible family stabilizes the system"),
     )
+    theta, pi = picked if picked is not None else (None, None)
     return GareVerification(
         are_residual=res_norm,
         n_min_eig=n_min,
         range_defect=rdefect,
         stabilizer_found=picked is not None,
-        theta=picked[0] if picked else None,
-        passed=passed,
+        theta=theta,
+        pi=pi,
+        reason=next((text for failed, text in failures if failed), None),
     )

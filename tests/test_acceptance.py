@@ -351,7 +351,7 @@ def test_criterion_07_monte_carlo_value():
         if g is not None:
             horizon = max(horizon, g.support_end)
         cfg = SimConfig(horizon=horizon, dt=dt, n_paths=10_000, seed=7000 + idx)
-        res = simulate_closed_loop(sys_i, w_i, sol, x0, cfg, terms=terms, g=g)
+        res = simulate_closed_loop(sys_i, w_i, sol.Theta, x0, cfg, terms=terms, g=g)
         tol = max(3.0 * res.std_error, 0.02 * abs(value) + 0.01)
         assert abs(res.estimate - value) <= tol, (
             f"instance {idx}: estimate {res.estimate:.6f} vs value {value:.6f} "
@@ -371,7 +371,7 @@ def test_criterion_08_empirical_optimality(rng=np.random.default_rng(1008)):
         dt = 2e-3
         horizon = np.ceil(max(12.0 / rate, g.support_end if g else 0.0) / dt) * dt
         cfg = SimConfig(horizon=horizon, dt=dt, n_paths=1500, seed=8000 + idx)
-        base = simulate_closed_loop(sys_i, w_i, sol, x0, cfg, terms=terms, g=g)
+        base = simulate_closed_loop(sys_i, w_i, sol.Theta, x0, cfg, terms=terms, g=g)
         nsteps = cfg.steps()
         from slq.inhomogeneous import vstar_on_steps
 
@@ -387,10 +387,8 @@ def test_criterion_08_empirical_optimality(rng=np.random.default_rng(1008)):
             d_v = rng.normal(size=sys_i.m) * 0.2
             v_pert = v_base.copy()
             v_pert[: nsteps // 2] += d_v
-            pert_sol = GareSolution(P=sol.P, Theta=sol.Theta + d_theta, Pi=sol.Pi,
-                                    epsilon_path=[], diagnostics={})
             # common random numbers: same seed as the optimum
-            pert = simulate_closed_loop(sys_i, w_i, pert_sol, x0, cfg,
+            pert = simulate_closed_loop(sys_i, w_i, sol.Theta + d_theta, x0, cfg,
                                         g=g, v_grid=v_pert)
             gap = pert.estimate - base.estimate
             guard = 3.0 * np.hypot(pert.std_error, base.std_error)
@@ -456,7 +454,7 @@ def test_criterion_10_inhomogeneous_consistency():
     rate = closed_loop_rate(sys1, sol.Theta)
     dt = 1e-3
     horizon = np.ceil(16.0 / rate / dt) * dt
-    res = simulate_closed_loop(sys1, w1, sol, [1.0],
+    res = simulate_closed_loop(sys1, w1, sol.Theta, [1.0],
                                SimConfig(horizon=horizon, dt=dt, n_paths=4000, seed=1010),
                                terms=terms, g=g)
     tol = max(3.0 * res.std_error, 0.02 * abs(value) + 0.01)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import slq.cli
+import slq.stabilizability
 from slq.cli import main
 
 
@@ -62,6 +64,22 @@ def test_solve_with_oracle(tmp_path):
     assert doc["value"]["V"] == pytest.approx(1.0, abs=1e-7)
     agree = doc["oracle_1d"]["agreement"]
     assert agree["verdicts_agree"] and agree["p_matches"] and agree["theta_matches"]
+
+
+def test_solve_decides_stabilizability_once(tmp_path, monkeypatch):
+    # the stabilizer found by the decision is the one the GARE solver reduces by
+    calls = []
+    original = slq.stabilizability.stabilizability_report
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(slq.cli, "stabilizability_report", counting)
+    monkeypatch.setattr(slq.stabilizability, "stabilizability_report", counting)
+    prob = write_problem(tmp_path)
+    assert main(["solve", prob, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_solve_unsolvable_exit_code(tmp_path):

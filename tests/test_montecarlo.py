@@ -4,7 +4,6 @@ import pytest
 from slq import (
     ControlledSystem,
     CostWeights,
-    GareSolution,
     InhomogeneityGrid,
     SimConfig,
     feedback_parametrization_check,
@@ -19,12 +18,6 @@ from slq.errors import InvalidInputError, SimulationBudgetError
 from slq.inhomogeneous import forcing_on_steps, vstar_on_steps
 
 
-def make_solution(Theta):
-    Theta = np.asarray(Theta, dtype=float)
-    return GareSolution(P=np.zeros((Theta.shape[1],) * 2), Theta=Theta,
-                        Pi=np.zeros_like(Theta), epsilon_path=[], diagnostics={})
-
-
 @pytest.fixture(scope="module")
 def scalar_problem():
     sys1 = ControlledSystem([[0.0]], [[0.0]], [[1.0]], [[0.0]])
@@ -36,13 +29,13 @@ def scalar_problem():
 def test_zero_weights_give_exactly_zero(scalar_problem):
     sys1, _, sol = scalar_problem
     w0 = CostWeights([[0.0]], [[0.0]], [[0.0]])
-    r = simulate_closed_loop(sys1, w0, sol, [1.0], SimConfig(1.0, 1e-2, 50, seed=1))
+    r = simulate_closed_loop(sys1, w0, sol.Theta, [1.0], SimConfig(1.0, 1e-2, 50, seed=1))
     assert r.estimate == 0.0 and r.std_error == 0.0
 
 
 def test_zero_state_stays_zero(scalar_problem):
     sys1, w, sol = scalar_problem
-    r = simulate_closed_loop(sys1, w, sol, [0.0], SimConfig(1.0, 1e-2, 50, seed=1))
+    r = simulate_closed_loop(sys1, w, sol.Theta, [0.0], SimConfig(1.0, 1e-2, 50, seed=1))
     assert r.estimate == 0.0
     assert r.terminal_second_moment == 0.0
 
@@ -50,7 +43,7 @@ def test_zero_state_stays_zero(scalar_problem):
 def test_budget_error(scalar_problem):
     sys1, w, sol = scalar_problem
     with pytest.raises(SimulationBudgetError):
-        simulate_closed_loop(sys1, w, sol, [1.0],
+        simulate_closed_loop(sys1, w, sol.Theta, [1.0],
                              SimConfig(10.0, 1e-4, 1000, seed=1, budget=1e6))
 
 
@@ -58,7 +51,7 @@ def test_grid_must_resolve_breakpoints(scalar_problem):
     sys1, w, sol = scalar_problem
     g = InhomogeneityGrid(np.array([0.0, 0.25]), [[1.0]], [[0.0]], [[0.0]], [[0.0]])
     with pytest.raises(InvalidInputError):
-        simulate_closed_loop(sys1, w, sol, [1.0],
+        simulate_closed_loop(sys1, w, sol.Theta, [1.0],
                              SimConfig(1.0, 1e-1, 10, seed=1), g=g)
 
 
@@ -67,8 +60,8 @@ def test_bit_reproducibility(scalar_problem):
     w = CostWeights([[1.0]], [[0.0]], [[1.0]])
     sol = solve_gare(sys1, w)
     cfg = SimConfig(5.0, 1e-2, 300, seed=99)
-    r1 = simulate_closed_loop(sys1, w, sol, [1.0], cfg)
-    r2 = simulate_closed_loop(sys1, w, sol, [1.0], cfg)
+    r1 = simulate_closed_loop(sys1, w, sol.Theta, [1.0], cfg)
+    r2 = simulate_closed_loop(sys1, w, sol.Theta, [1.0], cfg)
     assert r1 == r2
 
 
@@ -77,7 +70,7 @@ def test_estimate_matches_value(scalar_problem):
     w = CostWeights([[1.0]], [[0.0]], [[1.0]])
     sol = solve_gare(sys1, w)
     V = float(sol.P[0, 0])
-    r = simulate_closed_loop(sys1, w, sol, [1.0], SimConfig(16.0, 2e-3, 4000, seed=5))
+    r = simulate_closed_loop(sys1, w, sol.Theta, [1.0], SimConfig(16.0, 2e-3, 4000, seed=5))
     assert abs(r.estimate - V) <= max(3 * r.std_error, 0.02 * abs(V) + 0.01)
     assert r.tail_estimate is not None and abs(r.tail_estimate) < 1e-3
 
@@ -104,7 +97,7 @@ def test_open_loop_replay_of_deterministic_closed_loop():
     terms = solve_eta(sol, sys1, w, g)
     cfg = SimConfig(10.0, 1e-3, 4, seed=3)
     nsteps = cfg.steps()
-    closed = simulate_closed_loop(sys1, w, sol, [0.0], cfg, terms=terms, g=g)
+    closed = simulate_closed_loop(sys1, w, sol.Theta, [0.0], cfg, terms=terms, g=g)
 
     # rebuild the deterministic control path with the same recursion
     v = vstar_on_steps(terms, g, cfg.dt, nsteps, 1)
@@ -145,8 +138,8 @@ def test_terminal_moment_decays_with_horizon():
     sys1 = ControlledSystem([[-0.8]], [[0.4]], [[1.0]], [[0.0]])
     w = CostWeights([[1.0]], [[0.0]], [[1.0]])
     sol = solve_gare(sys1, w)
-    m_short = simulate_closed_loop(sys1, w, sol, [1.0], SimConfig(2.0, 1e-2, 500, seed=9))
-    m_long = simulate_closed_loop(sys1, w, sol, [1.0], SimConfig(12.0, 1e-2, 500, seed=9))
+    m_short = simulate_closed_loop(sys1, w, sol.Theta, [1.0], SimConfig(2.0, 1e-2, 500, seed=9))
+    m_long = simulate_closed_loop(sys1, w, sol.Theta, [1.0], SimConfig(12.0, 1e-2, 500, seed=9))
     assert m_long.terminal_second_moment < m_short.terminal_second_moment
     assert m_long.terminal_second_moment < 1e-3
 
@@ -156,11 +149,11 @@ def test_state_energy_bounded_by_certificate():
     # closed-loop Lyapunov certificate
     sys1 = ControlledSystem([[-0.6]], [[0.5]], [[1.0]], [[0.0]])
     w_energy = CostWeights([[1.0]], [[0.0]], [[0.0]])
-    sol = make_solution([[-0.5]])
+    Theta = np.array([[-0.5]])
     g = InhomogeneityGrid(np.array([0.0, 1.0]), [[0.7]], [[0.4]], [[0.0]], [[0.0]])
     cfg = SimConfig(20.0, 2e-3, 2000, seed=31)
-    r = simulate_closed_loop(sys1, w_energy, sol, [1.0], cfg, g=g)
-    P = solve_lyapunov(sys1.closed_loop(sol.Theta), np.eye(1))
+    r = simulate_closed_loop(sys1, w_energy, Theta, [1.0], cfg, g=g)
+    P = solve_lyapunov(sys1.closed_loop(Theta), np.eye(1))
     k_cert = 2.0 * float(P[0, 0]) + 4.0 * float(P[0, 0]) ** 2 + 1.0
     forcing_energy = 1.0 * (0.7 ** 2 + 0.4 ** 2)
     assert r.estimate <= k_cert * (1.0 + forcing_energy)
@@ -173,8 +166,8 @@ def test_quadratic_scaling_in_initial_state():
     w = CostWeights([[1.0]], [[0.0]], [[1.0]])
     sol = solve_gare(sys1, w)
     cfg = SimConfig(8.0, 2e-3, 400, seed=77)
-    r1 = simulate_closed_loop(sys1, w, sol, [1.0], cfg)
-    r3 = simulate_closed_loop(sys1, w, sol, [3.0], cfg)
+    r1 = simulate_closed_loop(sys1, w, sol.Theta, [1.0], cfg)
+    r3 = simulate_closed_loop(sys1, w, sol.Theta, [3.0], cfg)
     assert r3.estimate == pytest.approx(9.0 * r1.estimate, rel=1e-12)
 
 
@@ -182,7 +175,7 @@ def test_cost_quantiles_are_ordered():
     sys1 = ControlledSystem([[-0.5]], [[0.6]], [[1.0]], [[0.1]])
     w = CostWeights([[1.0]], [[0.0]], [[1.0]])
     sol = solve_gare(sys1, w)
-    r = simulate_closed_loop(sys1, w, sol, [1.0], SimConfig(5.0, 1e-2, 200, seed=13))
+    r = simulate_closed_loop(sys1, w, sol.Theta, [1.0], SimConfig(5.0, 1e-2, 200, seed=13))
     qs = [r.cost_quantiles[q] for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert qs == sorted(qs)
 
@@ -219,7 +212,7 @@ def test_results_independent_of_block_width(monkeypatch):
     u = 0.2 * np.cos(np.linspace(0.0, 5.0, 2 * cfg.steps())).reshape(-1, 2)
 
     def run():
-        closed = simulate_closed_loop(sys2, w, sol, [1.0, -1.0], cfg, terms=terms, g=g)
+        closed = simulate_closed_loop(sys2, w, sol.Theta, [1.0, -1.0], cfg, terms=terms, g=g)
         opened = simulate_open_loop(sys2, w, u, [1.0, -1.0], cfg, g=g)
         return closed, opened
 
@@ -281,7 +274,7 @@ def test_closed_loop_kernel_matches_loop_oracle():
     nsteps = cfg.steps()
     Theta = np.array([[-0.5, 0.1], [0.2, -0.4]])
     v = 0.3 * np.sin(np.linspace(0.0, 4.0, 2 * nsteps)).reshape(nsteps, 2)
-    r = simulate_closed_loop(sys2, w, make_solution(Theta), [1.0, -0.5], cfg, g=g, v_grid=v)
+    r = simulate_closed_loop(sys2, w, Theta, [1.0, -0.5], cfg, g=g, v_grid=v)
 
     def u_of(k, x):
         return [sum(Theta[i, j] * x[j] for j in range(2)) + v[k, i] for i in range(2)]

@@ -240,8 +240,11 @@ def test_verify_rejects_non_stabilizing_root():
     y2 = (beta + np.sqrt(delta)) / (2 * alpha)
     bad = verify_static_stabilizing(sys1, w, [[y1 - 1.0]])
     good = verify_static_stabilizing(sys1, w, [[y2 - 1.0]])
+    off = verify_static_stabilizing(sys1, w, [[y2 - 1.0 + 0.1]])
     assert bad.are_residual <= 1e-10 and not bad.stabilizer_found and not bad.passed
-    assert good.passed
+    assert bad.reason == "no feedback of the admissible family stabilizes the system"
+    assert good.passed and good.reason is None
+    assert off.reason == "limit fails the ARE residual check" and not off.passed
 
 
 def test_verify_partially_degenerate_without_freedom():
