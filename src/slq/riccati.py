@@ -309,26 +309,12 @@ def integrate_riccati_flow(
     )
 
 
-def solve_are_strict(
-    sys: ControlledSystem,
-    w: CostWeights,
-    cfg: FlowConfig | None = None,
-    terminal: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """Solve the strictly convex ARE (with R + D'PD > 0) over a stable pair.
+def _strict_limit(sys: ControlledSystem, w: CostWeights, G, cfg: FlowConfig) -> np.ndarray | None:
+    """Run the flow from G and accept its limit as a strictly convex ARE solution.
 
-    The flow starts from the Lyapunov terminal value G solving
-    G A + A'G + C'G C + Q = 0 (the infinite-horizon cost of the uncontrolled
-    system), which may be passed in via ``terminal`` when already available.
-    Returns None when the flow diverges, exits positivity, or the candidate
-    fails its residual check -- i.e. the strictly convex problem has no
-    solution.
+    The caller has certified [A, C] and supplies G; returns None when the flow
+    diverges, exits positivity, or the candidate fails its residual check.
     """
-    cfg = cfg or FlowConfig()
-    pair = sys.pair()
-    if not is_l2_stable(pair):
-        raise NotStableError("solve_are_strict requires a mean-square stable [A, C]")
-    G = terminal if terminal is not None else solve_lyapunov(pair, w.Q)
     try:
         flow = integrate_riccati_flow(sys, w, G, cfg)
     except InvalidTerminalError:
@@ -347,6 +333,24 @@ def solve_are_strict(
     if res > cfg.res_tol * (1.0 + fro(P)):
         return None
     return P
+
+
+def solve_are_strict(
+    sys: ControlledSystem, w: CostWeights, cfg: FlowConfig | None = None
+) -> np.ndarray | None:
+    """Solve the strictly convex ARE (with R + D'PD > 0) over a stable pair.
+
+    Certifies [A, C] (raising :class:`NotStableError` when it is not
+    mean-square stable), then starts the flow from the Lyapunov terminal value
+    G solving G A + A'G + C'G C + Q = 0 (the infinite-horizon cost of the
+    uncontrolled system).  Returns None when the flow diverges, exits
+    positivity, or the candidate fails its residual check -- i.e. the strictly
+    convex problem has no solution.
+    """
+    pair = sys.pair()
+    if not is_l2_stable(pair):
+        raise NotStableError("solve_are_strict requires a mean-square stable [A, C]")
+    return _strict_limit(sys, w, solve_lyapunov(pair, w.Q), cfg or FlowConfig())
 
 
 def transform_problem(
@@ -495,7 +499,7 @@ def solve_gare(
     settled = False
     for eps in cfg.epsilon_schedule:
         w_eps = CostWeights(tw.Q, tw.S, tw.R + eps * eye_m)
-        P_eps = solve_are_strict(tsys, w_eps, cfg.flow, terminal=G)
+        P_eps = _strict_limit(tsys, w_eps, G, cfg.flow)
         if P_eps is None:
             diagnostics["failed_epsilon"] = eps
             return GareUnsolvable(
@@ -537,8 +541,6 @@ def solve_gare(
     if check.reason is not None:
         return GareUnsolvable(check.reason, path, diagnostics)
     Theta, Pi = check.theta, check.pi
-    if not is_stabilizer(sys, Theta):
-        raise InternalInconsistencyError("selected feedback failed the stabilizer check")
 
     # Consistency of the reduction: N(P) (Sigma* + Sigma) = -L(P)' must hold
     # once the range condition does, for any transformed-problem feedback.
