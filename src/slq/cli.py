@@ -292,6 +292,16 @@ def _oracle_block(problem: ProblemData, sol: GareSolution | None) -> dict:
     return block
 
 
+def _solve_oracle_block(problem: ProblemData, sol: GareSolution | None) -> dict:
+    """The oracle block of `slq solve`.  A problem outside the closed form's
+    classification (no control authority) gets the reason instead, and the
+    solver's own verdict and exit code stand."""
+    try:
+        return _oracle_block(problem, sol)
+    except UnsupportedInputError as exc:
+        return {"unsupported": str(exc)}
+
+
 def _closed_loop_time_constant(sys: ControlledSystem, Theta: np.ndarray) -> float:
     lam = np.linalg.eigvals(sys.A + sys.B @ Theta)
     rate = -float(np.max(lam.real))
@@ -373,7 +383,7 @@ def _run_solve(problem: ProblemData, cfg: dict, args):
     if not stab.stabilizable:
         doc["verdict"] = {"stabilizable": False, "solvable": False}
         if oracle:
-            doc["oracle_1d"] = _oracle_block(problem, None)
+            doc["oracle_1d"] = _solve_oracle_block(problem, None)
         return _EXIT_NOT_STABILIZABLE, doc, None, None
 
     outcome = solve_gare(problem.sys, problem.w, _gare_config(cfg, stab.gamma))
@@ -386,7 +396,7 @@ def _run_solve(problem: ProblemData, cfg: dict, args):
                             if not isinstance(v, np.ndarray) or k == "sigma"},
         }
         if oracle:
-            doc["oracle_1d"] = _oracle_block(problem, None)
+            doc["oracle_1d"] = _solve_oracle_block(problem, None)
         return _EXIT_UNSOLVABLE, doc, None, None
 
     sol = outcome
@@ -416,7 +426,7 @@ def _run_solve(problem: ProblemData, cfg: dict, args):
     doc["value"] = {"x0": [float(v) for v in problem.x0], "V": value}
 
     if oracle:
-        doc["oracle_1d"] = _oracle_block(problem, sol)
+        doc["oracle_1d"] = _solve_oracle_block(problem, sol)
     if getattr(args, "simulate", None):
         doc["simulation"] = _simulation_block(problem, cfg, sol.Theta, terms, value)
     return _EXIT_OK, doc, sol, terms

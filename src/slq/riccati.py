@@ -7,17 +7,21 @@ length,
               - (Sig B + C'Sig D + S') (R + D'Sig D)^{-1} (B'Sig + D'Sig C + S),
     Sig(0) = G,
 
-whose stationary points solve the algebraic Riccati equation.  On top of the
-flow sit:
+whose stationary points solve the algebraic Riccati equation.  The flow is
+defined while R + D'Sig D > 0; each evaluation of the matrix right-hand side
+factors it once (Cholesky), and that factor is both the positivity test and
+the solve.  On top of the flow sit:
 
 * ``solve_are_strict`` -- the strictly convex ARE (R + D'PD > 0) for a stable
-  uncontrolled pair, started from the Lyapunov terminal value;
+  uncontrolled pair, which it certifies, started from the Lyapunov terminal
+  value;
 * ``transform_problem`` -- pre-feedback reduction of a stabilizable problem to
   one with a stable uncontrolled pair;
 * ``solve_gare`` -- the generalized ARE with pseudoinverse, range condition
   and semidefinite constraint, computed as the epsilon -> 0 limit of the
-  regularized strictly convex solutions; the limit is accepted through
-  ``verify_static_stabilizing``;
+  regularized strictly convex solutions; the path reuses the certificate
+  ``transform_problem`` made of the reduced pair and one terminal value, and
+  the limit is accepted through ``verify_static_stabilizing``;
 * ``verify_static_stabilizing`` -- the one check of a candidate P against the
   GARE conditions, which also picks its stabilizing feedback.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     InternalInconsistencyError,
@@ -238,12 +243,12 @@ def _matrix_rhs(sys: ControlledSystem, w: CostWeights):
 
     def rhs(Sig):
         N = R + D.T @ Sig @ D
-        try:
-            np.linalg.cholesky((N + N.T) / 2.0)
-        except np.linalg.LinAlgError:
-            raise _PositivityLost from None
+        # one Cholesky factor is both the positivity test and the solver
+        factor, info = dpotrf((N + N.T) / 2.0, lower=1)
+        if info != 0:
+            raise _PositivityLost
         L = Sig @ B + C.T @ Sig @ D + S.T
-        K = np.linalg.solve((N + N.T) / 2.0, L.T)
+        K, _ = dpotrs(factor, L.T, lower=1)
         return Sig @ A + A.T @ Sig + C.T @ Sig @ C + Q - L @ K
 
     return rhs
@@ -472,7 +477,9 @@ def solve_gare(
     P_eps of the problems with control weight R + eps I down the epsilon
     schedule, detect settling of the path, and accept the limit through
     :func:`verify_static_stabilizing` on the original (untransformed) data,
-    which also supplies the feedback.
+    which also supplies the feedback.  Every pair is certified once:
+    ``transform_problem`` certifies the reduced pair, which the epsilon path
+    then does not re-check, and the verifier certifies the feedback.
 
     Raises :class:`NotStabilizableError` when the system has no stabilizer,
     and :class:`InvalidInputError` when ``cfg.reduction_stabilizer`` is not one.

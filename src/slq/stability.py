@@ -16,6 +16,7 @@ case that P is a strict Lyapunov certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,15 +102,27 @@ class ControlledSystem:
         return SystemPair(self.A + self.B @ Th, self.C + self.D @ Th)
 
 
-def _sym_basis(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
+@lru_cache(maxsize=64)
+def _sym_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric basis of n x n matrices: element k is (ri[k], rj[k]) with
+    ri <= rj, and P[p, q] and P[q, p] are both coordinate col[p, q]."""
+    ri, rj = np.triu_indices(n)
+    col = np.empty((n, n), dtype=np.intp)
+    col[ri, rj] = col[rj, ri] = np.arange(ri.size)
+    for arr in (ri, rj, col):
+        arr.flags.writeable = False
+    return ri, rj, col
 
 
 def solve_lyapunov(sys: SystemPair, Lambda) -> np.ndarray:
     """Solve P A + A'P + C'P C + Lambda = 0 for symmetric P.
 
     The operator is flattened over the n(n+1)/2-dimensional symmetric-matrix
-    basis and solved by dense LU factorization.  Raises
+    basis and solved by dense LU factorization.  Its matrix is written entry
+    by entry: the A-part has O(n) entries per column and goes in with two
+    indexed adds, the C-part ``C[p,i] C[q,j] + C[q,i] C[p,j]`` is filled one
+    block of rows (i, .) at a time, so assembly costs O(n^4) time and O(n^3)
+    scratch beyond the matrix itself; the LU costs O(n^6).  Raises
     :class:`LyapunovUnsolvableError` if the linear system is singular or the
     candidate fails the residual test, which signals that [A, C] is not
     L2-stable (or is degenerate).
@@ -120,29 +133,30 @@ def solve_lyapunov(sys: SystemPair, Lambda) -> np.ndarray:
     if Lam.shape != (n, n):
         raise InvalidInputError("Lambda must be n x n")
 
-    pairs = _sym_basis(n)
-    dim = len(pairs)
-    T = np.empty((dim, dim))
-    rows = tuple(zip(*pairs))
-    for k, (i, j) in enumerate(pairs):
-        E = np.zeros((n, n))
-        E[i, j] = 1.0
-        E[j, i] = 1.0
-        if i == j:
-            E[i, i] = 1.0
-        img = E @ A + A.T @ E + C.T @ E @ C
-        T[:, k] = img[rows]
-    rhs = -Lam[rows]
+    # Row (i, j) of T holds the coefficients of the coordinates of P in
+    # (P A + A'P + C'P C)[i, j].
+    ri, rj, col = _sym_index(n)
+    dim = ri.size
+    T = np.zeros((dim, dim))
+    rk = np.arange(dim)[:, None]
+    T[rk, col[ri]] += A[:, rj].T          # sum_q P[i, q] A[q, j]
+    T[rk, col[:, rj].T] += A[:, ri].T     # sum_p A[p, i] P[p, j]
+    # Column k = (p, q) of the C-part: C[p,i] C[q,j] + C[q,i] C[p,j], the
+    # second term only for p < q.  Filled by blocks of rows (i, j >= i).
+    Cp, Cq = C[ri].T, C[rj].T
+    Cq_off = Cq * (ri != rj)
+    start = 0
+    for i in range(n):
+        T[start:start + n - i] += Cp[i] * Cq[i:] + Cq_off[i] * Cp[i:]
+        start += n - i
+    rhs = -Lam[ri, rj]
 
     try:
         coeffs = np.linalg.solve(T, rhs)
     except np.linalg.LinAlgError as exc:
         raise LyapunovUnsolvableError("singular Lyapunov system") from exc
 
-    P = np.zeros((n, n))
-    for k, (i, j) in enumerate(pairs):
-        P[i, j] = coeffs[k]
-        P[j, i] = coeffs[k]
+    P = coeffs[col]
 
     residual = fro(P @ A + A.T @ P + C.T @ P @ C + Lam)
     scale = (1.0 + fro(P)) * (1.0 + fro(A) + fro(C) ** 2)

@@ -20,10 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistencyError, UnsupportedInputError
+from .errors import (
+    InternalInconsistencyError,
+    LyapunovUnsolvableError,
+    UnsupportedInputError,
+)
 from .linalg import fro, is_pd, is_psd, symmetrize
 from .riccati import CostWeights, FlowConfig, RiccatiFlow, integrate_riccati_flow
-from .stability import ControlledSystem, is_l2_stable, is_stabilizer, solve_lyapunov
+from .stability import ControlledSystem, is_stabilizer, solve_lyapunov
 
 __all__ = [
     "StabilizabilityReport",
@@ -59,9 +63,13 @@ def stabilizability_report(
     n, m = sys.n, sys.m
 
     if not sys.B.any() and not sys.D.any():
-        # No control authority: stabilizability degenerates to stability.
-        if is_l2_stable(sys.pair()):
+        # No control authority: stabilizability degenerates to stability,
+        # decided by the Lyapunov certificate of is_l2_stable, solved once.
+        try:
             P = solve_lyapunov(sys.pair(), np.eye(n))
+        except LyapunovUnsolvableError:
+            P = None
+        if P is not None and is_pd(P):
             return StabilizabilityReport(True, np.zeros((m, n)), P, "static", 0.0, None)
         return StabilizabilityReport(False, None, None, "static", None, None)
 

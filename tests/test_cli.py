@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+import slq
 import slq.cli
+import slq.montecarlo
+import slq.riccati
+import slq.stability
 import slq.stabilizability
 from slq.cli import main
 
@@ -80,6 +84,45 @@ def test_solve_decides_stabilizability_once(tmp_path, monkeypatch):
     prob = write_problem(tmp_path)
     assert main(["solve", prob, "--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 1
+
+
+def test_solve_lyapunov_budget(tmp_path, monkeypatch):
+    # one stabilizability self-check, the reduction's certificate of Sigma,
+    # the terminal value G and the check of the selected feedback
+    calls = []
+    original = slq.stability.solve_lyapunov
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (slq, slq.cli, slq.montecarlo, slq.riccati, slq.stability,
+                   slq.stabilizability):
+        if getattr(module, "solve_lyapunov", None) is original:
+            monkeypatch.setattr(module, "solve_lyapunov", counting)
+    prob = write_problem(tmp_path, n=2, m=1,
+                         A=[[0.3, 1.0], [0.0, -0.2]], C=[[0.2, 0.0], [0.1, 0.3]],
+                         B=[[0.0], [1.0]], D=[[0.1], [0.0]],
+                         Q=[[1.0, 0.0], [0.0, 2.0]], S=[[0.0, 0.0]], x0=[1.0, -0.5])
+    out = str(tmp_path / "r.json")
+    assert main(["solve", prob, "--out", out]) == 0
+    assert read(out)["verdict"] == {"stabilizable": True, "solvable": True}
+    assert 1 <= len(calls) <= 4
+
+
+@pytest.mark.parametrize("a, code", [(1.0, 2), (-1.0, 0)])
+def test_solve_oracle_without_control_authority(tmp_path, a, code):
+    # the closed form does not cover B = D = 0; the solver's report stands
+    prob = write_problem(tmp_path, A=[[a]], B=[[0.0]])
+    plain, with_oracle = str(tmp_path / "plain.json"), str(tmp_path / "oracle.json")
+    assert main(["solve", prob, "--out", plain]) == code
+    assert main(["solve", prob, "--oracle", "--out", with_oracle]) == code
+    doc = read(with_oracle)
+    assert doc["verdict"]["stabilizable"] is (code == 0)
+    assert doc["oracle_1d"]["unsupported"].startswith("no control authority")
+    del doc["oracle_1d"]
+    assert doc == read(plain)
+    assert main(["oracle1d", prob, "--out", str(tmp_path / "o.json")]) == 1
 
 
 def test_solve_unsolvable_exit_code(tmp_path):

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_stable_pair
-from slq import ControlledSystem, SystemPair, is_l2_stable, is_stabilizer, solve_lyapunov
+from slq import (
+    ControlledSystem,
+    CostWeights,
+    SystemPair,
+    integrate_riccati_flow,
+    is_l2_stable,
+    is_stabilizer,
+    solve_lyapunov,
+)
 from slq.errors import InvalidInputError, LyapunovUnsolvableError
 from slq.linalg import fro, is_psd
 
@@ -68,6 +77,62 @@ def test_lyapunov_monotone_in_forcing(rng):
         P1 = solve_lyapunov(pair, L1)
         P2 = solve_lyapunov(pair, L2)
         assert is_psd(P1 - P2, tol=1e-8)
+
+
+def test_lyapunov_matches_kronecker_oracle(rng):
+    # Independent oracle: the full n^2 x n^2 operator on vec(P), row-major.
+    for n in range(1, 9):
+        for _ in range(3):
+            pair = random_stable_pair(rng, n)
+            Lam = rng.uniform(-1, 1, (n, n))
+            Lam = (Lam + Lam.T) / 2
+            eye = np.eye(n)
+            K = (np.kron(eye, pair.A.T) + np.kron(pair.A.T, eye)
+                 + np.kron(pair.C.T, pair.C.T))
+            P_ref = np.linalg.solve(K, -Lam.ravel()).reshape(n, n)
+            P = solve_lyapunov(pair, Lam)
+            assert fro(P - P_ref) <= 1e-12 * fro(P_ref)
+
+
+def test_lyapunov_without_noise_matches_scipy(rng):
+    # C = 0: P A + A'P = -Lambda is a standard Lyapunov equation.
+    for n in range(1, 9):
+        pair = random_stable_pair(rng, n)
+        pair = SystemPair(pair.A, np.zeros((n, n)))
+        Lam = rng.uniform(-1, 1, (n, n))
+        Lam = (Lam + Lam.T) / 2
+        P_ref = scipy.linalg.solve_continuous_lyapunov(pair.A.T, -Lam)
+        assert fro(solve_lyapunov(pair, Lam) - P_ref) <= 1e-12 * fro(P_ref)
+
+
+def test_lyapunov_singular_matrix_system():
+    # A = -I/2, C = I: P A + A'P + C'P C = 0 for every P.
+    with pytest.raises(LyapunovUnsolvableError):
+        solve_lyapunov(SystemPair(-0.5 * np.eye(2), np.eye(2)), np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [
+    (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0),    # finite escape: sig' = 2 sig + 1
+    (0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 1.0),   # sig' = -1 until R + D'sig D = 1 + sig hits 0
+])
+def test_matrix_flow_status_matches_scalar_block(bad):
+    # Block-diagonal data keep the flow block-diagonal, so the 2 x 2 flow
+    # (matrix right-hand side) must end like the scalar flow of its bad block.
+    good = (-1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+    a, c, b, d, q, s, r = bad
+    scalar = integrate_riccati_flow(ControlledSystem([[a]], [[c]], [[b]], [[d]]),
+                                    CostWeights([[q]], [[s]], [[r]]), [[0.0]])
+    diag = [np.diag(pair) for pair in zip(bad, good)]
+    sys2 = ControlledSystem(diag[0], diag[1], diag[2], diag[3])
+    w2 = CostWeights(diag[4], diag[5], diag[6])
+    flow = integrate_riccati_flow(sys2, w2, np.zeros((2, 2)))
+    assert scalar.status == "diverged"
+    assert flow.status == scalar.status
+    if d != 0.0:
+        # the flow ended at the edge of R + D'Sig D > 0, not by growing
+        Sig = flow.values[-1]
+        assert np.linalg.eigvalsh(w2.R + sys2.D.T @ Sig @ sys2.D)[0] < 1e-3
+        assert fro(Sig) < 10.0
 
 
 def test_is_l2_stable_scalar_cases():
