@@ -314,7 +314,9 @@ def integrate_riccati_flow(
     )
 
 
-def _strict_limit(sys: ControlledSystem, w: CostWeights, G, cfg: FlowConfig) -> np.ndarray | None:
+def _strict_limit(
+    sys: ControlledSystem, w: CostWeights, G, cfg: FlowConfig
+) -> np.ndarray | None:
     """Run the flow from G and accept its limit as a strictly convex ARE solution.
 
     The caller has certified [A, C] and supplies G; returns None when the flow

@@ -122,7 +122,7 @@ def solve_lyapunov(sys: SystemPair, Lambda) -> np.ndarray:
     by entry: the A-part has O(n) entries per column and goes in with two
     indexed adds, the C-part ``C[p,i] C[q,j] + C[q,i] C[p,j]`` is filled one
     block of rows (i, .) at a time, so assembly costs O(n^4) time and O(n^3)
-    scratch beyond the matrix itself; the LU costs O(n^6).  Raises
+    memory beyond the matrix itself; the LU costs O(n^6).  Raises
     :class:`LyapunovUnsolvableError` if the linear system is singular or the
     candidate fails the residual test, which signals that [A, C] is not
     L2-stable (or is degenerate).

@@ -63,8 +63,8 @@ def stabilizability_report(
     n, m = sys.n, sys.m
 
     if not sys.B.any() and not sys.D.any():
-        # No control authority: stabilizability degenerates to stability,
-        # decided by the Lyapunov certificate of is_l2_stable, solved once.
+        # No control authority: stabilizability degenerates to stability.
+        # This is is_l2_stable's test, keeping its certificate P for the report.
         try:
             P = solve_lyapunov(sys.pair(), np.eye(n))
         except LyapunovUnsolvableError:
