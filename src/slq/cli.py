@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import NotStabilizableError, SlqError, UnsupportedInputError
-from .inhomogeneous import (
-    InhomogeneityGrid,
-    assemble_value,
-    check_range_ez,
-    solve_eta,
+from .errors import (
+    LyapunovUnsolvableError,
+    NotStabilizableError,
+    SlqError,
+    UnsupportedInputError,
 )
+from .inhomogeneous import InhomogeneityGrid, assemble_value, solve_eta
+from .linalg import is_pd
 from .montecarlo import SimConfig, simulate_closed_loop
 from .oracle1d import solve_1d
 from .riccati import (
@@ -37,7 +38,7 @@ from .riccati import (
     GareUnsolvable,
     solve_gare,
 )
-from .stability import ControlledSystem, is_stabilizer, solve_lyapunov
+from .stability import ControlledSystem, solve_lyapunov
 from .stabilizability import stabilizability_report
 
 __all__ = ["ProblemData", "load_problem", "main"]
@@ -146,7 +147,6 @@ _DEFAULT_CONFIG = {
     "range_tol": 1e-6,
     "psd_tol": 1e-8,
     "stat_tol": 1e-10,
-    "flow_res_tol": 1e-8,
     "divergence_norm": 1e8,
     "max_horizon": 1e4,
     "rtol": 1e-9,
@@ -178,7 +178,6 @@ def _resolve_config(problem: ProblemData, args) -> dict:
 def _flow_config(cfg: dict) -> FlowConfig:
     return FlowConfig(
         stat_tol=float(cfg["stat_tol"]),
-        res_tol=float(cfg["flow_res_tol"]),
         divergence_norm=float(cfg["divergence_norm"]),
         max_horizon=float(cfg["max_horizon"]),
         rtol=float(cfg["rtol"]),
@@ -407,7 +406,7 @@ def _run_solve(problem: ProblemData, cfg: dict, args):
     value = None
     if problem.grid is not None:
         terms = solve_eta(sol, problem.sys, problem.w, problem.grid)
-        check = check_range_ez(sol, terms, problem.grid)
+        check = terms.range_check
         doc["inhomogeneous"] = {
             "times": [float(t) for t in terms.times],
             "eta": terms.eta,
@@ -455,13 +454,13 @@ def cmd_simulate(args) -> int:
 
     if args.theta is not None:
         theta = _parse_theta(args.theta, problem.sys.m, problem.sys.n)
-        if not is_stabilizer(problem.sys, theta):
-            pair = problem.sys.closed_loop(theta)
-            try:
-                solve_lyapunov(pair, np.eye(problem.sys.n))
-                detail = "Lyapunov solution exists but is not positive definite"
-            except SlqError as exc:
-                detail = str(exc)
+        # is_stabilizer's test, solved once so that its failure explains itself
+        try:
+            P = solve_lyapunov(problem.sys.closed_loop(theta), np.eye(problem.sys.n))
+            detail = None if is_pd(P) else "Lyapunov solution exists but is not positive definite"
+        except LyapunovUnsolvableError as exc:
+            detail = str(exc)
+        if detail is not None:
             doc["verdict"] = {"stabilizer": False, "detail": detail}
             _emit(doc, args.out)
             return _EXIT_NOT_STABILIZABLE

@@ -125,13 +125,14 @@ class AffineTerms:
     The martingale term of the backward equation is identically zero for
     deterministic forcing; eta is exact per interval (matrix-exponential
     form) and identically zero beyond the support.  ``eta`` and ``v_star``
-    hold values at the grid breakpoints.
+    hold values at the grid breakpoints; ``range_check`` is the range
+    condition on the grid, as :func:`check_range_ez` finds it.
     """
 
     times: np.ndarray
     eta: np.ndarray                # (K+1, n)
     v_star: np.ndarray             # (K+1, m)
-    range_defect: float
+    range_check: RangeCheck = None
     zeta_is_zero: bool = True
     _drift_T: np.ndarray = field(repr=False, default=None)   # (A + B Theta)'
     _phi: np.ndarray = field(repr=False, default=None)       # (K, n)
@@ -140,7 +141,6 @@ class AffineTerms:
     _N_dag: np.ndarray = field(repr=False, default=None)
     _BT: np.ndarray = field(repr=False, default=None)
     _DTP: np.ndarray = field(repr=False, default=None)
-    _nu_term: np.ndarray = field(repr=False, default=None)   # (K, m), projected
 
     def eta_at(self, t: float) -> np.ndarray:
         """Evaluate eta exactly at any time (zero beyond the support)."""
@@ -163,12 +163,8 @@ class AffineTerms:
         return w
 
     def v_star_at(self, t: float) -> np.ndarray:
-        """The affine control term v*(t) = -N(P)^+ w(t) (+ projected nu)."""
-        v = -self._N_dag @ self.forcing_at(t)
-        k = self._grid.interval_of(t)
-        if k is not None and self._nu_term is not None:
-            v = v + self._nu_term[k]
-        return v
+        """The affine control term v*(t) = -N(P)^+ w(t)."""
+        return -self._N_dag @ self.forcing_at(t)
 
 
 def _propagator(M: np.ndarray, phi_k: np.ndarray, tau: float):
@@ -182,11 +178,10 @@ def _propagator(M: np.ndarray, phi_k: np.ndarray, tau: float):
 
 
 def solve_eta(sol: GareSolution, sys: ControlledSystem, w: CostWeights,
-              g: InhomogeneityGrid, nu=None) -> AffineTerms:
+              g: InhomogeneityGrid) -> AffineTerms:
     """Solve for the affine terms of the optimal strategy on the forcing grid.
 
-    ``nu`` optionally supplies the free per-interval component of v* living
-    in the null space of N(P) (it is projected there); by default it is zero.
+    The free component of v* in the null space of N(P) is taken as zero.
     """
     if g.n != sys.n or g.m != sys.m:
         raise InvalidInputError("forcing grid dimensions do not match the system")
@@ -206,16 +201,11 @@ def solve_eta(sol: GareSolution, sys: ControlledSystem, w: CostWeights,
 
     N = symmetrize(w.R + sys.D.T @ P @ sys.D)
     N_dag = control_pseudoinverse(N)
-    nu_term = None
-    if nu is not None:
-        nu_arr = _value_rows(nu, K, sys.m, "nu")
-        nu_term = nu_arr @ (np.eye(sys.m) - N_dag @ N).T
 
     terms = AffineTerms(
         times=g.times.copy(),
         eta=eta,
         v_star=np.zeros((K + 1, sys.m)),
-        range_defect=0.0,
         _drift_T=M,
         _phi=phi,
         _grid=g,
@@ -223,12 +213,10 @@ def solve_eta(sol: GareSolution, sys: ControlledSystem, w: CostWeights,
         _N_dag=N_dag,
         _BT=sys.B.T,
         _DTP=sys.D.T @ P,
-        _nu_term=nu_term,
     )
     for k in range(K + 1):
         terms.v_star[k] = terms.v_star_at(float(g.times[k]))
-    check = check_range_ez(sol, terms, g)
-    terms.range_defect = check.max_defect
+    terms.range_check = check_range_ez(sol, terms, g)
     return terms
 
 
@@ -336,8 +324,7 @@ def vstar_on_steps(terms: AffineTerms | None, g: InhomogeneityGrid | None,
     the exact one-step matrix-exponential map, which is valid because every
     forcing breakpoint is required to be a multiple of dt.  Beyond the
     support eta vanishes and v* is exactly zero; on it, v*_j =
-    -N(P)^+ (B'eta_j + D'P sigma_k + rho_k) (+ projected nu_k) for all steps
-    at once.
+    -N(P)^+ (B'eta_j + D'P sigma_k + rho_k) for all steps at once.
     """
     if terms is None or g is None:
         return np.zeros((nsteps, m))
@@ -360,6 +347,4 @@ def vstar_on_steps(terms: AffineTerms | None, g: InhomogeneityGrid | None,
     on = int(np.count_nonzero(ks < K))
     w_const = g.sigma @ terms._DTP.T + g.rho
     v[:on] = -((eta[:on] @ terms._BT.T + w_const[ks[:on]]) @ terms._N_dag.T)
-    if terms._nu_term is not None:
-        v[:on] += terms._nu_term[ks[:on]]
     return v

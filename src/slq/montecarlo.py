@@ -54,7 +54,6 @@ class SimConfig:
     n_paths: int
     seed: int = 0
     budget: float = 1e9           # cap on n_paths * horizon / dt
-    report_tail: bool = True
 
     def steps(self) -> int:
         ratio = self.horizon / self.dt
@@ -258,9 +257,7 @@ def simulate_closed_loop(
         u_c=np.zeros((nsteps, m)) if v_arr is None else v_arr,
         q_arr=q_arr, rho_arr=rho_arr,
     )
-    tail = None
-    if cfg.report_tail:
-        tail = _tail_estimate(sys, w, Theta, ex_xx, g, cfg.horizon)
+    tail = _tail_estimate(sys, w, Theta, ex_xx, g, cfg.horizon)
     return _finish(costs, ex_xx, tail, cfg, nsteps)
 
 
@@ -292,7 +289,7 @@ def simulate_open_loop(
         u_c=u_arr, q_arr=q_arr, rho_arr=rho_arr,
     )
     tail = None
-    if cfg.report_tail and not np.any(u_arr[-1]):
+    if not np.any(u_arr[-1]):
         try:
             P0 = solve_lyapunov(sys.pair(), w.Q)
             tail = float(np.sum(P0 * ex_xx))

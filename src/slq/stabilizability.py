@@ -25,7 +25,7 @@ from .errors import (
     LyapunovUnsolvableError,
     UnsupportedInputError,
 )
-from .linalg import fro, is_pd, is_psd, symmetrize
+from .linalg import is_pd, is_psd, symmetrize
 from .riccati import CostWeights, FlowConfig, RiccatiFlow, integrate_riccati_flow
 from .stability import ControlledSystem, is_stabilizer, solve_lyapunov
 
@@ -45,7 +45,7 @@ class StabilizabilityReport:
     gamma: np.ndarray | None       # a stabilizer when one exists
     P: np.ndarray | None           # positive solution of the unit-weight ARE
     flow_status: str               # 'converged' | 'diverged' | 'max-horizon' | 'static'
-    residual: float | None
+    residual: float | None         # ARE residual: the flow's ||dSig/dt|| at P
     flow: RiccatiFlow | None
 
 
@@ -53,6 +53,11 @@ def stabilizability_report(
     sys: ControlledSystem, cfg: FlowConfig | None = None
 ) -> StabilizabilityReport:
     """Decide stabilizability of [A, C; B, D] and produce a stabilizer.
+
+    On a converged flow, ``residual`` is the flow's ``derivative_norm``: the
+    right-hand side at the limit is the unit-weight ARE residual, below
+    ``cfg.stat_tol * (1 + ||P||)``.  With no control authority it is reported
+    as 0.0, and it is None when the system is classified not stabilizable.
 
     A 'max-horizon' flow status means the flow neither settled nor blew up
     within the horizon cap; such systems are classified not stabilizable,
@@ -78,21 +83,17 @@ def stabilizability_report(
     if flow.status != "converged":
         return StabilizabilityReport(False, None, None, flow.status, None, flow)
 
+    # convergence certifies the ARE residual and I + D'PD > 0; it does not
+    # certify P > 0 or that the gain stabilizes, so those are checked here
     P = symmetrize(flow.values[-1])
-    N = np.eye(m) + sys.D.T @ P @ sys.D
-    L = P @ sys.B + sys.C.T @ P @ sys.D
-    residual = fro(P @ sys.A + sys.A.T @ P + sys.C.T @ P @ sys.C + np.eye(n)
-                   - L @ np.linalg.solve(N, L.T))
-    if residual > cfg.res_tol * (1.0 + fro(P)) * (1.0 + fro(sys.A) + fro(sys.C) ** 2):
-        raise InternalInconsistencyError(
-            f"converged flow fails the ARE residual test ({residual:.3e})"
-        )
     if not is_pd(P):
         raise InternalInconsistencyError("converged flow value is not positive definite")
+    N = np.eye(m) + sys.D.T @ P @ sys.D
+    L = P @ sys.B + sys.C.T @ P @ sys.D
     gamma = -np.linalg.solve(N, L.T)
     if not is_stabilizer(sys, gamma):
         raise InternalInconsistencyError("computed gain failed the stabilizer check")
-    return StabilizabilityReport(True, gamma, P, flow.status, residual, flow)
+    return StabilizabilityReport(True, gamma, P, flow.status, flow.derivative_norm, flow)
 
 
 def find_stabilizer(sys: ControlledSystem, cfg: FlowConfig | None = None) -> np.ndarray | None:

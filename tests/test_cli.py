@@ -158,6 +158,16 @@ def test_solve_config_round_trip(tmp_path):
     assert read(out2)["config"] == doc["config"]
 
 
+def test_flow_res_tol_is_not_an_option(tmp_path, capsys):
+    # a converged flow is its own certificate: no residual bound to configure
+    prob = write_problem(tmp_path, solver={"flow_res_tol": 1e-8})
+    assert main(["solve", prob, "--out", str(tmp_path / "bad.json")]) == 1
+    assert "unknown solver option: flow_res_tol" in capsys.readouterr().err
+    out = str(tmp_path / "r.json")
+    assert main(["solve", write_problem(tmp_path), "--out", out]) == 0
+    assert "flow_res_tol" not in read(out)["config"]
+
+
 def test_solve_inhomogeneous_value_block(tmp_path):
     prob = write_problem(tmp_path, inhomogeneity={
         "grid": [0.0, 1.0],

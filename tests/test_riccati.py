@@ -52,10 +52,15 @@ def test_flow_divergence():
     assert flow.status == "diverged"
 
 
-def test_flow_invalid_terminal():
-    sys1 = scalar_system(-1.0, 0.0, 1.0, 1.0)
-    with pytest.raises(InvalidTerminalError):
-        integrate_riccati_flow(sys1, scalar_weights(1.0, 0.0, -1.0), [[0.0]])
+@pytest.mark.parametrize("system, weights, G", [
+    (scalar_system(-1.0, 0.0, 1.0, 1.0), scalar_weights(1.0, 0.0, -1.0), [[0.0]]),
+    # R + D'GD = diag(1, -1): the first matrix right-hand side finds it
+    (ControlledSystem(-np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(2)),
+     CostWeights(np.eye(2), np.zeros((2, 2)), np.eye(2)), np.diag([0.0, -2.0])),
+], ids=["scalar", "2x2"])
+def test_flow_invalid_terminal(system, weights, G):
+    with pytest.raises(InvalidTerminalError, match="not positive definite"):
+        integrate_riccati_flow(system, weights, G)
 
 
 def test_flow_grid_is_increasing_and_symmetric(rng):

@@ -95,3 +95,14 @@ def test_two_dimensional_stabilizer():
     assert report.stabilizable
     assert is_stabilizer(sys2, report.gamma)
     assert is_psd(report.P) and report.residual < 1e-7
+
+
+def test_residual_is_the_converged_flow_derivative():
+    # the right-hand side of the converged flow at P is the unit-weight ARE
+    # residual; D != 0 so that I + D'PD is not the identity
+    sys2 = ControlledSystem([[0.3, 1.0], [0.0, -0.2]], [[0.2, 0.0], [0.1, 0.3]],
+                            [[0.0], [1.0]], [[0.1], [0.0]])
+    report = stabilizability_report(sys2)
+    assert report.stabilizable and report.flow.status == "converged"
+    assert report.residual == report.flow.derivative_norm
+    assert report.residual <= 1e-10 * (1.0 + np.linalg.norm(report.P))
