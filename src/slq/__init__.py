@@ -35,7 +35,6 @@ from .montecarlo import (
     SimResult,
     feedback_parametrization_check,
     simulate_closed_loop,
-    simulate_open_loop,
 )
 from .oracle1d import Oracle1dResult, StrategySet, classify_1d_cases, solve_1d
 from .riccati import (

@@ -15,7 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -140,16 +141,14 @@ def load_problem(path: str) -> ProblemData:
     )
 
 
+# the solver options of a problem file: every GareConfig and FlowConfig
+# field that has a plain default, under its own name
+_SOLVER_FIELDS = tuple(
+    f for cls in (GareConfig, FlowConfig) for f in fields(cls)
+    if f.default is not MISSING and f.name != "reduction_stabilizer"
+)
 _DEFAULT_CONFIG = {
-    "epsilon_schedule": [10.0 ** -k for k in range(1, 9)],
-    "path_tol": 1e-6,
-    "res_tol": 1e-6,
-    "range_tol": 1e-6,
-    "psd_tol": 1e-8,
-    "stat_tol": 1e-10,
-    "divergence_norm": 1e8,
-    "max_horizon": 1e4,
-    "rtol": 1e-9,
+    **{f.name: f.default for f in _SOLVER_FIELDS},
     "seed": 0,
     "simulate": {"paths": 10_000, "dt": 1e-3, "horizon": None},
 }
@@ -175,25 +174,24 @@ def _resolve_config(problem: ProblemData, args) -> dict:
     return cfg
 
 
+def _from_config(cls, cfg: dict, **given):
+    """``cls`` with its solver options taken from ``cfg``, as floats (tuples
+    of floats where the default is a tuple), and the rest from ``given``."""
+    for f in fields(cls):
+        if f in _SOLVER_FIELDS:
+            value = cfg[f.name]
+            given[f.name] = (tuple(float(v) for v in value) if isinstance(f.default, tuple)
+                             else float(value))
+    return cls(**given)
+
+
 def _flow_config(cfg: dict) -> FlowConfig:
-    return FlowConfig(
-        stat_tol=float(cfg["stat_tol"]),
-        divergence_norm=float(cfg["divergence_norm"]),
-        max_horizon=float(cfg["max_horizon"]),
-        rtol=float(cfg["rtol"]),
-    )
+    return _from_config(FlowConfig, cfg)
 
 
 def _gare_config(cfg: dict, stabilizer: np.ndarray) -> GareConfig:
-    return GareConfig(
-        epsilon_schedule=tuple(float(e) for e in cfg["epsilon_schedule"]),
-        path_tol=float(cfg["path_tol"]),
-        res_tol=float(cfg["res_tol"]),
-        range_tol=float(cfg["range_tol"]),
-        psd_tol=float(cfg["psd_tol"]),
-        flow=_flow_config(cfg),
-        reduction_stabilizer=stabilizer,
-    )
+    return _from_config(GareConfig, cfg, flow=_flow_config(cfg),
+                        reduction_stabilizer=stabilizer)
 
 
 def _jsonable(obj):
@@ -499,7 +497,9 @@ def cmd_oracle(args) -> int:
     return _EXIT_OK if res["solvable"] else _EXIT_UNSOLVABLE
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="slq",
         description="Infinite-horizon stochastic linear-quadratic solver",

@@ -6,30 +6,41 @@ enough for mean-cost estimation at the tolerances used here.  The discarded
 tail of the infinite-horizon cost is estimated through the closed-loop
 Lyapunov certificate and reported next to the estimate.
 
-Layout.  The kernel is state-major: the state of all P paths is one (n, P)
-array, so every numpy call runs over a contiguous row of P paths instead of
-an inner axis of length n.  Each step is one gemm with the stacked matrix
-[I + dt A_cl; C_cl; I; Theta], whose last n + m rows give Z = [X; U], and
-one quadratic form <W Z, Z> with W = [[Q, S'], [S, R]].
+Layout.  There is one state recursion, ``_euler_readouts``, and every
+simulation runs through it.  It is state-major: the state of all P paths is
+one (d, P) array, so every numpy call runs over a contiguous row of P paths
+instead of an inner axis of length d.  Each step is one gemm with the
+stacked matrix [I + dt A; C; F]: its first 2d rows give the drift and
+diffusion parts of the step, its last rows the readout Z = F X, to whose
+trailing rows the step's control column is added.
+
+Readouts.  The callers see only Z.  ``simulate_closed_loop`` takes
+F = [I; Theta], so that Z = [X; U], and accumulates the running cost
+<W Z, Z> + 2 <[q_k; rho_k], Z> with W = [[Q, S'], [S, R]].  An open-loop
+control is the case Theta = 0 with the control as ``v_grid``.
+``feedback_parametrization_check`` runs the augmented state
+[X_Theta; X_raw] with F = [-I, I], so that Z is the pathwise gap.
 
 Noise.  Path p's standard normals come, in time order, from the Philox
 counter-based generator keyed by (seed, p).  They are drawn a group of paths
 at a time and transposed into a step-major (w, P) block, so step k's
 increments for all paths are one contiguous row.  The block width w only
 sets how much is buffered: it never touches the streams or the arithmetic,
-so every result is bit-reproducible and independent of buffering.
+so every result is bit-reproducible and independent of buffering.  A run
+whose diffusion is identically zero draws no noise at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import InvalidInputError, LyapunovUnsolvableError, SimulationBudgetError
 from .inhomogeneous import AffineTerms, InhomogeneityGrid, forcing_on_steps, vstar_on_steps
 from .riccati import CostWeights
-from .stability import ControlledSystem, solve_lyapunov
+from .stability import ControlledSystem, is_l2_stable, solve_lyapunov
 
 __all__ = [
     "FeedbackCheck",
@@ -37,7 +48,6 @@ __all__ = [
     "SimResult",
     "feedback_parametrization_check",
     "simulate_closed_loop",
-    "simulate_open_loop",
 ]
 
 _NOISE_BUFFER_BYTES = 192_000_000
@@ -122,12 +132,20 @@ def _brownian_increments(seed: int, n_paths: int, nsteps: int, dt: float):
 def _tail_estimate(sys: ControlledSystem, w: CostWeights, Theta: np.ndarray,
                    ex_xx: np.ndarray, g: InhomogeneityGrid | None,
                    horizon: float) -> float | None:
-    """E <P_cl X_T, X_T> with P_cl the Lyapunov value of the closed-loop cost."""
+    """E <P_cl X_T, X_T>, P_cl the Lyapunov value of the closed-loop cost.
+
+    This is the cost after the horizon of the loop left to itself, with no
+    control term or forcing there.  None when forcing outlives the horizon
+    or [A + B Theta, C + D Theta] is not mean-square stable.
+    """
     if g is not None and g.support_end > horizon:
+        return None
+    loop = sys.closed_loop(Theta)
+    if not is_l2_stable(loop):
         return None
     Qcl = w.Q + w.S.T @ Theta + Theta.T @ w.S + Theta.T @ w.R @ Theta
     try:
-        Pcl = solve_lyapunov(sys.closed_loop(Theta), Qcl)
+        Pcl = solve_lyapunov(loop, Qcl)
     except LyapunovUnsolvableError:
         return None
     return float(np.sum(Pcl * ex_xx))
@@ -162,57 +180,53 @@ def _step_columns(rows: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, int
     return (scale * rows[:live])[:, :, None], live
 
 
-def _euler_cost_run(w: CostWeights, x0: np.ndarray, cfg: SimConfig, nsteps: int,
-                    A_cl: np.ndarray, C_cl: np.ndarray, Theta: np.ndarray,
-                    drift_c: np.ndarray, diff_c: np.ndarray, u_c: np.ndarray,
-                    q_arr: np.ndarray, rho_arr: np.ndarray):
-    """One Euler-Maruyama pass over time for all paths, in the (n, P) layout.
+def _euler_readouts(x0: np.ndarray, stacked: np.ndarray, drift_c: np.ndarray,
+                    diff_c: np.ndarray, u_c: np.ndarray, cfg: SimConfig, nsteps: int):
+    """The Euler-Maruyama recursion for all paths, in the (d, P) layout.
 
-    With [Y_0; Y_1; Z] = [I + dt A_cl; C_cl; I; Theta] X and Z[n:] += u_c[k],
-    so that Z = [X; U], step k adds the running cost
-    <W Z, Z> + 2 <[q_k; rho_k], Z>, W = [[Q, S'], [S, R]], at the left point
-    and then moves the state to Y_0 + (Y_1 + diff_c[k]) dW_k + dt drift_c[k].
-    Returns (per-path costs, E[X_T X_T']).
+    ``stacked`` is [I + dt A; C; F] for the d-dimensional state x0.  With
+    [Y_0; Y_1; Z] = stacked X_k, step k yields the readout Z, u_c[k] added to
+    its trailing rows, and then moves the state to
+    Y_0 + (Y_1 + diff_c[k]) dW_k + dt drift_c[k].  A last Z = F X_T follows
+    step nsteps - 1.  Z is overwritten by the next step, so read it before
+    asking for the next one.  When the C rows and diff_c are all zero, the
+    noise would only multiply zero and none is drawn.
     """
-    n = x0.size
+    d = x0.size
     P = cfg.n_paths
     dt = cfg.dt
-    stacked = np.vstack([np.eye(n) + dt * A_cl, C_cl, np.eye(n), Theta])
-    W = np.block([[w.Q, w.S.T], [w.S, w.R]])
     drift_col, drift_live = _step_columns(drift_c, dt)
     diff_col, diff_live = _step_columns(diff_c)
     u_col, u_live = _step_columns(u_c)
-    lin_col, lin_live = _step_columns(np.hstack([q_arr, rho_arr]), 2.0)
-    ones = np.ones(W.shape[0])
-    # with n = 1 the stacked product is an outer product, and numpy's matmul
+    # with d = 1 the stacked product is an outer product, and numpy's matmul
     # leaves BLAS for an inner dimension of 1; multiply forms the same products
-    advance = np.multiply if n == 1 else np.matmul
+    advance = np.multiply if d == 1 else np.matmul
 
     X = np.tile(x0[:, None], (1, P))
     Y = np.empty((stacked.shape[0], P))
-    WZ = np.empty((W.shape[0], P))
-    step, diff, Z, U = Y[:n], Y[n:2 * n], Y[2 * n:], Y[3 * n:]
-    costs = np.zeros(P)
-    for k0, dW in _brownian_increments(cfg.seed, P, nsteps, dt):
-        for j in range(dW.shape[0]):
-            k = k0 + j
+    step, diff, Z = Y[:d], Y[d:2 * d], Y[2 * d:]
+    U = Z[Z.shape[0] - u_c.shape[1]:]
+    if diff_live or stacked[d:2 * d].any():
+        noise = _brownian_increments(cfg.seed, P, nsteps, dt)
+    else:
+        noise = [(0, repeat(None, nsteps))]
+    for k0, dW in noise:
+        for k, dW_k in enumerate(dW, k0):
             advance(stacked, X, out=Y)
             if k < u_live:
                 U += u_col[k]
-            np.matmul(W, Z, out=WZ)
-            if k < lin_live:
-                WZ += lin_col[k]
-            WZ *= Z
-            costs += ones @ WZ
-            if k < diff_live:
-                diff += diff_col[k]
-            diff *= dW[j]
-            np.add(step, diff, out=X)
+            yield Z
+            if dW_k is None:
+                np.copyto(X, step)
+            else:
+                if k < diff_live:
+                    diff += diff_col[k]
+                diff *= dW_k
+                np.add(step, diff, out=X)
             if k < drift_live:
                 X += drift_col[k]
-    costs *= dt
-    ex_xx = (X @ X.T) / P
-    return costs, ex_xx
+    advance(stacked, X, out=Y)
+    yield Z
 
 
 def simulate_closed_loop(
@@ -233,7 +247,7 @@ def simulate_closed_loop(
     over cfg.horizon and accumulates the running cost pathwise.  Every
     forcing breakpoint must be a multiple of dt.  ``v_grid`` (one row per
     step) replaces the affine term derived from ``terms``, e.g. to cost a
-    perturbed strategy.
+    perturbed strategy; with Theta = 0 it is an open-loop control.
     """
     nsteps = cfg.steps()
     _validate(cfg, g, nsteps)
@@ -246,55 +260,32 @@ def simulate_closed_loop(
     b_arr, sig_arr, q_arr, rho_arr = forcing_on_steps(g, cfg.dt, nsteps, n, m)
     if v_grid is not None:
         v_arr = np.asarray(v_grid, dtype=float).reshape(nsteps, m)
+    elif terms is not None:
+        v_arr = vstar_on_steps(terms, g, cfg.dt, nsteps, m)
     else:
-        v_arr = vstar_on_steps(terms, g, cfg.dt, nsteps, m) if terms is not None else None
-    drift_c = b_arr if v_arr is None else v_arr @ sys.B.T + b_arr
-    diff_c = sig_arr if v_arr is None else v_arr @ sys.D.T + sig_arr
+        v_arr = np.zeros((nsteps, m))
 
-    costs, ex_xx = _euler_cost_run(
-        w, x0, cfg, nsteps, A_cl=sys.A + sys.B @ Theta, C_cl=sys.C + sys.D @ Theta,
-        Theta=Theta, drift_c=drift_c, diff_c=diff_c,
-        u_c=np.zeros((nsteps, m)) if v_arr is None else v_arr,
-        q_arr=q_arr, rho_arr=rho_arr,
-    )
+    P = cfg.n_paths
+    stacked = np.vstack([np.eye(n) + cfg.dt * (sys.A + sys.B @ Theta),
+                         sys.C + sys.D @ Theta, np.eye(n), Theta])
+    W = np.block([[w.Q, w.S.T], [w.S, w.R]])
+    lin_col, lin_live = _step_columns(np.hstack([q_arr, rho_arr]), 2.0)
+    ones = np.ones(n + m)
+    WZ = np.empty((n + m, P))
+    costs = np.zeros(P)
+    readouts = _euler_readouts(x0, stacked, v_arr @ sys.B.T + b_arr, v_arr @ sys.D.T + sig_arr,
+                               v_arr, cfg, nsteps)
+    # zip asks range first, so the loop leaves the last readout, [X_T; Theta X_T]
+    for k, Z in zip(range(nsteps), readouts):
+        np.matmul(W, Z, out=WZ)
+        if k < lin_live:
+            WZ += lin_col[k]
+        WZ *= Z
+        costs += ones @ WZ
+    costs *= cfg.dt
+    X_T = next(readouts)[:n]
+    ex_xx = (X_T @ X_T.T) / P
     tail = _tail_estimate(sys, w, Theta, ex_xx, g, cfg.horizon)
-    return _finish(costs, ex_xx, tail, cfg, nsteps)
-
-
-def simulate_open_loop(
-    sys: ControlledSystem,
-    w: CostWeights,
-    u_grid,
-    x,
-    cfg: SimConfig,
-    g: InhomogeneityGrid | None = None,
-) -> SimResult:
-    """Estimate the cost of a deterministic open-loop control given per step."""
-    nsteps = cfg.steps()
-    _validate(cfg, g, nsteps)
-    n, m = sys.n, sys.m
-    x0 = np.asarray(x, dtype=float).reshape(-1)
-    if x0.size != n:
-        raise InvalidInputError("x has the wrong dimension")
-    u_arr = np.asarray(u_grid, dtype=float)
-    if u_arr.ndim == 1:
-        u_arr = u_arr.reshape(-1, 1)
-    if u_arr.shape != (nsteps, m):
-        raise InvalidInputError("u_grid must have one control row per step")
-
-    b_arr, sig_arr, q_arr, rho_arr = forcing_on_steps(g, cfg.dt, nsteps, n, m)
-    costs, ex_xx = _euler_cost_run(
-        w, x0, cfg, nsteps, A_cl=sys.A, C_cl=sys.C, Theta=np.zeros((m, n)),
-        drift_c=u_arr @ sys.B.T + b_arr, diff_c=u_arr @ sys.D.T + sig_arr,
-        u_c=u_arr, q_arr=q_arr, rho_arr=rho_arr,
-    )
-    tail = None
-    if not np.any(u_arr[-1]):
-        try:
-            P0 = solve_lyapunov(sys.pair(), w.Q)
-            tail = float(np.sum(P0 * ex_xx))
-        except LyapunovUnsolvableError:
-            tail = None
     return _finish(costs, ex_xx, tail, cfg, nsteps)
 
 
@@ -317,10 +308,15 @@ def feedback_parametrization_check(
 ) -> FeedbackCheck:
     """Confirm that u = Theta X_Th + v drives the raw state onto X_Th.
 
-    Runs the feedback recursion for X_Th and, with the same noise increments,
-    the raw state recursion under the control it generates; their pathwise
-    gap is pure floating-point noise because the two Euler recursions are
-    algebraically identical.
+    Runs the augmented state [X_Th; X_raw], whose raw half is driven by the
+    control the feedback half generates, with the same noise increments:
+
+        A_2 = [[A + B Th, 0], [B Th, A]],  C_2 = [[C + D Th, 0], [D Th, C]],
+
+    and the forcing columns duplicated.  The readout X_raw - X_Th is pure
+    floating-point noise, because the two halves are algebraically identical
+    recursions; ``max_deviation`` is its largest entry over all paths and
+    the times 0, dt, ..., T.
     """
     nsteps = cfg.steps()
     _validate(cfg, g, nsteps)
@@ -330,24 +326,16 @@ def feedback_parametrization_check(
     v_arr = np.zeros((nsteps, m)) if v_grid is None else np.asarray(v_grid, float).reshape(nsteps, m)
 
     b_arr, sig_arr, _, _ = forcing_on_steps(g, cfg.dt, nsteps, n, m)
-    A_cl = sys.A + sys.B @ Th
-    C_cl = sys.C + sys.D @ Th
-    drift_c = (v_arr @ sys.B.T + b_arr)[:, :, None]
-    diff_c = (v_arr @ sys.D.T + sig_arr)[:, :, None]
-    v_c, b_c, sig_c = v_arr[:, :, None], b_arr[:, :, None], sig_arr[:, :, None]
-    dt = cfg.dt
+    BTh, DTh = sys.B @ Th, sys.D @ Th
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    A2 = np.block([[sys.A + BTh, zero], [BTh, sys.A]])
+    C2 = np.block([[sys.C + DTh, zero], [DTh, sys.C]])
+    stacked = np.vstack([np.eye(2 * n) + cfg.dt * A2, C2, np.hstack([-eye, eye])])
+    drift_c = v_arr @ sys.B.T + b_arr
+    diff_c = v_arr @ sys.D.T + sig_arr
 
     worst = 0.0
-    Xfb = np.tile(x0[:, None], (1, cfg.n_paths))
-    Xraw = Xfb.copy()
-    for k0, dW in _brownian_increments(cfg.seed, cfg.n_paths, nsteps, dt):
-        for j in range(dW.shape[0]):
-            k = k0 + j
-            U = Th @ Xfb + v_c[k]
-            Xfb = Xfb + (A_cl @ Xfb + drift_c[k]) * dt + (C_cl @ Xfb + diff_c[k]) * dW[j]
-            Xraw = (Xraw + (sys.A @ Xraw + sys.B @ U + b_c[k]) * dt
-                    + (sys.C @ Xraw + sys.D @ U + sig_c[k]) * dW[j])
-            gap = float(np.max(np.abs(Xraw - Xfb)))
-            if gap > worst:
-                worst = gap
+    for Z in _euler_readouts(np.concatenate([x0, x0]), stacked, np.hstack([drift_c, drift_c]),
+                             np.hstack([diff_c, diff_c]), np.zeros((nsteps, 0)), cfg, nsteps):
+        worst = max(worst, float(np.max(np.abs(Z))))
     return FeedbackCheck(max_deviation=worst, n_paths=cfg.n_paths, steps=nsteps)

@@ -25,7 +25,7 @@ from .errors import (
     LyapunovUnsolvableError,
     UnsupportedInputError,
 )
-from .linalg import is_pd, is_psd, symmetrize
+from .linalg import fro, is_pd, is_psd, symmetrize
 from .riccati import CostWeights, FlowConfig, RiccatiFlow, integrate_riccati_flow
 from .stability import ControlledSystem, is_stabilizer, solve_lyapunov
 
@@ -45,7 +45,7 @@ class StabilizabilityReport:
     gamma: np.ndarray | None       # a stabilizer when one exists
     P: np.ndarray | None           # positive solution of the unit-weight ARE
     flow_status: str               # 'converged' | 'diverged' | 'max-horizon' | 'static'
-    residual: float | None         # ARE residual: the flow's ||dSig/dt|| at P
+    residual: float | None         # ARE residual at P; the Lyapunov one without control
     flow: RiccatiFlow | None
 
 
@@ -56,8 +56,9 @@ def stabilizability_report(
 
     On a converged flow, ``residual`` is the flow's ``derivative_norm``: the
     right-hand side at the limit is the unit-weight ARE residual, below
-    ``cfg.stat_tol * (1 + ||P||)``.  With no control authority it is reported
-    as 0.0, and it is None when the system is classified not stabilizable.
+    ``cfg.stat_tol * (1 + ||P||)``.  With no control authority the ARE is the
+    Lyapunov equation, and ``residual`` is ||P A + A'P + C'P C + I|| for the P
+    solved.  It is None when the system is classified not stabilizable.
 
     A 'max-horizon' flow status means the flow neither settled nor blew up
     within the horizon cap; such systems are classified not stabilizable,
@@ -75,7 +76,8 @@ def stabilizability_report(
         except LyapunovUnsolvableError:
             P = None
         if P is not None and is_pd(P):
-            return StabilizabilityReport(True, np.zeros((m, n)), P, "static", 0.0, None)
+            residual = fro(P @ sys.A + sys.A.T @ P + sys.C.T @ P @ sys.C + np.eye(n))
+            return StabilizabilityReport(True, np.zeros((m, n)), P, "static", residual, None)
         return StabilizabilityReport(False, None, None, "static", None, None)
 
     w = CostWeights(np.eye(n), np.zeros((m, n)), np.eye(m))

@@ -1,5 +1,7 @@
+import argparse
 import json
 
+import numpy as np
 import pytest
 
 import slq
@@ -235,3 +237,40 @@ def test_seed_flag_changes_simulation(tmp_path):
     assert main(["simulate", prob, "--seed", "1", "--out", out1]) == 0
     assert main(["simulate", prob, "--seed", "2", "--out", out2]) == 0
     assert read(out1)["simulation"]["estimate"] != read(out2)["simulation"]["estimate"]
+
+
+def test_no_control_check_reports_the_lyapunov_residual(tmp_path):
+    # B = D = 0: the certificate P solves P A + A'P + C'P C + I = 0, and the
+    # report carries that equation's residual for the P it prints
+    A = [[-0.6, 0.3], [-0.2, -0.9]]
+    C = [[0.3, 0.1], [0.0, 0.2]]
+    prob = write_problem(tmp_path, n=2, m=1, A=A, C=C, B=[[0.0], [0.0]], D=[[0.0], [0.0]],
+                         Q=[[1.0, 0.0], [0.0, 1.0]], S=[[0.0, 0.0]], x0=[1.0, 0.0])
+    out = str(tmp_path / "r.json")
+    assert main(["check", prob, "--out", out]) == 0
+    block = read(out)["stabilizability"]
+    P, A, C = np.array(block["P"]), np.array(A), np.array(C)
+    want = np.linalg.norm(P @ A + A.T @ P + C.T @ P @ C + np.eye(2))
+    assert want > 0.0
+    assert block["residual"] == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_main_builds_one_parser(tmp_path, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        if self.prog == "slq":
+            built.append(self)
+
+    clear = getattr(slq.cli._build_parser, "cache_clear", lambda: None)
+    clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    prob = write_problem(tmp_path)
+    try:
+        assert main(["check", prob, "--out", str(tmp_path / "r1.json")]) == 0
+        assert main(["check", prob, "--out", str(tmp_path / "r2.json")]) == 0
+    finally:
+        clear()
+    assert len(built) == 1

@@ -8,7 +8,6 @@ from slq import (
     SimConfig,
     feedback_parametrization_check,
     simulate_closed_loop,
-    simulate_open_loop,
     solve_eta,
     solve_gare,
     solve_lyapunov,
@@ -82,7 +81,7 @@ def test_open_loop_zero_control_matches_lyapunov():
     G = solve_lyapunov(sys1.pair(), w.Q)
     cfg = SimConfig(12.0, 2e-3, 4000, seed=17)
     u = np.zeros((cfg.steps(), 1))
-    r = simulate_open_loop(sys1, w, u, [1.0], cfg)
+    r = simulate_closed_loop(sys1, w, np.zeros((1, 1)), [1.0], cfg, v_grid=u)
     V = float(G[0, 0])
     assert abs(r.estimate - V) <= max(3 * r.std_error, 0.02 * abs(V) + 0.01)
 
@@ -109,7 +108,7 @@ def test_open_loop_replay_of_deterministic_closed_loop():
     for k in range(nsteps):
         u[k, 0] = sol.Theta[0, 0] * x + v[k, 0]
         x = x + (a_cl * x + sys1.B[0, 0] * v[k, 0] + b[k]) * cfg.dt
-    opened = simulate_open_loop(sys1, w, u, [0.0], cfg, g=g)
+    opened = simulate_closed_loop(sys1, w, np.zeros((1, 1)), [0.0], cfg, g=g, v_grid=u)
     assert opened.estimate == pytest.approx(closed.estimate, abs=1e-9)
 
 
@@ -213,7 +212,8 @@ def test_results_independent_of_block_width(monkeypatch):
 
     def run():
         closed = simulate_closed_loop(sys2, w, sol.Theta, [1.0, -1.0], cfg, terms=terms, g=g)
-        opened = simulate_open_loop(sys2, w, u, [1.0, -1.0], cfg, g=g)
+        opened = simulate_closed_loop(sys2, w, np.zeros((2, 2)), [1.0, -1.0], cfg, g=g,
+                                      v_grid=u)
         return closed, opened
 
     one_block = run()
@@ -288,8 +288,60 @@ def test_open_loop_kernel_matches_loop_oracle():
     sys2, w, g, cfg, (b, _, q, rho) = oracle_problem()
     nsteps = cfg.steps()
     u = 0.4 * np.cos(np.linspace(0.0, 3.0, 2 * nsteps)).reshape(nsteps, 2)
-    r = simulate_open_loop(sys2, w, u, [0.5, 1.0], cfg, g=g)
+    r = simulate_closed_loop(sys2, w, np.zeros((2, 2)), [0.5, 1.0], cfg, g=g, v_grid=u)
     want = euler_cost_by_loops(sys2.A.tolist(), sys2.B.tolist(), w.Q.tolist(), w.S.tolist(),
                                w.R.tolist(), [0.5, 1.0], cfg.dt, nsteps,
                                lambda k, x: list(u[k]), b, q, rho)
     assert_deterministic_estimate(r, want)
+
+
+def test_feedback_check_runs_the_shared_recursion(monkeypatch):
+    calls = []
+    original = montecarlo._euler_readouts
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_euler_readouts", counting)
+    sys1 = ControlledSystem([[-0.5]], [[0.6]], [[1.0]], [[0.2]])
+    cfg = SimConfig(1.0, 1e-2, 8, seed=21)
+    check = feedback_parametrization_check(sys1, [[-0.8]], [1.0], cfg)
+    assert len(calls) == 1
+    assert check.max_deviation <= 1e-10
+
+
+def test_tail_is_none_for_a_non_stabilizing_gain():
+    # A = B = Q = R = 1, C = D = 0: Theta = 0 leaves the loop unstable, and the
+    # Lyapunov value of its cost, -1/2, would give a negative tail
+    sys1 = ControlledSystem([[1.0]], [[0.0]], [[1.0]], [[0.0]])
+    w = CostWeights([[1.0]], [[0.0]], [[1.0]])
+    cfg = SimConfig(1.0, 1e-2, 10, seed=1)
+    r = simulate_closed_loop(sys1, w, [[0.0]], [1.0], cfg)
+    assert r.estimate > 0.0
+    assert r.tail_estimate is None
+    opened = simulate_closed_loop(sys1, w, [[0.0]], [1.0], cfg,
+                                  v_grid=np.full((cfg.steps(), 1), 0.1))
+    assert opened.tail_estimate is None
+
+
+def test_zero_diffusion_draws_no_noise(monkeypatch):
+    # C = D = 0 and sigma = 0: the noise would only multiply zero.  A diffusion
+    # of 1e-300 does draw it, yet moves no state of size ~1, so both runs must
+    # agree bit for bit.
+    sys2, w, g, cfg, _ = oracle_problem()
+    Theta = np.array([[-0.5, 0.1], [0.2, -0.4]])
+    g_tiny = InhomogeneityGrid(g.times, g.b, np.full((2, 2), 1e-300), g.q, g.rho)
+    draws = []
+    original = montecarlo._brownian_increments
+
+    def counting(*args):
+        draws.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(montecarlo, "_brownian_increments", counting)
+    quiet = simulate_closed_loop(sys2, w, Theta, [1.0, -0.5], cfg, g=g)
+    assert draws == []
+    noisy = simulate_closed_loop(sys2, w, Theta, [1.0, -0.5], cfg, g=g_tiny)
+    assert len(draws) == 1
+    assert quiet == noisy
