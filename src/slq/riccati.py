@@ -1,4 +1,4 @@
-"""Riccati machinery: differential flow, strict ARE solver, GARE pipeline.
+"""Riccati machinery: flow, Newton-Kleinman, strict ARE solver, GARE pipeline.
 
 The differential Riccati equation is integrated as a forward flow in horizon
 length,
@@ -13,18 +13,29 @@ factors it once (Cholesky), and that factor is both the positivity test and
 the solve.  The right-hand side is the ARE residual, so a flow that ends
 'converged' certifies its limit: the residual is below ``stat_tol`` relative
 and R + D'PD was factored at it.  The first evaluation, at Sig(0) = G, is the
-check of the terminal value.  On top of the flow sit:
+check of the terminal value.  The flow decides stabilizability, where no
+stabilizer is known yet.
+
+Where a stabilizing gain is known -- the strictly convex problems over a
+certified stable pair -- the ARE is solved by Newton-Kleinman (Kleinman
+1968; Damm & Hinrichsen 2001): from P, the gain Theta = -N(P)^{-1} L(P)' is
+certified mean-square stabilizing and P becomes its cost, the solution of
+the closed-loop generalized Lyapunov equation (a Bartels-Stewart fixed
+point, or one float division when n = m = 1).  Its limit is accepted on the
+flow's own certificate, and when Newton fails the flow from G decides.  On
+top of these sit:
 
 * ``solve_are_strict`` -- the strictly convex ARE (R + D'PD > 0) for a stable
-  uncontrolled pair, which it certifies, started from the Lyapunov terminal
-  value and accepted when the flow converges;
+  uncontrolled pair, which it certifies, solved by Newton from the Lyapunov
+  terminal value with the flow as fallback;
 * ``transform_problem`` -- pre-feedback reduction of a stabilizable problem to
   one with a stable uncontrolled pair;
 * ``solve_gare`` -- the generalized ARE with pseudoinverse, range condition
   and semidefinite constraint, computed as the epsilon -> 0 limit of the
   regularized strictly convex solutions; the path reuses the certificate
-  ``transform_problem`` made of the reduced pair and one terminal value, and
-  the limit is accepted through ``verify_static_stabilizing``;
+  ``transform_problem`` made of the reduced pair and one terminal value,
+  starts each epsilon's Newton from the previous solution, and the limit is
+  accepted through ``verify_static_stabilizing``;
 * ``verify_static_stabilizing`` -- the one check of a candidate P against the
   GARE conditions, which also picks its stabilizing feedback.
 """
@@ -34,7 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg import schur
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrsyl
 
 from .errors import (
     InternalInconsistencyError,
@@ -127,6 +139,7 @@ class FlowConfig:
     ``stat_tol`` is also the acceptance bound of a limit: the flow stops as
     'converged' when ||dSig/dt||, which is the ARE residual at Sig, is below
     ``stat_tol * (1 + ||Sig||)``, and a converged limit is accepted as is.
+    Newton-Kleinman accepts its limit on the same bound.
     """
 
     stat_tol: float = 1e-10        # relative stationarity threshold on ||dSig/dt||
@@ -250,28 +263,35 @@ def _adaptive_flow(rhs, sym, norm, y0, cfg: FlowConfig):
     return "max-horizon", times, values, dnorm
 
 
-def _matrix_rhs(sys: ControlledSystem, w: CostWeights):
+def _matrix_are(sys: ControlledSystem, w: CostWeights):
+    """Return ``are(Sig) -> (residual, K)``: the ARE residual at Sig and
+    K = (R + D'Sig D)^{-1} L(Sig)', whose negative is the gain of Sig.
+
+    One Cholesky factor of R + D'Sig D is both the positivity test (raising
+    :class:`_PositivityLost`) and the solver.  The residual is the flow's
+    right-hand side.
+    """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     Q, S, R = w.Q, w.S, w.R
 
-    def rhs(Sig):
+    def are(Sig):
         N = R + D.T @ Sig @ D
-        # one Cholesky factor is both the positivity test and the solver
         factor, info = dpotrf((N + N.T) / 2.0, lower=1)
         if info != 0:
             raise _PositivityLost
         L = Sig @ B + C.T @ Sig @ D + S.T
         K, _ = dpotrs(factor, L.T, lower=1)
-        return Sig @ A + A.T @ Sig + C.T @ Sig @ C + Q - L @ K
+        return Sig @ A + A.T @ Sig + C.T @ Sig @ C + Q - L @ K, K
 
-    return rhs
+    return are
 
 
-# n = m = 1 keeps its own right-hand side on Python floats.  Through
-# _matrix_rhs, whose 1x1 arrays and LAPACK calls cost far more than the
-# arithmetic, scalar-sweep's median solve took about 10x as long (47 ms
-# instead of 4.4 ms on a 2-core VM).
-def _scalar_rhs(sys: ControlledSystem, w: CostWeights):
+# n = m = 1 keeps its own maps on Python floats.  Through _matrix_are, whose
+# 1x1 arrays and LAPACK calls cost far more than the arithmetic,
+# scalar-sweep's median solve took about 10x as long (47 ms instead of
+# 4.4 ms on a 2-core VM).
+def _scalar_are(sys: ControlledSystem, w: CostWeights):
+    """``_matrix_are`` for n = m = 1, on floats."""
     a = float(sys.A[0, 0])
     b = float(sys.B[0, 0])
     c = float(sys.C[0, 0])
@@ -281,14 +301,15 @@ def _scalar_rhs(sys: ControlledSystem, w: CostWeights):
     r = float(w.R[0, 0])
     two_a_c2 = 2.0 * a + c * c
 
-    def rhs(sig):
+    def are(sig):
         n_val = r + d * d * sig
         if n_val <= 0.0:
             raise _PositivityLost
         l_val = sig * b + c * sig * d + s
-        return two_a_c2 * sig + q - l_val * l_val / n_val
+        k = l_val / n_val
+        return two_a_c2 * sig + q - l_val * k, k
 
-    return rhs
+    return are
 
 
 def integrate_riccati_flow(
@@ -310,13 +331,15 @@ def integrate_riccati_flow(
         raise InvalidInputError("G must be n x n")
 
     if sys.n == 1 and sys.m == 1:
+        are = _scalar_are(sys, w)
         status, times, vals, dnorm = _adaptive_flow(
-            _scalar_rhs(sys, w), lambda y: y, abs, float(G0[0, 0]), cfg
+            lambda y: are(y)[0], lambda y: y, abs, float(G0[0, 0]), cfg
         )
         values = np.asarray(vals, dtype=float).reshape(-1, 1, 1)
     else:
+        are = _matrix_are(sys, w)
         status, times, vals, dnorm = _adaptive_flow(
-            _matrix_rhs(sys, w), lambda y: (y + y.T) / 2.0, fro, G0, cfg
+            lambda y: are(y)[0], lambda y: (y + y.T) / 2.0, fro, G0, cfg
         )
         values = np.asarray(vals, dtype=float)
     return RiccatiFlow(
@@ -328,21 +351,176 @@ def integrate_riccati_flow(
     )
 
 
-def _strict_limit(
-    sys: ControlledSystem, w: CostWeights, G, cfg: FlowConfig
-) -> np.ndarray | None:
-    """Run the flow from G and accept its limit as a strictly convex ARE solution.
+_NEWTON_MAX_STEPS = 60   # Newton steps before the flow takes over
+_FP_MAX_ITERS = 200      # fixed-point sweeps of one generalized Lyapunov solve
+_FP_TOL = 1e-13          # relative settling of the fixed point
 
-    The caller has certified [A, C] and supplies G.  The limit is accepted iff
-    the flow converges, which certifies both the residual and R + D'PD > 0;
-    returns None when the flow diverges, exits positivity, hits the horizon
-    cap, or R + D'GD is not positive definite.
+
+def _stable_lyapunov(A, C, Lam, X0) -> np.ndarray | None:
+    """Solve X A + A'X + C'X C + Lam = 0 when [A, C] is certified mean-square stable.
+
+    Bartels-Stewart: A = Z T Z' is reduced to real Schur form once, and the
+    solve runs in Schur coordinates, where each sweep of the fixed point
+
+        T'X + X T = -(Lam + C'X C)
+
+    is one triangular Sylvester solve.  In LAPACK's standardized real Schur
+    form the diagonal of T holds the real parts of the eigenvalues, so A is
+    Hurwitz iff it is negative.  With C = 0 that settles stability and the
+    solve is one sweep.  Otherwise the map taking X to the solution Y of
+    T'Y + Y T = -C'X C is completely positive, so its norm is that of its
+    value at I (Russo-Dye), and ||map^k(I)|| < 1 certifies that it contracts,
+    which for Hurwitz A is mean-square stability (Damm 2004).  The fixed point
+    runs from X0 until it settles and the certificate is in.  Returns None
+    when A is not Hurwitz, the certificate is not reached within
+    ``_FP_MAX_ITERS`` sweeps or ||map^k(I)|| passes 1 / ``_FP_TOL`` (rounding
+    then grows past the settling tolerance), a value is not finite, or the
+    Sylvester solve reports near-common eigenvalues.
     """
+    try:
+        T, Z = schur(A, output="real", check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.diag(T) < 0.0):
+        return None
+
+    def sweep(F):
+        Y, scale, info = dtrsyl(T, T, -F, trana="T")
+        if info != 0:
+            return None
+        return (Y + Y.T) / (2.0 * scale)
+
+    def back(X):
+        X = Z @ X @ Z.T
+        return (X + X.T) / 2.0
+
+    Lam_s = Z.T @ Lam @ Z
+    if not C.any():
+        X = sweep(Lam_s)
+        return None if X is None else back(X)
+    C_s = Z.T @ C @ Z
+    X = Z.T @ X0 @ Z
+    Y = np.eye(A.shape[0])      # map^k(I)
+    certified = False
+    for _ in range(_FP_MAX_ITERS):
+        X_new = sweep(Lam_s + C_s.T @ X @ C_s)
+        if X_new is None:
+            return None
+        if not certified:
+            Y = sweep(C_s.T @ Y @ C_s)
+            if Y is None:
+                return None
+            y_norm = fro(Y)
+            if y_norm * _FP_TOL > 1.0:
+                # the sweeps amplify rounding past the settling tolerance
+                return None
+            certified = y_norm < 1.0
+        x_norm = fro(X_new)
+        if not np.isfinite(x_norm):
+            return None
+        settled = fro(X_new - X) <= _FP_TOL * (1.0 + x_norm)
+        X = X_new
+        if settled and certified:
+            return back(X)
+    return None
+
+
+def _newton(are, gain_value, norm, P0, stat_tol: float):
+    """Newton-Kleinman from P0: P <- the value of the gain -K(P), until the
+    ARE residual at P is below ``stat_tol * (1 + ||P||)``.
+
+    ``are`` is ``_matrix_are``/``_scalar_are``; ``gain_value(Theta, P)`` is
+    the cost matrix of the feedback Theta, or None when it cannot certify
+    Theta as mean-square stabilizing.  Returns (P, steps), with P None when
+    R + D'PD is not positive definite, a gain is not certified, a value is not
+    finite, or ``_NEWTON_MAX_STEPS`` steps do not converge.
+    """
+    P = P0
+    for step in range(_NEWTON_MAX_STEPS):
+        try:
+            residual, K = are(P)
+        except _PositivityLost:
+            return None, step
+        p_norm = norm(P)
+        if not np.isfinite(p_norm):
+            return None, step
+        if norm(residual) < stat_tol * (1.0 + p_norm):
+            return P, step
+        P = gain_value(-K, P)
+        if P is None:
+            return None, step + 1
+    return None, _NEWTON_MAX_STEPS
+
+
+def _matrix_gain_value(sys: ControlledSystem, w: CostWeights):
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    Q, S, R = w.Q, w.S, w.R
+
+    def gain_value(Theta, P):
+        cross = S.T @ Theta
+        Q_cl = Q + cross + cross.T + Theta.T @ R @ Theta
+        return _stable_lyapunov(A + B @ Theta, C + D @ Theta, Q_cl, P)
+
+    return gain_value
+
+
+def _scalar_gain_value(sys: ControlledSystem, w: CostWeights):
+    a = float(sys.A[0, 0])
+    b = float(sys.B[0, 0])
+    c = float(sys.C[0, 0])
+    d = float(sys.D[0, 0])
+    q = float(w.Q[0, 0])
+    s = float(w.S[0, 0])
+    r = float(w.R[0, 0])
+
+    def gain_value(theta, p):
+        c_cl = c + d * theta
+        rate = 2.0 * (a + b * theta) + c_cl * c_cl
+        if not rate < 0.0:      # also refuses a NaN
+            return None
+        return -(q + (2.0 * s + r * theta) * theta) / rate
+
+    return gain_value
+
+
+def _newton_limit(
+    sys: ControlledSystem, w: CostWeights, P0, stat_tol: float
+) -> tuple[np.ndarray | None, int]:
+    """Newton-Kleinman for the strictly convex ARE from P0; see ``_newton``."""
+    if sys.n == 1 and sys.m == 1:
+        p, steps = _newton(_scalar_are(sys, w), _scalar_gain_value(sys, w), abs,
+                           float(P0[0, 0]), stat_tol)
+        return (None if p is None else np.array([[p]])), steps
+    return _newton(_matrix_are(sys, w), _matrix_gain_value(sys, w), fro,
+                   np.asarray(P0, dtype=float), stat_tol)
+
+
+def _strict_limit(
+    sys: ControlledSystem, w: CostWeights, G, cfg: FlowConfig, start=None
+) -> tuple[np.ndarray | None, dict]:
+    """The strictly convex ARE solution over a certified stable pair, or None.
+
+    The caller has certified [A, C] and supplies its Lyapunov value G.
+    Newton-Kleinman runs from ``start`` (default G, the value of the gain 0)
+    and its limit is accepted on the flow's own certificate: R + D'PD was
+    factored at P and the ARE residual is below ``cfg.stat_tol * (1 + ||P||)``.
+    When Newton fails (see ``_newton``), the flow from G decides: its limit is
+    accepted iff it converges, and None is returned when it diverges, exits
+    positivity, hits the horizon cap, or R + D'GD is not positive definite.
+    Newton's certificate on every gain keeps it from the non-stabilizing
+    roots, so it never reports a solution the flow would not reach and never
+    reports failure on its own.  Also returns {"method": "newton" | "flow",
+    "steps": ...}, the route that decided and its step count.
+    """
+    P, steps = _newton_limit(sys, w, G if start is None else start, cfg.stat_tol)
+    if P is not None:
+        return P, {"method": "newton", "steps": steps}
     try:
         flow = integrate_riccati_flow(sys, w, G, cfg)
     except InvalidTerminalError:
-        return None
-    return flow.values[-1] if flow.status == "converged" else None
+        return None, {"method": "flow", "steps": 0}
+    P = flow.values[-1] if flow.status == "converged" else None
+    return P, {"method": "flow", "steps": len(flow.times) - 1}
 
 
 def solve_are_strict(
@@ -351,17 +529,18 @@ def solve_are_strict(
     """Solve the strictly convex ARE (with R + D'PD > 0) over a stable pair.
 
     Certifies [A, C] (raising :class:`NotStableError` when it is not
-    mean-square stable), then starts the flow from the Lyapunov terminal value
-    G solving G A + A'G + C'G C + Q = 0 (the infinite-horizon cost of the
-    uncontrolled system), and returns the flow's limit when it converges.
-    Returns None when the flow does not converge -- it diverges, exits
-    positivity or hits the horizon cap -- i.e. the strictly convex problem
-    has no solution.
+    mean-square stable) and computes the Lyapunov terminal value G solving
+    G A + A'G + C'G C + Q = 0 (the infinite-horizon cost of the uncontrolled
+    system).  Newton-Kleinman runs from G; when it fails -- R + D'PD loses
+    definiteness, a gain is not certified stabilizing, a value is not finite
+    or 60 steps do not converge -- the flow from G decides.  Returns None when
+    that flow does not converge -- it diverges, exits positivity or hits the
+    horizon cap -- i.e. the strictly convex problem has no solution.
     """
     pair = sys.pair()
     if not is_l2_stable(pair):
         raise NotStableError("solve_are_strict requires a mean-square stable [A, C]")
-    return _strict_limit(sys, w, solve_lyapunov(pair, w.Q), cfg or FlowConfig())
+    return _strict_limit(sys, w, solve_lyapunov(pair, w.Q), cfg or FlowConfig())[0]
 
 
 def transform_problem(
@@ -481,7 +660,9 @@ def solve_gare(
     ``cfg.reduction_stabilizer``, else the one found by the stabilizability
     flow), reduce to the stable case, follow the strictly convex solutions
     P_eps of the problems with control weight R + eps I down the epsilon
-    schedule, detect settling of the path, and accept the limit through
+    schedule (Newton-Kleinman from G at the first epsilon and from the
+    previous P_eps after it, the flow from G where Newton fails; see
+    ``_strict_limit``), detect settling of the path, and accept the limit through
     :func:`verify_static_stabilizing` on the original (untransformed) data,
     which also supplies the feedback.  Every pair is certified once:
     ``transform_problem`` certifies the reduced pair, which the epsilon path
@@ -490,7 +671,9 @@ def solve_gare(
     Raises :class:`NotStabilizableError` when the system has no stabilizer,
     and :class:`InvalidInputError` when ``cfg.reduction_stabilizer`` is not one.
     Returns :class:`GareUnsolvable` when the epsilon path breaks down or its
-    limit fails verification (the problem has no optimal control).
+    limit fails verification (the problem has no optimal control).  Either
+    outcome's ``diagnostics["epsilon_solves"]`` lists, per epsilon reached,
+    the route that decided (``"newton"`` or ``"flow"``) and its step count.
     """
     cfg = cfg or GareConfig()
     if cfg.reduction_stabilizer is not None:
@@ -510,9 +693,13 @@ def solve_gare(
     diagnostics: dict = {"sigma": Sigma}
     prev = None
     settled = False
+    solves: list[dict] = []
+    diagnostics["epsilon_solves"] = solves
     for eps in cfg.epsilon_schedule:
         w_eps = CostWeights(tw.Q, tw.S, tw.R + eps * eye_m)
-        P_eps = _strict_limit(tsys, w_eps, G, cfg.flow)
+        P_eps, route = _strict_limit(tsys, w_eps, G, cfg.flow,
+                                     start=None if prev is None else prev[1])
+        solves.append({"epsilon": eps, **route})
         if P_eps is None:
             diagnostics["failed_epsilon"] = eps
             return GareUnsolvable(

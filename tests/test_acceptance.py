@@ -220,8 +220,8 @@ def test_criterion_03_stabilizability(rng=np.random.default_rng(1003)):
           f"{n_mono} monotone flows ({elapsed:.2f}s)")
 
 
-def test_criterion_04_gare_residuals(rng=np.random.default_rng(1004)):
-    start = time.monotonic()
+def criterion_04_battery(rng):
+    """Criterion 4's 51 instances: solvable and degenerate scalar draws, then 6 fixed 2x2."""
     battery = []
     for _ in range(35):
         coeffs, _ = draw_solvable_scalar(rng)
@@ -246,6 +246,12 @@ def test_criterion_04_gare_residuals(rng=np.random.default_rng(1004)):
         (ControlledSystem([[-2.0, 0.0], [0.1, -1.8]], 0.1 * np.eye(2), np.eye(2), np.zeros((2, 2))),
          CostWeights(3.0 * np.eye(2), [[0.3, -0.2], [0.1, 0.4]], np.diag([0.8, 1.1]))),
     ]
+    return battery
+
+
+def test_criterion_04_gare_residuals(rng=np.random.default_rng(1004)):
+    start = time.monotonic()
+    battery = criterion_04_battery(rng)
     assert len(battery) >= 50
     successes = 0
     degenerate_hits = 0
@@ -272,14 +278,21 @@ def test_criterion_04_gare_residuals(rng=np.random.default_rng(1004)):
           f"{degenerate_hits} with singular N(P) ({elapsed:.2f}s)")
 
 
-def test_criterion_05_oracle_equivalence(rng=np.random.default_rng(1005)):
-    start = time.monotonic()
-    checked = solvable = 0
+def criterion_05_draws(rng):
+    """Criterion 5's 500 stabilizable scalar draws (a, c, b, d, q, s, r)."""
+    checked = 0
     while checked < 500:
         a, c, b, d, q, s, r = rng.uniform(-3, 3, 7)
         if (2 * a + c * c) * d * d >= (b + c * d) ** 2:
             continue
         checked += 1
+        yield a, c, b, d, q, s, r
+
+
+def test_criterion_05_oracle_equivalence(rng=np.random.default_rng(1005)):
+    start = time.monotonic()
+    solvable = 0
+    for a, c, b, d, q, s, r in criterion_05_draws(rng):
         oracle = solve_1d(a, c, b, d, q, s, r)
         out = solve_gare(scalar_system(a, c, b, d), scalar_weights(q, s, r))
         gare_solvable = isinstance(out, GareSolution)
@@ -299,8 +312,8 @@ def test_criterion_05_oracle_equivalence(rng=np.random.default_rng(1005)):
           f"({solvable} solvable, {elapsed:.1f}s)")
 
 
-def test_criterion_06_uniqueness(rng=np.random.default_rng(1006)):
-    start = time.monotonic()
+def criterion_06_instances(rng):
+    """Criterion 6's 30 solvable instances: 25 scalar draws and 5 fixed 2x2."""
     instances = []
     for _ in range(25):
         coeffs, _ = draw_solvable_scalar(rng)
@@ -319,6 +332,12 @@ def test_criterion_06_uniqueness(rng=np.random.default_rng(1006)):
         (ControlledSystem([[0.4, 0.2], [0, -0.6]], 0.2 * np.eye(2), np.eye(2), np.zeros((2, 2))),
          CostWeights(np.eye(2), np.zeros((2, 2)), np.eye(2))),
     ]
+    return instances
+
+
+def test_criterion_06_uniqueness(rng=np.random.default_rng(1006)):
+    start = time.monotonic()
+    instances = criterion_06_instances(rng)
     assert len(instances) == 30
     for sys_i, w_i in instances:
         out1 = solve_gare(sys_i, w_i)
@@ -338,6 +357,7 @@ def test_criterion_06_uniqueness(rng=np.random.default_rng(1006)):
           f"on 30 instances ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_07_monte_carlo_value():
     start = time.monotonic()
     battery = _mc_battery()
@@ -362,6 +382,7 @@ def test_criterion_07_monte_carlo_value():
     print(f"criterion 7: PASS - Monte Carlo matches V(x) on 15 instances ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_08_empirical_optimality(rng=np.random.default_rng(1008)):
     start = time.monotonic()
     worst = np.inf

@@ -137,6 +137,21 @@ def test_solve_unsolvable_exit_code(tmp_path):
     assert doc["oracle_1d"]["agreement"]["verdicts_agree"] is True
 
 
+def test_solve_reports_each_epsilon_route(tmp_path):
+    solved, failed = str(tmp_path / "solved.json"), str(tmp_path / "failed.json")
+    assert main(["solve", write_problem(tmp_path), "--out", solved]) == 0
+    routes = read(solved)["solution"]["diagnostics"]["epsilon_solves"]
+    assert [r["epsilon"] for r in routes] == [10.0 ** -k for k in range(1, 9)]
+    assert all(r["method"] == "newton" and r["steps"] >= 0 for r in routes)
+    # no strictly convex solution: Newton fails and the flow decides
+    prob = write_problem(tmp_path, name="unsolvable.json", A=[[-1.0]], Q=[[-2.0]])
+    assert main(["solve", prob, "--out", failed]) == 3
+    diag = read(failed)["unsolvable"]["diagnostics"]
+    [route] = diag["epsilon_solves"]
+    assert (route["epsilon"], route["method"]) == (diag["failed_epsilon"], "flow")
+    assert route["steps"] > 0
+
+
 def test_solve_byte_identical_reports(tmp_path):
     prob = write_problem(tmp_path, inhomogeneity={
         "grid": [0.0, 0.5],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_scalar_system, scalar_stabilizable
 from slq import (
@@ -20,6 +21,9 @@ from slq import (
 )
 from slq.errors import InvalidInputError, InvalidTerminalError, NotStabilizableError, NotStableError
 from slq.linalg import fro
+from slq.riccati import _newton_limit, _strict_limit
+from slq.stability import solve_lyapunov
+from test_acceptance import criterion_04_battery, criterion_05_draws, criterion_06_instances
 
 
 def scalar_system(a, c, b, d):
@@ -112,6 +116,119 @@ def test_strict_are_requires_stable_pair():
     sys1 = scalar_system(1.0, 0.0, 1.0, 0.0)
     with pytest.raises(NotStableError):
         solve_are_strict(sys1, scalar_weights(1.0, 0.0, 1.0))
+
+
+# ---------------------------------------------------------------- Newton-Kleinman
+
+def test_newton_refuses_a_destabilizing_scalar_start():
+    # P^2 + 2P - 3 = 0: the root 1 has gain -1, the root -3 has gain 3 and
+    # a_cl = 2.  From -2.5 (a_cl = 1.5) an unguarded Newton runs to -3.
+    sys1 = scalar_system(-1.0, 0.0, 1.0, 0.0)
+    w = scalar_weights(3.0, 0.0, 1.0)
+    start = np.array([[-2.5]])
+    assert _newton_limit(sys1, w, start, FlowConfig().stat_tol)[0] is None
+    G = solve_lyapunov(sys1.pair(), w.Q)
+    P, route = _strict_limit(sys1, w, G, FlowConfig(), start=start)
+    assert route["method"] == "flow"
+    assert abs(P[0, 0] - 1.0) <= 1e-9
+
+
+# Two decoupled states, started on the root (the first entry) of a
+# non-stabilizing gain of the first.  Every number involved is dyadic, so the
+# fixed point holds that entry exactly and only the guard stops Newton there.
+# 'not-contracting': dx = (-3x + u) dt + 2x dW with cost 1.25 x^2 + u^2 has
+# the roots 0.5 and -2.5; at -2.5, a_cl = -0.5 (Hurwitz) but 2 a_cl + c^2 = 3.
+# 'not-hurwitz': dx = (-x + u) dt with cost 3 x^2 + u^2 has the roots 1 and
+# -3; from -2.5, a_cl = 1.5.
+@pytest.mark.parametrize("A, C, q1, start, expected", [
+    (np.diag([-3.0, -1.0]), np.diag([2.0, 0.0]), 1.25, np.diag([-2.5, 5.0]), np.diag([0.5, 1.0])),
+    (-np.eye(2), np.zeros((2, 2)), 3.0, np.diag([-2.5, 5.0]), np.eye(2)),
+], ids=["not-contracting", "not-hurwitz"])
+def test_newton_refuses_a_gain_that_is_not_mean_square_stabilizing(A, C, q1, start, expected):
+    sys2 = ControlledSystem(A, C, np.eye(2), np.zeros((2, 2)))
+    w = CostWeights(np.diag([q1, 3.0]), np.zeros((2, 2)), np.eye(2))
+    assert not is_stabilizer(sys2, -start)
+    assert _newton_limit(sys2, w, start, FlowConfig().stat_tol)[0] is None
+    G = solve_lyapunov(sys2.pair(), w.Q)
+    P, route = _strict_limit(sys2, w, G, FlowConfig(), start=start)
+    assert route["method"] == "flow"
+    assert fro(P - expected) <= 1e-9
+
+
+def _indefinite_draw(rng):
+    """Random [A, C; B, D] with n <= 6, indefinite Q, and R indefinite now and then."""
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(1, n + 1))
+    A = rng.normal(size=(n, n)) / np.sqrt(n) - rng.uniform(0.0, 1.5) * np.eye(n)
+    C = rng.uniform(0.0, 0.5) * rng.normal(size=(n, n)) / np.sqrt(n)
+    B = rng.normal(size=(n, m))
+    D = rng.uniform(0.0, 0.5) * rng.normal(size=(n, m))
+    Q = rng.normal(size=(n, n))
+    R = rng.normal(size=(m, m))
+    return (ControlledSystem(A, C, B, D),
+            CostWeights((Q + Q.T) / 2.0, 0.5 * rng.normal(size=(m, n)),
+                        (R + R.T) / 4.0 + np.eye(m)))
+
+
+def _two_route_instances():
+    yield from criterion_04_battery(np.random.default_rng(1004))
+    for a, c, b, d, q, s, r in criterion_05_draws(np.random.default_rng(1005)):
+        yield scalar_system(a, c, b, d), scalar_weights(q, s, r)
+    yield from criterion_06_instances(np.random.default_rng(1006))
+    rng = np.random.default_rng(4242)
+    for _ in range(50):
+        yield _indefinite_draw(rng)
+
+
+def test_flow_and_newton_agree_on_every_epsilon():
+    # The flow from G and the warm-started Newton path, each on its own, on
+    # every epsilon the path reaches: same verdict, same limit.
+    stat_tol = FlowConfig().stat_tol
+    solved = failed = 0
+    for sys_i, w_i in _two_route_instances():
+        Sigma = find_stabilizer(sys_i)
+        if Sigma is None:
+            continue
+        tsys, tw = transform_problem(sys_i, w_i, Sigma)
+        G = solve_lyapunov(tsys.pair(), tw.Q)
+        start = G
+        for eps in GareConfig().epsilon_schedule:
+            w_eps = CostWeights(tw.Q, tw.S, tw.R + eps * np.eye(sys_i.m))
+            try:
+                flow = integrate_riccati_flow(tsys, w_eps, G)
+            except InvalidTerminalError:
+                flow = None
+            P_flow = flow.values[-1] if flow is not None and flow.status == "converged" else None
+            P_newton, _ = _newton_limit(tsys, w_eps, start, stat_tol)
+            assert (P_flow is None) == (P_newton is None), (sys_i, w_i, eps)
+            if P_flow is None:
+                failed += 1     # the epsilon path stops here
+                break
+            solved += 1
+            assert fro(P_newton - P_flow) <= 1e-8 * (1.0 + fro(P_flow)), (sys_i, w_i, eps)
+            start = P_newton
+    assert solved >= 1900 and failed >= 380
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_gare_matches_care_oracle(n):
+    # C = D = 0: the GARE is the CARE, which scipy solves independently
+    rng = np.random.default_rng(3000 + n)
+    m = max(1, n // 2)
+    A = rng.normal(size=(n, n)) / np.sqrt(n)
+    B = rng.normal(size=(n, m))
+    M = rng.normal(size=(m, m))
+    R = M @ M.T / m + 0.5 * np.eye(m)
+    S = 0.5 * rng.normal(size=(m, n))
+    F = rng.normal(size=(n, n)) / np.sqrt(n)
+    Q = F.T @ F + S.T @ np.linalg.solve(R, S)    # Q - S'R^{-1}S >= 0
+    sys_n = ControlledSystem(A, np.zeros((n, n)), B, np.zeros((n, m)))
+    out = solve_gare(sys_n, CostWeights(Q, S, R))
+    assert isinstance(out, GareSolution)
+    P_ref = scipy.linalg.solve_continuous_are(A, B, Q, R, s=S.T)
+    Theta_ref = -np.linalg.solve(R, B.T @ P_ref + S)
+    assert fro(out.P - P_ref) <= 1e-6 * (1.0 + fro(P_ref))
+    assert fro(out.Theta - Theta_ref) <= 1e-6 * (1.0 + fro(Theta_ref))
 
 
 # ---------------------------------------------------------------- transform
