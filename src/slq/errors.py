@@ -14,10 +14,10 @@ class InvalidTerminalError(InvalidInputError):
 
 
 class LyapunovUnsolvableError(SlqError):
-    """The Lyapunov system is singular or the candidate fails the residual test.
+    """The Lyapunov solver could not certify the pair mean-square stable.
 
-    Signals that the uncontrolled pair is not mean-square stable (or is
-    degenerate in a way that breaks the unique-solution guarantee).
+    The message names the failed condition: a drift that is not Hurwitz, a
+    noise map that does not contract, or a fixed point that does not settle.
     """
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import InvalidInputError, LyapunovUnsolvableError, SimulationBudgetError
 from .inhomogeneous import AffineTerms, InhomogeneityGrid, forcing_on_steps, vstar_on_steps
 from .riccati import CostWeights
-from .stability import ControlledSystem, is_l2_stable, solve_lyapunov
+from .stability import ControlledSystem, solve_lyapunov
 
 __all__ = [
     "FeedbackCheck",
@@ -140,12 +140,9 @@ def _tail_estimate(sys: ControlledSystem, w: CostWeights, Theta: np.ndarray,
     """
     if g is not None and g.support_end > horizon:
         return None
-    loop = sys.closed_loop(Theta)
-    if not is_l2_stable(loop):
-        return None
     Qcl = w.Q + w.S.T @ Theta + Theta.T @ w.S + Theta.T @ w.R @ Theta
     try:
-        Pcl = solve_lyapunov(loop, Qcl)
+        Pcl = solve_lyapunov(sys.closed_loop(Theta), Qcl)
     except LyapunovUnsolvableError:
         return None
     return float(np.sum(Pcl * ex_xx))

@@ -20,10 +20,12 @@ Where a stabilizing gain is known -- the strictly convex problems over a
 certified stable pair -- the ARE is solved by Newton-Kleinman (Kleinman
 1968; Damm & Hinrichsen 2001): from P, the gain Theta = -N(P)^{-1} L(P)' is
 certified mean-square stabilizing and P becomes its cost, the solution of
-the closed-loop generalized Lyapunov equation (a Bartels-Stewart fixed
-point, or one float division when n = m = 1).  Its limit is accepted on the
-flow's own certificate, and when Newton fails the flow from G decides.  On
-top of these sit:
+the closed-loop generalized Lyapunov equation.  That is the certified
+Bartels-Stewart fixed point of ``stability``, the package's one generalized
+Lyapunov solver (Hurwitz drift and a contracting noise map), warm-started
+from P; when n = m = 1 it is one float division.  Its limit is accepted on
+the flow's own certificate, and when Newton fails the flow from G decides.
+On top of these sit:
 
 * ``solve_are_strict`` -- the strictly convex ARE (R + D'PD > 0) for a stable
   uncontrolled pair, which it certifies, solved by Newton from the Lyapunov
@@ -45,18 +47,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrsyl
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     InternalInconsistencyError,
     InvalidInputError,
     InvalidTerminalError,
+    LyapunovUnsolvableError,
     NotStabilizableError,
     NotStableError,
 )
 from .linalg import as_matrix, fro, pinv, range_defect, symmetrize
-from .stability import ControlledSystem, is_l2_stable, is_stabilizer, solve_lyapunov
+from .stability import ControlledSystem, _stable_lyapunov, is_stabilizer, solve_lyapunov
 
 __all__ = [
     "CostWeights",
@@ -352,77 +354,6 @@ def integrate_riccati_flow(
 
 
 _NEWTON_MAX_STEPS = 60   # Newton steps before the flow takes over
-_FP_MAX_ITERS = 200      # fixed-point sweeps of one generalized Lyapunov solve
-_FP_TOL = 1e-13          # relative settling of the fixed point
-
-
-def _stable_lyapunov(A, C, Lam, X0) -> np.ndarray | None:
-    """Solve X A + A'X + C'X C + Lam = 0 when [A, C] is certified mean-square stable.
-
-    Bartels-Stewart: A = Z T Z' is reduced to real Schur form once, and the
-    solve runs in Schur coordinates, where each sweep of the fixed point
-
-        T'X + X T = -(Lam + C'X C)
-
-    is one triangular Sylvester solve.  In LAPACK's standardized real Schur
-    form the diagonal of T holds the real parts of the eigenvalues, so A is
-    Hurwitz iff it is negative.  With C = 0 that settles stability and the
-    solve is one sweep.  Otherwise the map taking X to the solution Y of
-    T'Y + Y T = -C'X C is completely positive, so its norm is that of its
-    value at I (Russo-Dye), and ||map^k(I)|| < 1 certifies that it contracts,
-    which for Hurwitz A is mean-square stability (Damm 2004).  The fixed point
-    runs from X0 until it settles and the certificate is in.  Returns None
-    when A is not Hurwitz, the certificate is not reached within
-    ``_FP_MAX_ITERS`` sweeps or ||map^k(I)|| passes 1 / ``_FP_TOL`` (rounding
-    then grows past the settling tolerance), a value is not finite, or the
-    Sylvester solve reports near-common eigenvalues.
-    """
-    try:
-        T, Z = schur(A, output="real", check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.diag(T) < 0.0):
-        return None
-
-    def sweep(F):
-        Y, scale, info = dtrsyl(T, T, -F, trana="T")
-        if info != 0:
-            return None
-        return (Y + Y.T) / (2.0 * scale)
-
-    def back(X):
-        X = Z @ X @ Z.T
-        return (X + X.T) / 2.0
-
-    Lam_s = Z.T @ Lam @ Z
-    if not C.any():
-        X = sweep(Lam_s)
-        return None if X is None else back(X)
-    C_s = Z.T @ C @ Z
-    X = Z.T @ X0 @ Z
-    Y = np.eye(A.shape[0])      # map^k(I)
-    certified = False
-    for _ in range(_FP_MAX_ITERS):
-        X_new = sweep(Lam_s + C_s.T @ X @ C_s)
-        if X_new is None:
-            return None
-        if not certified:
-            Y = sweep(C_s.T @ Y @ C_s)
-            if Y is None:
-                return None
-            y_norm = fro(Y)
-            if y_norm * _FP_TOL > 1.0:
-                # the sweeps amplify rounding past the settling tolerance
-                return None
-            certified = y_norm < 1.0
-        x_norm = fro(X_new)
-        if not np.isfinite(x_norm):
-            return None
-        settled = fro(X_new - X) <= _FP_TOL * (1.0 + x_norm)
-        X = X_new
-        if settled and certified:
-            return back(X)
-    return None
 
 
 def _newton(are, gain_value, norm, P0, stat_tol: float):
@@ -459,7 +390,10 @@ def _matrix_gain_value(sys: ControlledSystem, w: CostWeights):
     def gain_value(Theta, P):
         cross = S.T @ Theta
         Q_cl = Q + cross + cross.T + Theta.T @ R @ Theta
-        return _stable_lyapunov(A + B @ Theta, C + D @ Theta, Q_cl, P)
+        try:
+            return _stable_lyapunov(A + B @ Theta, C + D @ Theta, Q_cl, P)
+        except LyapunovUnsolvableError:
+            return None
 
     return gain_value
 
@@ -528,19 +462,21 @@ def solve_are_strict(
 ) -> np.ndarray | None:
     """Solve the strictly convex ARE (with R + D'PD > 0) over a stable pair.
 
-    Certifies [A, C] (raising :class:`NotStableError` when it is not
-    mean-square stable) and computes the Lyapunov terminal value G solving
+    One certifying Lyapunov solve gives the terminal value G solving
     G A + A'G + C'G C + Q = 0 (the infinite-horizon cost of the uncontrolled
-    system).  Newton-Kleinman runs from G; when it fails -- R + D'PD loses
-    definiteness, a gain is not certified stabilizing, a value is not finite
-    or 60 steps do not converge -- the flow from G decides.  Returns None when
-    that flow does not converge -- it diverges, exits positivity or hits the
-    horizon cap -- i.e. the strictly convex problem has no solution.
+    system), or raises :class:`NotStableError` when [A, C] is not certified
+    mean-square stable.  Newton-Kleinman runs from G; when it fails --
+    R + D'PD loses definiteness, a gain is not certified stabilizing, a value
+    is not finite or 60 steps do not converge -- the flow from G decides.
+    Returns None when that flow does not converge -- it diverges, exits
+    positivity or hits the horizon cap -- i.e. the strictly convex problem
+    has no solution.
     """
-    pair = sys.pair()
-    if not is_l2_stable(pair):
-        raise NotStableError("solve_are_strict requires a mean-square stable [A, C]")
-    return _strict_limit(sys, w, solve_lyapunov(pair, w.Q), cfg or FlowConfig())[0]
+    try:
+        G = solve_lyapunov(sys.pair(), w.Q)
+    except LyapunovUnsolvableError as exc:
+        raise NotStableError("solve_are_strict requires a mean-square stable [A, C]") from exc
+    return _strict_limit(sys, w, G, cfg or FlowConfig())[0]
 
 
 def transform_problem(
@@ -572,7 +508,7 @@ class GareConfig:
     """Configuration of the epsilon-path GARE solver."""
 
     epsilon_schedule: tuple[float, ...] = tuple(10.0 ** -k for k in range(1, 9))
-    path_tol: float = 1e-6         # relative settling threshold on consecutive P_eps
+    path_tol: float = 1e-6         # relative settling threshold on consecutive P_eps or limits
     res_tol: float = 1e-6          # relative ARE residual bound on the final P
     range_tol: float = 1e-6        # normalized range-condition defect bound
     psd_tol: float = 1e-8          # relative lower bound slack on eigenvalues of N(P)
@@ -662,7 +598,8 @@ def solve_gare(
     P_eps of the problems with control weight R + eps I down the epsilon
     schedule (Newton-Kleinman from G at the first epsilon and from the
     previous P_eps after it, the flow from G where Newton fails; see
-    ``_strict_limit``), detect settling of the path, and accept the limit through
+    ``_strict_limit``), detect settling of the path (P_eps, or its
+    extrapolated limit, stops moving), and accept the limit through
     :func:`verify_static_stabilizing` on the original (untransformed) data,
     which also supplies the feedback.  Every pair is certified once:
     ``transform_problem`` certifies the reduced pair, which the epsilon path
@@ -691,7 +628,7 @@ def solve_gare(
 
     path: list[tuple[float, np.ndarray]] = []
     diagnostics: dict = {"sigma": Sigma}
-    prev = None
+    prev = limit = None
     settled = False
     solves: list[dict] = []
     diagnostics["epsilon_solves"] = solves
@@ -707,16 +644,23 @@ def solve_gare(
             )
         path.append((eps, P_eps))
         if prev is not None:
-            diff = fro(P_eps - prev[1])
-            if diff < cfg.path_tol * (1.0 + fro(P_eps)):
-                # the whole schedule still runs: the regularized gains only
-                # approach their limit linearly in epsilon even when P_eps
-                # has already settled
-                settled = True
-                if "first_settled_epsilon" not in diagnostics:
-                    diagnostics["first_settled_epsilon"] = eps
-            else:
-                settled = False
+            # Geometric-schedule limit estimate: with P_eps ~= P + c*eps the
+            # residual correction after this refinement is
+            # (P_k - P_{k-1}) * r / (1 - r).
+            ratio = eps / prev[0]
+            prev_limit, limit = limit, P_eps
+            if ratio != 1.0:        # a repeated epsilon shows no slope
+                limit = P_eps + (P_eps - prev[1]) * (ratio / (1.0 - ratio))
+            # Settled when P_eps stops moving, or when two consecutive limit
+            # estimates agree: a P_eps linear in eps keeps moving by c*eps.
+            # The whole schedule still runs: the regularized gains only
+            # approach their limit linearly in epsilon even when P_eps has
+            # already settled.
+            settled = (fro(P_eps - prev[1]) < cfg.path_tol * (1.0 + fro(P_eps))
+                       or prev_limit is not None
+                       and fro(limit - prev_limit) < cfg.path_tol * (1.0 + fro(limit)))
+            if settled and "first_settled_epsilon" not in diagnostics:
+                diagnostics["first_settled_epsilon"] = eps
         prev = (eps, P_eps)
 
     if not settled:
@@ -727,13 +671,9 @@ def solve_gare(
             diagnostics,
         )
 
-    # Geometric-schedule limit estimate: with P_eps ~= P + c*eps the residual
-    # correction after the last refinement is (P_k - P_{k-1}) * r / (1 - r).
-    (eps_prev, P_prev), (eps_last, P_last) = path[-2], path[-1]
-    ratio = eps_last / eps_prev
-    P = symmetrize(P_last + (P_last - P_prev) * (ratio / (1.0 - ratio)))
-    diagnostics["settled_at_epsilon"] = eps_last
-    diagnostics["extrapolation_norm"] = fro(P - P_last)
+    P = symmetrize(limit)
+    diagnostics["settled_at_epsilon"] = prev[0]
+    diagnostics["extrapolation_norm"] = fro(P - prev[1])
 
     check = verify_static_stabilizing(sys, w, P, cfg)
     diagnostics.update(are_residual=check.are_residual, range_defect=check.range_defect,

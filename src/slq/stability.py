@@ -8,20 +8,24 @@ and [A, C; B, D] the controlled one
 
     dX = (A X + B u) dt + (C X + D u) dW.
 
-Stability is decided constructively: [A, C] is L2-stable iff the Lyapunov
-equation ``P A + A'P + C'P C + I = 0`` has a solution with P > 0, in which
-case that P is a strict Lyapunov certificate.
+Stability is decided constructively, by the one generalized Lyapunov solver
+``solve_lyapunov``.  [A, C] is L2-stable iff A is Hurwitz and the noise map
+X -> Y, with Y A + A'Y = -C'X C, contracts (Damm 2004); the solver checks
+both in real Schur coordinates while it runs the fixed point
+X A + A'X + C'X C + Lambda = 0, and raises for every pair it cannot certify.
+For Lambda = I its solution P > 0 is then a strict Lyapunov certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import schur
+from scipy.linalg.lapack import dtrsyl
 
 from .errors import InvalidInputError, LyapunovUnsolvableError
-from .linalg import as_matrix, fro, is_pd, symmetrize
+from .linalg import as_matrix, fro, symmetrize
 
 __all__ = [
     "ControlledSystem",
@@ -102,84 +106,137 @@ class ControlledSystem:
         return SystemPair(self.A + self.B @ Th, self.C + self.D @ Th)
 
 
-@lru_cache(maxsize=64)
-def _sym_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric basis of n x n matrices: element k is (ri[k], rj[k]) with
-    ri <= rj, and P[p, q] and P[q, p] are both coordinate col[p, q]."""
-    ri, rj = np.triu_indices(n)
-    col = np.empty((n, n), dtype=np.intp)
-    col[ri, rj] = col[rj, ri] = np.arange(ri.size)
-    for arr in (ri, rj, col):
-        arr.flags.writeable = False
-    return ri, rj, col
+_FP_MAX_ITERS = 200      # fixed-point sweeps allowed to reach the certificate
+_FP_TOL = 1e-13          # relative settling of the fixed point
+_FP_FLOOR = 0.01         # the settling rule never asks for a step below _FP_FLOOR * _FP_TOL
+
+_NOT_HURWITZ = "not mean-square stable: the drift is not Hurwitz"
+_NO_CONTRACTION = "not certified mean-square stable: the noise map does not contract"
+
+
+def _stable_lyapunov(A, C, Lam, X0=None) -> np.ndarray:
+    """Solve X A + A'X + C'X C + Lam = 0 and certify [A, C] mean-square stable.
+
+    Bartels-Stewart: A = Z T Z' is reduced to real Schur form once, and the
+    solve runs in Schur coordinates, where each sweep of the fixed point
+
+        T'X + X T = -(Lam + C'X C)
+
+    is one triangular Sylvester solve.  In LAPACK's standardized real Schur
+    form the diagonal of T holds the real parts of the eigenvalues, so A is
+    Hurwitz iff it is negative.  With C = 0 that settles stability and the
+    solve is one sweep.  Otherwise the noise map, taking X to the solution Y
+    of T'Y + Y T = -C'X C, is completely positive, so its norm is that of its
+    value at I (Russo-Dye), and ||map^k(I)|| <= 1/2 certifies that map^k
+    halves every step, which for Hurwitz A is mean-square stability (Damm
+    2004).  The fixed point runs from X0 (default 0) until the certificate is
+    in and the iterate has settled: the step is below ``_FP_TOL`` relative
+    and, as the steps shrink about geometrically by their ratio r, so is the
+    remaining distance step * r / (1 - r), down to ``_FP_FLOOR`` times that
+    tolerance, which stays above rounding.  Only the certificate has to come
+    within ``_FP_MAX_ITERS`` sweeps; after it, halving every k sweeps brings
+    the step under the floor within a number of sweeps known at that point.
+
+    Raises :class:`LyapunovUnsolvableError`, naming the failed condition, when
+    A is not Hurwitz, the noise map does not contract within
+    ``_FP_MAX_ITERS`` sweeps or ||map^k(I)|| passes 1 / ``_FP_TOL`` (rounding
+    then grows past the settling tolerance), a value is not finite, the
+    Sylvester solve reports near-common eigenvalues, or the iterate does not
+    settle within the sweeps its certificate allows.
+    """
+    n = A.shape[0]
+    try:
+        T, Z = schur(A, output="real", check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise LyapunovUnsolvableError("no real Schur form of the drift") from exc
+    if not np.all(np.diag(T) < 0.0):
+        raise LyapunovUnsolvableError(_NOT_HURWITZ)
+
+    def sweep(F):
+        Y, scale, info = dtrsyl(T, T, -F, trana="T")
+        if info != 0:
+            raise LyapunovUnsolvableError("the drift has eigenvalues near the imaginary axis")
+        return (Y + Y.T) / (2.0 * scale)
+
+    def back(X):
+        X = Z @ X @ Z.T
+        return (X + X.T) / 2.0
+
+    Lam_s = Z.T @ Lam @ Z
+    if not C.any():
+        return back(sweep(Lam_s))
+    C_s = Z.T @ C @ Z
+    X = np.zeros((n, n)) if X0 is None else Z.T @ X0 @ Z
+    Y = np.eye(n)               # map^k(I), until the certificate is in
+    deadline = _FP_MAX_ITERS
+    k = 0
+    step = 0.0
+    while k < deadline:
+        k += 1
+        X_new = sweep(Lam_s + C_s.T @ X @ C_s)
+        x_norm = fro(X_new)
+        if not np.isfinite(x_norm):
+            raise LyapunovUnsolvableError("the Lyapunov fixed point is not finite")
+        prev_step, step = step, fro(X_new - X)
+        X = X_new
+        if Y is not None:
+            Y = sweep(C_s.T @ Y @ C_s)
+            y_norm = fro(Y)
+            if y_norm * _FP_TOL > 1.0:
+                raise LyapunovUnsolvableError(f"{_NO_CONTRACTION}: ||map^{k}(I)|| = {y_norm:.3g}")
+            if y_norm > 0.5:
+                continue
+            Y = None
+            # the spectral norm of every k-th step halves (||.||_F <= sqrt(n) ||.||_2);
+            # one extra period is slack for rounding
+            halvings = np.log2(max(1.0, np.sqrt(n) * step / (_FP_FLOOR * _FP_TOL)))
+            deadline = k * (2 + int(np.ceil(halvings)))
+        tol = _FP_TOL * (1.0 + x_norm)
+        r = step / prev_step if prev_step > 0.0 else 0.0
+        if step <= tol and (step * r <= tol * (1.0 - r) or step <= _FP_FLOOR * tol):
+            return back(X)
+    if Y is not None:
+        raise LyapunovUnsolvableError(f"{_NO_CONTRACTION} within {_FP_MAX_ITERS} sweeps")
+    raise LyapunovUnsolvableError(f"the Lyapunov fixed point did not settle in {deadline} sweeps")
 
 
 def solve_lyapunov(sys: SystemPair, Lambda) -> np.ndarray:
-    """Solve P A + A'P + C'P C + Lambda = 0 for symmetric P.
+    """Solve P A + A'P + C'P C + Lambda = 0 for symmetric P, certifying [A, C].
 
-    The operator is flattened over the n(n+1)/2-dimensional symmetric-matrix
-    basis and solved by dense LU factorization.  Its matrix is written entry
-    by entry: the A-part has O(n) entries per column and goes in with two
-    indexed adds, the C-part ``C[p,i] C[q,j] + C[q,i] C[p,j]`` is filled one
-    block of rows (i, .) at a time, so assembly costs O(n^4) time and O(n^3)
-    memory beyond the matrix itself; the LU costs O(n^6).  Raises
-    :class:`LyapunovUnsolvableError` if the linear system is singular or the
-    candidate fails the residual test, which signals that [A, C] is not
-    L2-stable (or is degenerate).
+    The solution is returned only for a pair certified mean-square stable:
+    for n = 1 it is -Lambda / (2A + C^2) when 2A + C^2 < 0, otherwise the
+    Bartels-Stewart fixed point of :func:`_stable_lyapunov`, whose
+    certificate is a Hurwitz drift and a contracting noise map.  Raises
+    :class:`LyapunovUnsolvableError`, naming the condition that failed, for
+    every pair it cannot certify, the marginal ones included.
     """
-    A, C = sys.A, sys.C
     n = sys.n
     Lam = symmetrize(Lambda, "Lambda")
     if Lam.shape != (n, n):
         raise InvalidInputError("Lambda must be n x n")
-
-    # Row (i, j) of T holds the coefficients of the coordinates of P in
-    # (P A + A'P + C'P C)[i, j].
-    ri, rj, col = _sym_index(n)
-    dim = ri.size
-    T = np.zeros((dim, dim))
-    rk = np.arange(dim)[:, None]
-    T[rk, col[ri]] += A[:, rj].T          # sum_q P[i, q] A[q, j]
-    T[rk, col[:, rj].T] += A[:, ri].T     # sum_p A[p, i] P[p, j]
-    # Column k = (p, q) of the C-part: C[p,i] C[q,j] + C[q,i] C[p,j], the
-    # second term only for p < q.  Filled by blocks of rows (i, j >= i).
-    Cp, Cq = C[ri].T, C[rj].T
-    Cq_off = Cq * (ri != rj)
-    start = 0
-    for i in range(n):
-        T[start:start + n - i] += Cp[i] * Cq[i:] + Cq_off[i] * Cp[i:]
-        start += n - i
-    rhs = -Lam[ri, rj]
-
-    try:
-        coeffs = np.linalg.solve(T, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise LyapunovUnsolvableError("singular Lyapunov system") from exc
-
-    P = coeffs[col]
-
-    residual = fro(P @ A + A.T @ P + C.T @ P @ C + Lam)
-    scale = (1.0 + fro(P)) * (1.0 + fro(A) + fro(C) ** 2)
-    if not np.isfinite(residual) or residual > 1e-9 * scale:
-        raise LyapunovUnsolvableError(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance"
-        )
-    return P
+    if n == 1:
+        a, c = float(sys.A[0, 0]), float(sys.C[0, 0])
+        rate = 2.0 * a + c * c
+        if not rate < 0.0:
+            raise LyapunovUnsolvableError(_NO_CONTRACTION if a < 0.0 else _NOT_HURWITZ)
+        return np.array([[-float(Lam[0, 0]) / rate]])
+    return _stable_lyapunov(sys.A, sys.C, Lam)
 
 
 def is_l2_stable(sys: SystemPair) -> bool:
     """Decide L2-stability of [A, C] via the Lyapunov certificate.
 
-    True iff ``solve_lyapunov(sys, I)`` succeeds and yields P > 0; then
-    P A + A'P + C'P C = -I < 0 is a strict certificate.  Marginal systems
-    (singular Lyapunov operator, e.g. 2A + C^2 = 0 in the scalar case)
+    True iff ``solve_lyapunov(sys, I)`` certifies the pair: Hurwitz drift
+    and a contracting noise map; the solution P is then positive definite
+    and P A + A'P + C'P C = -I < 0 is a strict certificate.  Pairs it cannot
+    certify, the marginal ones (2A + C^2 = 0 in the scalar case) included,
     classify as unstable.
     """
     try:
-        P = solve_lyapunov(sys, np.eye(sys.n))
+        solve_lyapunov(sys, np.eye(sys.n))
     except LyapunovUnsolvableError:
         return False
-    return is_pd(P)
+    return True
 
 
 def is_stabilizer(sys: ControlledSystem, Theta) -> bool:

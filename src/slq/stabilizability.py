@@ -74,11 +74,9 @@ def stabilizability_report(
         try:
             P = solve_lyapunov(sys.pair(), np.eye(n))
         except LyapunovUnsolvableError:
-            P = None
-        if P is not None and is_pd(P):
-            residual = fro(P @ sys.A + sys.A.T @ P + sys.C.T @ P @ sys.C + np.eye(n))
-            return StabilizabilityReport(True, np.zeros((m, n)), P, "static", residual, None)
-        return StabilizabilityReport(False, None, None, "static", None, None)
+            return StabilizabilityReport(False, None, None, "static", None, None)
+        residual = fro(P @ sys.A + sys.A.T @ P + sys.C.T @ P @ sys.C + np.eye(n))
+        return StabilizabilityReport(True, np.zeros((m, n)), P, "static", residual, None)
 
     w = CostWeights(np.eye(n), np.zeros((m, n)), np.eye(m))
     flow = integrate_riccati_flow(sys, w, np.zeros((n, n)), cfg)

@@ -209,8 +209,25 @@ def test_simulate_optimal_strategy(tmp_path):
 
 def test_simulate_non_stabilizer_gain(tmp_path):
     prob = write_problem(tmp_path)
-    assert main(["simulate", prob, "--theta", "0.0",
-                 "--out", str(tmp_path / "r.json")]) == 2
+    out = str(tmp_path / "r.json")
+    assert main(["simulate", prob, "--theta", "0.0", "--out", out]) == 2
+    # a_cl = 0: the detail names the failed condition
+    assert "not Hurwitz" in read(out)["verdict"]["detail"]
+
+
+def test_simulate_names_a_noise_map_that_does_not_contract(tmp_path):
+    # a_cl = -1 per state, but the first state's noise map doubles its
+    # second moment: c^2 / (2 |a_cl|) = 2
+    prob = write_problem(tmp_path, n=2, m=2,
+                         A=[[0.0, 0.0], [0.0, 0.0]], C=[[2.0, 0.0], [0.0, 0.0]],
+                         B=[[1.0, 0.0], [0.0, 1.0]], D=[[0.0, 0.0], [0.0, 0.0]],
+                         Q=[[1.0, 0.0], [0.0, 1.0]], S=[[0.0, 0.0], [0.0, 0.0]],
+                         R=[[1.0, 0.0], [0.0, 1.0]], x0=[1.0, 0.0])
+    out = str(tmp_path / "r.json")
+    assert main(["simulate", prob, "--theta=-1,0;0,-1", "--out", out]) == 2
+    verdict = read(out)["verdict"]
+    assert verdict["stabilizer"] is False
+    assert "does not contract" in verdict["detail"]
 
 
 def test_simulate_zero_state(tmp_path):

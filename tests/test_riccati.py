@@ -16,14 +16,17 @@ from slq import (
     is_stabilizer,
     solve_are_strict,
     solve_gare,
+    stabilizability_report,
     transform_problem,
     verify_static_stabilizing,
 )
 from slq.errors import InvalidInputError, InvalidTerminalError, NotStabilizableError, NotStableError
 from slq.linalg import fro
+from slq.oracle1d import solve_1d
 from slq.riccati import _newton_limit, _strict_limit
 from slq.stability import solve_lyapunov
 from test_acceptance import criterion_04_battery, criterion_05_draws, criterion_06_instances
+from test_stability import _second_moment_operator
 
 
 def scalar_system(a, c, b, d):
@@ -210,6 +213,29 @@ def test_flow_and_newton_agree_on_every_epsilon():
     assert solved >= 1900 and failed >= 380
 
 
+def test_pipeline_gains_pass_an_independent_certificate():
+    # Every gain the pipeline hands out -- the stabilizability decision's
+    # Gamma and each solution's Theta -- makes the second-moment generator
+    # M -> A_cl M + M A_cl' + C_cl M C_cl' Hurwitz, checked by its spectrum
+    # and not through the Lyapunov solver.
+    def mean_square_stable(sys_i, gain):
+        loop = sys_i.closed_loop(gain)
+        return np.max(np.linalg.eigvals(_second_moment_operator(loop)).real) < 0.0
+
+    gammas = thetas = 0
+    for sys_i, w_i in _two_route_instances():
+        report = stabilizability_report(sys_i)
+        if not report.stabilizable:
+            continue
+        assert mean_square_stable(sys_i, report.gamma), (sys_i, w_i)
+        gammas += 1
+        out = solve_gare(sys_i, w_i, GareConfig(reduction_stabilizer=report.gamma))
+        if isinstance(out, GareSolution):
+            assert mean_square_stable(sys_i, out.Theta), (sys_i, w_i)
+            thetas += 1
+    assert gammas >= 620 and thetas >= 230
+
+
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_gare_matches_care_oracle(n):
     # C = D = 0: the GARE is the CARE, which scipy solves independently
@@ -309,6 +335,21 @@ def test_gare_unsolvable_negative_discriminant():
     out = solve_gare(scalar_system(-1.0, 0.0, 1.0, 0.0), scalar_weights(-2.0, 0.0, 1.0))
     assert isinstance(out, GareUnsolvable)
     assert len(out.epsilon_path) >= 0
+
+
+def test_gare_settles_when_consecutive_limit_estimates_agree():
+    # P_eps is linear in eps here (slope about 48), so its last step along
+    # the default schedule, 2.2e-6 relative, is above path_tol; the
+    # extrapolated limits of the last two steps agree to 6.5e-10 relative and
+    # give the closed form.
+    a, c, b, d, q, s, r = 2.8746, 0.4148, 0.7288, 0.0, -0.01095, 0.6517, 0.3225
+    out = solve_gare(scalar_system(a, c, b, d), scalar_weights(q, s, r))
+    assert isinstance(out, GareSolution)
+    (_, P_prev), (_, P_last) = out.epsilon_path[-2:]
+    assert fro(P_last - P_prev) > GareConfig().path_tol * (1.0 + fro(P_last))
+    oracle = solve_1d(a, c, b, d, q, s, r)
+    assert oracle.solvable
+    assert abs(out.P[0, 0] - oracle.P) <= 1e-8 * (1.0 + abs(oracle.P))
 
 
 def test_gare_two_dimensional_residuals():

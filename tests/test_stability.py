@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import slq.stability
 from conftest import random_stable_pair
 from slq import (
     ControlledSystem,
@@ -79,19 +80,53 @@ def test_lyapunov_monotone_in_forcing(rng):
         assert is_psd(P1 - P2, tol=1e-8)
 
 
+def _kronecker_solution(pair, Lam):
+    """Independent oracle: the full n^2 x n^2 operator on vec(P), row-major."""
+    n = pair.n
+    eye = np.eye(n)
+    K = (np.kron(eye, pair.A.T) + np.kron(pair.A.T, eye)
+         + np.kron(pair.C.T, pair.C.T))
+    return np.linalg.solve(K, -Lam.ravel()).reshape(n, n)
+
+
 def test_lyapunov_matches_kronecker_oracle(rng):
-    # Independent oracle: the full n^2 x n^2 operator on vec(P), row-major.
     for n in range(1, 9):
         for _ in range(3):
             pair = random_stable_pair(rng, n)
             Lam = rng.uniform(-1, 1, (n, n))
             Lam = (Lam + Lam.T) / 2
-            eye = np.eye(n)
-            K = (np.kron(eye, pair.A.T) + np.kron(pair.A.T, eye)
-                 + np.kron(pair.C.T, pair.C.T))
-            P_ref = np.linalg.solve(K, -Lam.ravel()).reshape(n, n)
+            P_ref = _kronecker_solution(pair, Lam)
             P = solve_lyapunov(pair, Lam)
             assert fro(P - P_ref) <= 1e-12 * fro(P_ref)
+
+
+def test_lyapunov_settles_after_an_early_certificate(monkeypatch):
+    # In the basis Q, A is upper triangular and C diagonal, so the noise map
+    # has the eigenvalues c_i c_j / (|a_i| + |a_j|), the largest
+    # c_1^2 / (2 |a_1|) = 0.95.  ||map^k(I)|| drops to 1/2 at sweep 16, but
+    # the fixed point from 0 settles only after about 580 sweeps, far past
+    # the 200 the certificate may take.  A sweep makes at most two Sylvester
+    # solves.
+    Q, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(3, 3)))
+    T = np.diag([-1.0, -1.5, -2.0]) + np.triu(np.full((3, 3), 0.3), 1)
+    A = Q @ T @ Q.T
+    C = Q @ np.diag([np.sqrt(1.9), np.sqrt(0.9), np.sqrt(0.8)]) @ Q.T
+    pair = SystemPair(A, C)
+    Lam = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, -0.3], [0.0, -0.3, 0.5]])
+    sylvester = []
+    original = slq.stability.dtrsyl
+
+    def counting(*args, **kwargs):
+        sylvester.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(slq.stability, "dtrsyl", counting)
+    assert is_l2_stable(pair)
+    sylvester.clear()
+    P = solve_lyapunov(pair, Lam)
+    assert len(sylvester) > 2 * slq.stability._FP_MAX_ITERS
+    P_ref = _kronecker_solution(pair, Lam)
+    assert fro(P - P_ref) <= 1e-12 * fro(P_ref)
 
 
 def test_lyapunov_without_noise_matches_scipy(rng):
