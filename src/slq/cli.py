@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .inhomogeneous import InhomogeneityGrid, assemble_value, solve_eta
-from .montecarlo import SimConfig, simulate_closed_loop
+from .montecarlo import SimConfig, _finite_positive, simulate_closed_loop
 from .oracle1d import solve_1d
 from .riccati import (
     CostWeights,
@@ -306,14 +306,14 @@ def _closed_loop_time_constant(sys: ControlledSystem, Theta: np.ndarray) -> floa
 
 def _sim_horizon(cfg: dict, sys: ControlledSystem, Theta: np.ndarray,
                  grid: InhomogeneityGrid | None) -> float:
-    dt = float(cfg["simulate"]["dt"])
+    dt = _finite_positive("dt", cfg["simulate"]["dt"])
     horizon = cfg["simulate"]["horizon"]
     if horizon is None:
         tau = _closed_loop_time_constant(sys, Theta)
         horizon = 20.0 * tau
         if grid is not None:
             horizon = max(horizon, grid.support_end + 5.0 * tau)
-    return np.ceil(float(horizon) / dt) * dt
+    return np.ceil(_finite_positive("horizon", horizon) / dt) * dt
 
 
 def _simulation_block(problem: ProblemData, cfg: dict, Theta: np.ndarray,

@@ -22,16 +22,23 @@ control is the case Theta = 0 with the control as ``v_grid``.
 [X_Theta; X_raw] with F = [-I, I], so that Z is the pathwise gap.
 
 Noise.  Path p's standard normals come, in time order, from the Philox
-counter-based generator keyed by (seed, p).  They are drawn a group of paths
-at a time and transposed into a step-major (w, P) block, so step k's
-increments for all paths are one contiguous row.  The block width w only
-sets how much is buffered: it never touches the streams or the arithmetic,
-so every result is bit-reproducible and independent of buffering.  A run
-whose diffusion is identically zero draws no noise at all.
+counter-based generator keyed by (seed, p); such streams are independent by
+construction, so any thread may draw them.  A pool of worker threads, one per
+CPU the process may run on and never more than the paths, draws them: each
+worker owns a fixed, contiguous range of paths, builds their generators,
+and fills its columns of a step-major (w, P) block, so step k's increments
+for all paths are one contiguous row.  There are two blocks: the workers
+fill block j + 1 while the recursion consumes block j.  One block and one
+worker's staging buffer stay within _NOISE_BUFFER_BYTES.  Neither the block
+width w nor the number of workers touches the streams or the arithmetic,
+so every result is bit-reproducible and independent of both.  A run whose
+diffusion is identically zero draws no noise and starts no thread.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -50,7 +57,7 @@ __all__ = [
     "simulate_closed_loop",
 ]
 
-_NOISE_BUFFER_BYTES = 192_000_000
+_NOISE_BUFFER_BYTES = 52_000_000
 _STAGE_BYTES = 4_000_000
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -66,11 +73,19 @@ class SimConfig:
     budget: float = 1e9           # cap on n_paths * horizon / dt
 
     def steps(self) -> int:
-        ratio = self.horizon / self.dt
-        k = round(ratio)
-        if self.dt <= 0.0 or k < 1 or abs(ratio - k) > 1e-9 * max(1.0, ratio):
+        ratio = _finite_positive("horizon", self.horizon) / _finite_positive("dt", self.dt)
+        k = round(_finite_positive("horizon / dt", ratio))
+        if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, ratio):
             raise InvalidInputError("horizon must be an integral number of steps")
         return int(k)
+
+
+def _finite_positive(name: str, value) -> float:
+    """``value`` as a float, or InvalidInputError unless it is finite and > 0."""
+    value = float(value)
+    if not 0.0 < value < np.inf:
+        raise InvalidInputError(f"{name} must be finite and positive, got {value:g}")
+    return value
 
 
 @dataclass
@@ -102,31 +117,54 @@ def _validate(cfg: SimConfig, g: InhomogeneityGrid | None, nsteps: int):
                 )
 
 
+def _draw_paths(seed: int, p0: int, p1: int, nsteps: int, blocks: list, sqrt_dt: float):
+    """One worker: each next() fills columns p0:p1 of the next block in turn.
+
+    Paths p0:p1 are drawn a group at a time into a path-major staging buffer
+    of about _STAGE_BYTES, scaled and transposed into the step-major block.
+    The generators are built on the first next(), on the worker's thread.
+    """
+    width = blocks[0].shape[0]
+    gens = [np.random.Generator(np.random.Philox(key=[seed, p])) for p in range(p0, p1)]
+    rows = max(1, min(p1 - p0, _STAGE_BYTES // (8 * width)))
+    stage = np.empty((rows, width))
+    for j, k in enumerate(range(0, nsteps, width)):
+        w = min(width, nsteps - k)
+        block = blocks[j % 2]
+        for c0 in range(p0, p1, rows):
+            c1 = min(c0 + rows, p1)
+            for i in range(c0, c1):
+                gens[i - p0].standard_normal(out=stage[i - c0, :w])
+            np.multiply(stage[:c1 - c0, :w].T, sqrt_dt, out=block[:w, c0:c1])
+        yield
+
+
 def _brownian_increments(seed: int, n_paths: int, nsteps: int, dt: float):
     """Yield (start, dW): row j of dW holds step start + j's increments for all paths.
 
-    Path p's normals are drawn in time order from Philox keyed by (seed, p),
-    a group of paths at a time into a path-major staging buffer of about
-    _STAGE_BYTES that is transposed into the step-major block.  The block
-    takes the rest of _NOISE_BUFFER_BYTES.
+    The workers fill the next block while the caller reads this one, so read
+    dW before asking for the next.  Every worker has stopped when the
+    generator finishes, raises or is closed; a worker's exception is raised
+    here.
     """
-    gens = [np.random.Generator(np.random.Philox(key=[seed, p])) for p in range(n_paths)]
     width = max(64, min(nsteps, (_NOISE_BUFFER_BYTES - _STAGE_BYTES) // (8 * n_paths)))
-    stage_rows = max(1, min(n_paths, _STAGE_BYTES // (8 * width)))
-    stage = np.empty((stage_rows, width))
-    block = np.empty((width, n_paths))
-    sqrt_dt = np.sqrt(dt)
-    k = 0
-    while k < nsteps:
-        w = min(width, nsteps - k)
-        for p0 in range(0, n_paths, stage_rows):
-            p1 = min(p0 + stage_rows, n_paths)
-            for i in range(p0, p1):
-                gens[i].standard_normal(out=stage[i - p0, :w])
-            block[:w, p0:p1] = stage[:p1 - p0, :w].T
-        block[:w] *= sqrt_dt
-        yield k, block[:w]
-        k += w
+    blocks = [np.empty((width, n_paths)), np.empty((width, n_paths))]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = min(cpus or 1, n_paths)
+    cuts = [n_paths * i // n_workers for i in range(n_workers + 1)]
+    workers = [_draw_paths(seed, p0, p1, nsteps, blocks, np.sqrt(dt))
+               for p0, p1 in zip(cuts, cuts[1:])]
+    pool = ThreadPoolExecutor(n_workers, thread_name_prefix="slq-noise")
+    try:
+        filling = [pool.submit(next, worker) for worker in workers]
+        for j, k in enumerate(range(0, nsteps, width)):
+            for f in filling:
+                f.result()
+            if k + width < nsteps:
+                filling = [pool.submit(next, worker) for worker in workers]
+            yield k, blocks[j % 2][:min(width, nsteps - k)]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _tail_estimate(sys: ControlledSystem, w: CostWeights, Theta: np.ndarray,

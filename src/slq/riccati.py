@@ -479,6 +479,21 @@ def solve_are_strict(
     return _strict_limit(sys, w, G, cfg or FlowConfig())[0]
 
 
+_NOT_A_STABILIZER = "Sigma is not a stabilizer of the system"
+
+
+def _transform(sys: ControlledSystem, w: CostWeights, Sigma):
+    """``transform_problem`` without the stability check of the reduced pair."""
+    Sig = as_matrix(Sigma, "Sigma")
+    if Sig.shape != (sys.m, sys.n):
+        raise InvalidInputError("Sigma must be m x n")
+    At = sys.A + sys.B @ Sig
+    Ct = sys.C + sys.D @ Sig
+    Qt = symmetrize(w.Q + w.S.T @ Sig + Sig.T @ w.S + Sig.T @ w.R @ Sig)
+    St = w.S + w.R @ Sig
+    return ControlledSystem(At, Ct, sys.B, sys.D), CostWeights(Qt, St, w.R)
+
+
 def transform_problem(
     sys: ControlledSystem, w: CostWeights, Sigma
 ) -> tuple[ControlledSystem, CostWeights]:
@@ -491,16 +506,10 @@ def transform_problem(
     so that the transformed uncontrolled pair is L2-stable and the cost of
     (x, v) equals the original cost of (x, Sigma x + v).
     """
-    Sig = as_matrix(Sigma, "Sigma")
-    if Sig.shape != (sys.m, sys.n):
-        raise InvalidInputError("Sigma must be m x n")
-    if not is_stabilizer(sys, Sig):
-        raise InvalidInputError("Sigma is not a stabilizer of the system")
-    At = sys.A + sys.B @ Sig
-    Ct = sys.C + sys.D @ Sig
-    Qt = symmetrize(w.Q + w.S.T @ Sig + Sig.T @ w.S + Sig.T @ w.R @ Sig)
-    St = w.S + w.R @ Sig
-    return ControlledSystem(At, Ct, sys.B, sys.D), CostWeights(Qt, St, w.R)
+    reduced = _transform(sys, w, Sigma)
+    if not is_stabilizer(sys, Sigma):
+        raise InvalidInputError(_NOT_A_STABILIZER)
+    return reduced
 
 
 @dataclass
@@ -601,8 +610,8 @@ def solve_gare(
     ``_strict_limit``), detect settling of the path (P_eps, or its
     extrapolated limit, stops moving), and accept the limit through
     :func:`verify_static_stabilizing` on the original (untransformed) data,
-    which also supplies the feedback.  Every pair is certified once:
-    ``transform_problem`` certifies the reduced pair, which the epsilon path
+    which also supplies the feedback.  Every pair is certified once: the
+    Lyapunov solve for G certifies the reduced pair, which the epsilon path
     then does not re-check, and the verifier certifies the feedback.
 
     Raises :class:`NotStabilizableError` when the system has no stabilizer,
@@ -622,8 +631,11 @@ def solve_gare(
         if Sigma is None:
             raise NotStabilizableError("system [A,C;B,D] is not L2-stabilizable")
 
-    tsys, tw = transform_problem(sys, w, Sigma)
-    G = solve_lyapunov(tsys.pair(), tw.Q)
+    tsys, tw = _transform(sys, w, Sigma)
+    try:
+        G = solve_lyapunov(tsys.pair(), tw.Q)   # certifies Sigma, as transform_problem would
+    except LyapunovUnsolvableError as exc:
+        raise InvalidInputError(_NOT_A_STABILIZER) from exc
     eye_m = np.eye(sys.m)
 
     path: list[tuple[float, np.ndarray]] = []

@@ -89,8 +89,8 @@ def test_solve_decides_stabilizability_once(tmp_path, monkeypatch):
 
 
 def test_solve_lyapunov_budget(tmp_path, monkeypatch):
-    # one stabilizability self-check, the reduction's certificate of Sigma,
-    # the terminal value G and the check of the selected feedback
+    # one stabilizability self-check, the terminal value G (which certifies
+    # the reduction's Sigma) and the check of the selected feedback
     calls = []
     original = slq.stability.solve_lyapunov
 
@@ -109,7 +109,7 @@ def test_solve_lyapunov_budget(tmp_path, monkeypatch):
     out = str(tmp_path / "r.json")
     assert main(["solve", prob, "--out", out]) == 0
     assert read(out)["verdict"] == {"stabilizable": True, "solvable": True}
-    assert 1 <= len(calls) <= 4
+    assert 1 <= len(calls) <= 3
 
 
 @pytest.mark.parametrize("a, code", [(1.0, 2), (-1.0, 0)])
@@ -228,6 +228,17 @@ def test_simulate_names_a_noise_map_that_does_not_contract(tmp_path):
     verdict = read(out)["verdict"]
     assert verdict["stabilizer"] is False
     assert "does not contract" in verdict["detail"]
+
+
+@pytest.mark.parametrize("simulate, name", [
+    ({"dt": 0}, "dt"), ({"dt": -1e-2}, "dt"), ({"dt": float("nan")}, "dt"),
+    ({"dt": float("inf")}, "dt"), ({"horizon": 0.0}, "horizon"),
+    ({"horizon": float("nan")}, "horizon"), ({"horizon": float("inf")}, "horizon"),
+])
+def test_solve_rejects_bad_simulation_settings(tmp_path, capsys, simulate, name):
+    prob = write_problem(tmp_path, solver={"simulate": simulate})
+    assert main(["solve", prob, "--simulate", "10", "--out", str(tmp_path / "r.json")]) == 1
+    assert f"error: {name} must be finite and positive" in capsys.readouterr().err
 
 
 def test_simulate_zero_state(tmp_path):

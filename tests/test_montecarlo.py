@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -44,6 +48,16 @@ def test_budget_error(scalar_problem):
     with pytest.raises(SimulationBudgetError):
         simulate_closed_loop(sys1, w, sol.Theta, [1.0],
                              SimConfig(10.0, 1e-4, 1000, seed=1, budget=1e6))
+
+
+@pytest.mark.parametrize("horizon, dt", [
+    (1.0, 0.0), (1.0, -0.1), (1.0, float("nan")), (1.0, float("inf")),
+    (0.0, 0.1), (-1.0, 0.1), (float("nan"), 0.1), (float("inf"), 0.1),
+    (1e300, 1e-300),                               # finite, but horizon / dt is not
+])
+def test_bad_step_settings_are_invalid_input(horizon, dt):
+    with pytest.raises(InvalidInputError, match="finite and positive"):
+        SimConfig(horizon, dt, 10).steps()
 
 
 def test_grid_must_resolve_breakpoints(scalar_problem):
@@ -345,3 +359,89 @@ def test_zero_diffusion_draws_no_noise(monkeypatch):
     noisy = simulate_closed_loop(sys2, w, Theta, [1.0, -0.5], cfg, g=g_tiny)
     assert len(draws) == 1
     assert quiet == noisy
+
+
+def noisy_problem():
+    sys2 = ControlledSystem([[-1, 0.3], [0, -1.5]], 0.3 * np.eye(2), np.eye(2), 0.1 * np.eye(2))
+    w = CostWeights(np.eye(2), [[0.1, 0.0], [0.2, 0.1]], np.eye(2))
+    return sys2, w, solve_gare(sys2, w).Theta
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def small_blocks(monkeypatch, n_paths, width):
+    monkeypatch.setattr(montecarlo, "_NOISE_BUFFER_BYTES",
+                        montecarlo._STAGE_BYTES + 8 * n_paths * width)
+
+
+@pytest.mark.parametrize("n_paths", [1, 37])
+def test_results_independent_of_worker_split(monkeypatch, n_paths):
+    # more workers than cores, and a short switch interval, so that a worker
+    # writing outside its own columns would show as a changed result
+    sys2, w, Theta = noisy_problem()
+    cfg = SimConfig(2.0, 1e-2, n_paths, seed=9)
+
+    def run():
+        return (simulate_closed_loop(sys2, w, Theta, [1.0, -1.0], cfg),
+                feedback_parametrization_check(sys2, Theta, [1.0, -1.0], cfg))
+
+    use_cpus(monkeypatch, 1)
+    want = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            use_cpus(monkeypatch, workers)
+            assert run() == want
+            with monkeypatch.context() as m:
+                small_blocks(m, n_paths, 64)            # 4 blocks: 64, 64, 64, 8 steps
+                assert run() == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_noise_workers_stop(monkeypatch):
+    sys2, w, Theta = noisy_problem()
+    use_cpus(monkeypatch, 3)
+    small_blocks(monkeypatch, 37, 64)
+    before = threading.active_count()
+    simulate_closed_loop(sys2, w, Theta, [1.0, -1.0], SimConfig(2.0, 1e-2, 37, seed=9))
+    assert threading.active_count() == before
+    noise = montecarlo._brownian_increments(9, 37, 1000, 1e-2)
+    next(noise)
+    assert threading.active_count() > before
+    noise.close()
+    assert threading.active_count() == before
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    sys2, w, Theta = noisy_problem()
+    use_cpus(monkeypatch, 2)
+    small_blocks(monkeypatch, 37, 64)
+    original = montecarlo._draw_paths
+
+    def failing(seed, p0, *args):
+        worker = original(seed, p0, *args)
+        yield next(worker)
+        if p0 > 0:
+            raise RuntimeError("worker failed")
+        yield from worker
+
+    monkeypatch.setattr(montecarlo, "_draw_paths", failing)
+    before = threading.active_count()
+    raised = []
+
+    def caller():
+        try:
+            simulate_closed_loop(sys2, w, Theta, [1.0, -1.0], SimConfig(2.0, 1e-2, 37, seed=9))
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=caller, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert [str(exc) for exc in raised] == ["worker failed"]
+    assert threading.active_count() == before

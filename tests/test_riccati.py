@@ -288,9 +288,13 @@ def test_transform_round_trip(rng):
 
 
 def test_transform_rejects_non_stabilizer():
+    # solve_gare takes its Lyapunov solve for G as the certificate of Sigma
     sys1 = scalar_system(1.0, 0.0, 1.0, 0.0)
-    with pytest.raises(InvalidInputError):
-        transform_problem(sys1, scalar_weights(1.0, 0.0, 1.0), [[0.0]])
+    w = scalar_weights(1.0, 0.0, 1.0)
+    with pytest.raises(InvalidInputError, match="not a stabilizer"):
+        transform_problem(sys1, w, [[0.0]])
+    with pytest.raises(InvalidInputError, match="not a stabilizer"):
+        solve_gare(sys1, w, GareConfig(reduction_stabilizer=[[0.0]]))
 
 
 # ---------------------------------------------------------------- GARE
