@@ -22,13 +22,14 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    InvalidInputError,
     LyapunovUnsolvableError,
     NotStabilizableError,
     SlqError,
     UnsupportedInputError,
 )
 from .inhomogeneous import InhomogeneityGrid, assemble_value, solve_eta
-from .montecarlo import SimConfig, _finite_positive, simulate_closed_loop
+from .montecarlo import SimConfig, simulate_closed_loop
 from .oracle1d import solve_1d
 from .riccati import (
     CostWeights,
@@ -304,26 +305,24 @@ def _closed_loop_time_constant(sys: ControlledSystem, Theta: np.ndarray) -> floa
     return 1.0 / rate if rate > 0 else 1.0
 
 
-def _sim_horizon(cfg: dict, sys: ControlledSystem, Theta: np.ndarray,
-                 grid: InhomogeneityGrid | None) -> float:
-    dt = _finite_positive("dt", cfg["simulate"]["dt"])
-    horizon = cfg["simulate"]["horizon"]
+def _sim_config(cfg: dict, sys: ControlledSystem, Theta: np.ndarray,
+                grid: InhomogeneityGrid | None) -> SimConfig:
+    sim = cfg["simulate"]
+    horizon = sim["horizon"]
     if horizon is None:
         tau = _closed_loop_time_constant(sys, Theta)
         horizon = 20.0 * tau
         if grid is not None:
             horizon = max(horizon, grid.support_end + 5.0 * tau)
-    return np.ceil(_finite_positive("horizon", horizon) / dt) * dt
+        if not np.isfinite(horizon):
+            raise InvalidInputError("the closed loop gives no finite horizon; "
+                                    "set simulate.horizon")
+    return SimConfig.whole_steps(horizon, sim["dt"], int(sim["paths"]), int(cfg["seed"]))
 
 
 def _simulation_block(problem: ProblemData, cfg: dict, Theta: np.ndarray,
                       terms, value: float | None) -> dict:
-    sim = cfg["simulate"]
-    horizon = _sim_horizon(cfg, problem.sys, Theta, problem.grid)
-    sim_cfg = SimConfig(
-        horizon=horizon, dt=float(sim["dt"]), n_paths=int(sim["paths"]),
-        seed=int(cfg["seed"]),
-    )
+    sim_cfg = _sim_config(cfg, problem.sys, Theta, problem.grid)
     result = simulate_closed_loop(
         problem.sys, problem.w, Theta, problem.x0, sim_cfg,
         terms=terms, g=problem.grid,

@@ -23,16 +23,21 @@ control is the case Theta = 0 with the control as ``v_grid``.
 
 Noise.  Path p's standard normals come, in time order, from the Philox
 counter-based generator keyed by (seed, p); such streams are independent by
-construction, so any thread may draw them.  A pool of worker threads, one per
-CPU the process may run on and never more than the paths, draws them: each
-worker owns a fixed, contiguous range of paths, builds their generators,
-and fills its columns of a step-major (w, P) block, so step k's increments
-for all paths are one contiguous row.  There are two blocks: the workers
+construction, so any thread may draw them.  Worker threads draw them,
+_NOISE_WORKERS of them and never more than the CPUs the process may run on
+or the paths.  Each worker owns a fixed, contiguous range of paths, builds
+their generators, and fills its columns of a step-major (w, P) block, so
+step k's increments for all paths are one contiguous row.  There are two blocks: the workers
 fill block j + 1 while the recursion consumes block j.  One block and one
-worker's staging buffer stay within _NOISE_BUFFER_BYTES.  Neither the block
-width w nor the number of workers touches the streams or the arithmetic,
-so every result is bit-reproducible and independent of both.  A run whose
-diffusion is identically zero draws no noise and starts no thread.
+worker's staging buffer stay within _NOISE_BUFFER_BYTES, so the two blocks
+take no more than the one block a serial draw would.  Every worker makes
+one ``standard_normal`` call of w steps per path and block, and each call
+hands the interpreter lock back; below _SHARED_CALL_STEPS steps a second
+worker costs more in lock handoffs than it saves, so such runs get one.
+Neither the block width w nor the number of workers touches the streams or
+the arithmetic, so every result is bit-reproducible and independent of
+both.  A run whose diffusion is identically zero draws no noise and starts
+no thread.
 """
 
 from __future__ import annotations
@@ -57,8 +62,12 @@ __all__ = [
     "simulate_closed_loop",
 ]
 
-_NOISE_BUFFER_BYTES = 52_000_000
+_NOISE_BUFFER_BYTES = 98_000_000
 _STAGE_BYTES = 4_000_000
+# measured on 2 cores: 2 workers beat 1 from about 400 steps per call, and
+# lose to 1 below it (at 300 steps, by a fifth)
+_NOISE_WORKERS = 2
+_SHARED_CALL_STEPS = 400
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -71,6 +80,12 @@ class SimConfig:
     n_paths: int
     seed: int = 0
     budget: float = 1e9           # cap on n_paths * horizon / dt
+
+    @classmethod
+    def whole_steps(cls, horizon: float, dt: float, n_paths: int, seed: int = 0) -> SimConfig:
+        """The config whose horizon is ``horizon`` rounded up to a multiple of ``dt``."""
+        dt = _finite_positive("dt", dt)
+        return cls(np.ceil(_finite_positive("horizon", horizon) / dt) * dt, dt, n_paths, seed)
 
     def steps(self) -> int:
         ratio = _finite_positive("horizon", self.horizon) / _finite_positive("dt", self.dt)
@@ -150,7 +165,7 @@ def _brownian_increments(seed: int, n_paths: int, nsteps: int, dt: float):
     width = max(64, min(nsteps, (_NOISE_BUFFER_BYTES - _STAGE_BYTES) // (8 * n_paths)))
     blocks = [np.empty((width, n_paths)), np.empty((width, n_paths))]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_workers = min(cpus or 1, n_paths)
+    n_workers = min(_NOISE_WORKERS if width >= _SHARED_CALL_STEPS else 1, cpus or 1, n_paths)
     cuts = [n_paths * i // n_workers for i in range(n_workers + 1)]
     workers = [_draw_paths(seed, p0, p1, nsteps, blocks, np.sqrt(dt))
                for p0, p1 in zip(cuts, cuts[1:])]

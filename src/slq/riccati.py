@@ -635,6 +635,9 @@ def solve_gare(
     try:
         G = solve_lyapunov(tsys.pair(), tw.Q)   # certifies Sigma, as transform_problem would
     except LyapunovUnsolvableError as exc:
+        # a failure that depends on Q, not on the pair, is the solver's own
+        if is_stabilizer(sys, Sigma):
+            raise
         raise InvalidInputError(_NOT_A_STABILIZER) from exc
     eye_m = np.eye(sys.m)
 

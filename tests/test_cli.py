@@ -241,6 +241,13 @@ def test_solve_rejects_bad_simulation_settings(tmp_path, capsys, simulate, name)
     assert f"error: {name} must be finite and positive" in capsys.readouterr().err
 
 
+def test_solve_rejects_a_non_finite_derived_horizon(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(slq.cli, "_closed_loop_time_constant", lambda sys, Theta: np.inf)
+    prob = write_problem(tmp_path)
+    assert main(["solve", prob, "--simulate", "10", "--out", str(tmp_path / "r.json")]) == 1
+    assert "error: the closed loop gives no finite horizon" in capsys.readouterr().err
+
+
 def test_simulate_zero_state(tmp_path):
     prob = write_problem(tmp_path, x0=[0.0],
                          solver={"simulate": {"paths": 50, "dt": 1e-2}})

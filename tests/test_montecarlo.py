@@ -371,6 +371,13 @@ def use_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def use_workers(monkeypatch, count):
+    # as many workers as asked for, even on short calls and fewer cores
+    use_cpus(monkeypatch, count)
+    monkeypatch.setattr(montecarlo, "_NOISE_WORKERS", count)
+    monkeypatch.setattr(montecarlo, "_SHARED_CALL_STEPS", 1)
+
+
 def small_blocks(monkeypatch, n_paths, width):
     monkeypatch.setattr(montecarlo, "_NOISE_BUFFER_BYTES",
                         montecarlo._STAGE_BYTES + 8 * n_paths * width)
@@ -387,13 +394,13 @@ def test_results_independent_of_worker_split(monkeypatch, n_paths):
         return (simulate_closed_loop(sys2, w, Theta, [1.0, -1.0], cfg),
                 feedback_parametrization_check(sys2, Theta, [1.0, -1.0], cfg))
 
-    use_cpus(monkeypatch, 1)
+    use_workers(monkeypatch, 1)
     want = run()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 3):
-            use_cpus(monkeypatch, workers)
+            use_workers(monkeypatch, workers)
             assert run() == want
             with monkeypatch.context() as m:
                 small_blocks(m, n_paths, 64)            # 4 blocks: 64, 64, 64, 8 steps
@@ -402,9 +409,34 @@ def test_results_independent_of_worker_split(monkeypatch, n_paths):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("cpus, n_paths, nsteps, width, workers", [
+    (8, 37, 1000, None, 2),        # never more than _NOISE_WORKERS
+    (1, 37, 1000, None, 1),        # nor the CPUs
+    (8, 1, 1000, None, 1),         # nor the paths
+    (8, 37, 1000, 300, 1),         # calls too short to share
+    (8, 37, 300, None, 1),
+])
+def test_noise_worker_count(monkeypatch, cpus, n_paths, nsteps, width, workers):
+    use_cpus(monkeypatch, cpus)
+    if width is not None:
+        small_blocks(monkeypatch, n_paths, width)
+    ranges = []
+    original = montecarlo._draw_paths
+
+    def recording(seed, p0, p1, *args):
+        ranges.append((p0, p1))
+        return original(seed, p0, p1, *args)
+
+    monkeypatch.setattr(montecarlo, "_draw_paths", recording)
+    for _ in montecarlo._brownian_increments(5, n_paths, nsteps, 1e-2):
+        pass
+    assert len(ranges) == workers
+    assert sorted(ranges)[0][0] == 0 and sorted(ranges)[-1][1] == n_paths
+
+
 def test_noise_workers_stop(monkeypatch):
     sys2, w, Theta = noisy_problem()
-    use_cpus(monkeypatch, 3)
+    use_workers(monkeypatch, 3)
     small_blocks(monkeypatch, 37, 64)
     before = threading.active_count()
     simulate_closed_loop(sys2, w, Theta, [1.0, -1.0], SimConfig(2.0, 1e-2, 37, seed=9))
@@ -418,7 +450,7 @@ def test_noise_workers_stop(monkeypatch):
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
     sys2, w, Theta = noisy_problem()
-    use_cpus(monkeypatch, 2)
+    use_workers(monkeypatch, 2)
     small_blocks(monkeypatch, 37, 64)
     original = montecarlo._draw_paths
 

@@ -20,9 +20,16 @@ from slq import (
     transform_problem,
     verify_static_stabilizing,
 )
-from slq.errors import InvalidInputError, InvalidTerminalError, NotStabilizableError, NotStableError
+from slq.errors import (
+    InvalidInputError,
+    InvalidTerminalError,
+    LyapunovUnsolvableError,
+    NotStabilizableError,
+    NotStableError,
+)
 from slq.linalg import fro
 from slq.oracle1d import solve_1d
+import slq.riccati
 from slq.riccati import _newton_limit, _strict_limit
 from slq.stability import solve_lyapunov
 from test_acceptance import criterion_04_battery, criterion_05_draws, criterion_06_instances
@@ -295,6 +302,17 @@ def test_transform_rejects_non_stabilizer():
         transform_problem(sys1, w, [[0.0]])
     with pytest.raises(InvalidInputError, match="not a stabilizer"):
         solve_gare(sys1, w, GareConfig(reduction_stabilizer=[[0.0]]))
+
+
+def test_gare_passes_on_a_failed_solve_of_a_stabilizer(monkeypatch):
+    # a G solve that fails for a stabilizer must not read as a bad Sigma
+    def unsettled(pair, Lambda):
+        raise LyapunovUnsolvableError("the Lyapunov fixed point did not settle in 9 sweeps")
+
+    monkeypatch.setattr(slq.riccati, "solve_lyapunov", unsettled)
+    sys1 = scalar_system(1.0, 0.0, 1.0, 0.0)
+    with pytest.raises(LyapunovUnsolvableError, match="did not settle"):
+        solve_gare(sys1, scalar_weights(1.0, 0.0, 1.0), GareConfig(reduction_stabilizer=[[-2.0]]))
 
 
 # ---------------------------------------------------------------- GARE
