@@ -351,6 +351,8 @@ def _stabilizability_block(report) -> dict:
         "P": report.P,
         "flow_status": report.flow_status,
         "residual": report.residual,
+        "flow_steps": report.flow_steps,
+        "newton_steps": report.newton_steps,
     }
 
 

@@ -13,8 +13,9 @@ factors it once (Cholesky), and that factor is both the positivity test and
 the solve.  The right-hand side is the ARE residual, so a flow that ends
 'converged' certifies its limit: the residual is below ``stat_tol`` relative
 and R + D'PD was factored at it.  The first evaluation, at Sig(0) = G, is the
-check of the terminal value.  The flow decides stabilizability, where no
-stabilizer is known yet.
+check of the terminal value.  Where no stabilizer is known yet -- the
+stabilizability decision -- the flow runs until its first certified gain and
+Newton-Kleinman finishes from there (``_stabilizing_limit``).
 
 Where a stabilizing gain is known -- the strictly convex problems over a
 certified stable pair -- the ARE is solved by Newton-Kleinman (Kleinman
@@ -181,7 +182,7 @@ _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_ERR = (-277 / 64512, 0.0, 6925 / 370944, -6925 / 202752, -277 / 14336, 277 / 7084)
 
 
-def _adaptive_flow(rhs, sym, norm, y0, cfg: FlowConfig):
+def _adaptive_flow(rhs, sym, norm, y0, cfg: FlowConfig, stop=None):
     """Run the embedded Cash-Karp pair until stationarity, divergence or cap.
 
     ``rhs`` raises :class:`_PositivityLost` when R + D'Sig D stops being
@@ -189,6 +190,10 @@ def _adaptive_flow(rhs, sym, norm, y0, cfg: FlowConfig):
     :class:`InvalidTerminalError`; later the step is rejected and shrunk, and
     step collapse below ``_MIN_STEP`` counts as finite escape.  Works
     uniformly for matrix states and (as floats) scalar ones.
+
+    ``stop(y)``, when given, is called at accepted steps 0, 1, 2, 4, 8, ...
+    that have neither settled nor escaped, right after ``rhs(y)``; a true
+    return ends the flow with status 'stopped'.
     """
     t = 0.0
     y = sym(y0)
@@ -201,6 +206,8 @@ def _adaptive_flow(rhs, sym, norm, y0, cfg: FlowConfig):
     dnorm = norm(f)
     if dnorm < cfg.stat_tol * (1.0 + norm(y)):
         return "converged", times, values, dnorm
+    if stop is not None and stop(y):
+        return "stopped", times, values, dnorm
 
     h = min(1.0, 0.01 * (1.0 + norm(y)) / (1.0 + dnorm))
     lam_est = 0.0  # local Jacobian scale, to keep h inside the stability region
@@ -250,6 +257,9 @@ def _adaptive_flow(rhs, sym, norm, y0, cfg: FlowConfig):
             return "diverged", times, values, dnorm
         if dnorm < cfg.stat_tol * (1.0 + ynorm):
             return "converged", times, values, dnorm
+        steps = len(times) - 1
+        if stop is not None and steps & (steps - 1) == 0 and stop(y):
+            return "stopped", times, values, dnorm
         if t >= cfg.max_horizon:
             return "max-horizon", times, values, dnorm
 
@@ -429,6 +439,68 @@ def _newton_limit(
                    np.asarray(P0, dtype=float), stat_tol)
 
 
+def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
+    """The ARE solution that the flow from 0 reaches when Q > 0: the flow
+    until its first certified gain, then Newton-Kleinman.
+
+    At accepted steps 0, 1, 2, 4, 8, ... the flow hands its gain -K(Sig),
+    the K of its last right-hand side, to the certifying gain-value map.  The
+    value of the first gain certified starts ``_newton``, and the flow stops
+    when Newton converges and the gain of its limit is certified too.  With
+    Q > 0 the solution Newton reaches from a stabilizing gain is the unique
+    PSD solution, which is the flow's limit.  The flow decides when no
+    checkpoint certifies a gain or Newton fails; after a failed Newton the
+    checkpoints stop, so a flow of k steps that certifies no gain makes at
+    most floor(log2 k) + 2 certification attempts.
+
+    Returns (P, Theta, residual, route).  P is the limit, Theta = -K(P) its
+    gain and residual the norm of the ARE residual at P, below
+    ``cfg.stat_tol * (1 + ||P||)``; P and Theta are None when the flow does
+    not converge, and Theta is None when the map cannot certify it.  route is
+    {"status", "flow_steps", "newton_steps"}: status is 'certified' when
+    Newton finished the solve and the flow's own status otherwise.
+    """
+    if sys.n == 1 and sys.m == 1:
+        are, gain_value = _scalar_are(sys, w), _scalar_gain_value(sys, w)
+        norm, sym, y0 = abs, (lambda y: y), 0.0
+    else:
+        are, gain_value = _matrix_are(sys, w), _matrix_gain_value(sys, w)
+        norm, sym, y0 = fro, (lambda y: (y + y.T) / 2.0), np.zeros((sys.n, sys.n))
+    last = [0.0, None]          # residual and K of the latest ARE evaluation
+    limit, newton_steps, tried = None, 0, False
+
+    def are_at(y):
+        last[:] = are(y)
+        return last
+
+    def finish(y):
+        nonlocal limit, newton_steps, tried
+        start = None if tried else gain_value(-last[1], y)
+        if start is None:
+            return False
+        tried = True
+        P, newton_steps = _newton(are_at, gain_value, norm, start, cfg.stat_tol)
+        if P is None or gain_value(-last[1], P) is None:
+            return False
+        limit = P
+        return True
+
+    status, times, values, _ = _adaptive_flow(lambda y: are_at(y)[0], sym, norm, y0, cfg,
+                                              stop=finish)
+    route = {"status": status, "flow_steps": len(times) - 1, "newton_steps": newton_steps}
+    if status == "stopped":
+        route["status"] = "certified"
+    elif status == "converged":
+        limit = values[-1]
+    else:
+        return None, None, None, route
+    residual, K = last
+    Theta = np.reshape(-K, (sys.m, sys.n))
+    if status == "converged" and gain_value(-K, limit) is None:
+        Theta = None
+    return np.reshape(limit, (sys.n, sys.n)), Theta, float(norm(residual)), route
+
+
 def _strict_limit(
     sys: ControlledSystem, w: CostWeights, G, cfg: FlowConfig, start=None
 ) -> tuple[np.ndarray | None, dict]:
@@ -603,7 +675,7 @@ def solve_gare(
 
     Pipeline: stabilize the system with a pre-feedback Sigma (the given
     ``cfg.reduction_stabilizer``, else the one found by the stabilizability
-    flow), reduce to the stable case, follow the strictly convex solutions
+    decision), reduce to the stable case, follow the strictly convex solutions
     P_eps of the problems with control weight R + eps I down the epsilon
     schedule (Newton-Kleinman from G at the first epsilon and from the
     previous P_eps after it, the flow from G where Newton fails; see

@@ -8,10 +8,15 @@ has a positive definite solution, in which case
 
     Gamma = -(I + D'P D)^{-1} (B'P + D'P C)
 
-is a stabilizer.  The solution is obtained as the stationary limit of the
-unit-weight Riccati flow started from zero, which converges (increasing in
-the semidefinite order) exactly when the system is stabilizable and blows up
-otherwise.
+is a stabilizer.  The solution is the stationary limit of the unit-weight
+Riccati flow started from zero, which converges (increasing in the
+semidefinite order) exactly when the system is stabilizable and blows up
+otherwise.  The flow runs until its first certified gain: at accepted steps
+0, 1, 2, 4, 8, ... its gain is checked by the certifying gain-value map that
+Newton-Kleinman uses, and the first gain certified proves stabilizability.
+From that gain's value Newton-Kleinman finishes the solve; since Q = I > 0,
+the solution it reaches is the unique positive one, the flow's limit.  The
+flow decides when no checkpoint certifies a gain or Newton fails.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from .errors import (
     LyapunovUnsolvableError,
     UnsupportedInputError,
 )
-from .linalg import fro, is_pd, is_psd, symmetrize
-from .riccati import CostWeights, FlowConfig, RiccatiFlow, integrate_riccati_flow
-from .stability import ControlledSystem, is_stabilizer, solve_lyapunov
+from .linalg import fro, is_pd, is_psd
+from .riccati import CostWeights, FlowConfig, _stabilizing_limit
+from .stability import ControlledSystem, solve_lyapunov
 
 __all__ = [
     "StabilizabilityReport",
@@ -44,9 +49,11 @@ class StabilizabilityReport:
     stabilizable: bool
     gamma: np.ndarray | None       # a stabilizer when one exists
     P: np.ndarray | None           # positive solution of the unit-weight ARE
-    flow_status: str               # 'converged' | 'diverged' | 'max-horizon' | 'static'
+    flow_status: str               # 'certified' | 'converged' | 'diverged' | 'max-horizon'
+                                   # | 'static'
     residual: float | None         # ARE residual at P; the Lyapunov one without control
-    flow: RiccatiFlow | None
+    flow_steps: int                # accepted steps of the unit-weight flow
+    newton_steps: int              # Newton-Kleinman steps after the first certified gain
 
 
 def stabilizability_report(
@@ -54,16 +61,22 @@ def stabilizability_report(
 ) -> StabilizabilityReport:
     """Decide stabilizability of [A, C; B, D] and produce a stabilizer.
 
-    On a converged flow, ``residual`` is the flow's ``derivative_norm``: the
-    right-hand side at the limit is the unit-weight ARE residual, below
-    ``cfg.stat_tol * (1 + ||P||)``.  With no control authority the ARE is the
-    Lyapunov equation, and ``residual`` is ||P A + A'P + C'P C + I|| for the P
-    solved.  It is None when the system is classified not stabilizable.
+    The unit-weight flow from 0 runs until a checkpoint certifies its gain;
+    Newton-Kleinman from that gain's value then gives P and the status
+    'certified'.  Otherwise the flow decides: 'converged' gives P as its
+    limit, and 'diverged' or 'max-horizon' classify the system as not
+    stabilizable.  Either way the gain of P is certified once, by the same
+    map, and ``residual`` is the norm of the unit-weight ARE residual at P,
+    below ``cfg.stat_tol * (1 + ||P||)``.  With no control authority the ARE
+    is the Lyapunov equation, and ``residual`` is ||P A + A'P + C'P C + I||
+    for the P solved.  It is None when the system is classified not
+    stabilizable.
 
-    A 'max-horizon' flow status means the flow neither settled nor blew up
-    within the horizon cap; such systems are classified not stabilizable,
-    which can misclassify marginally stabilizable ones (hence the status is
-    surfaced here).
+    A flow that would settle only after the horizon cap is still found
+    stabilizable once one of its checked gains is certified.  A flow ends
+    'max-horizon' only when none was by the cap; the system is then
+    classified not stabilizable, which can misclassify a marginally
+    stabilizable one (hence the status is surfaced here).
     """
     cfg = cfg or FlowConfig()
     n, m = sys.n, sys.m
@@ -74,26 +87,22 @@ def stabilizability_report(
         try:
             P = solve_lyapunov(sys.pair(), np.eye(n))
         except LyapunovUnsolvableError:
-            return StabilizabilityReport(False, None, None, "static", None, None)
+            return StabilizabilityReport(False, None, None, "static", None, 0, 0)
         residual = fro(P @ sys.A + sys.A.T @ P + sys.C.T @ P @ sys.C + np.eye(n))
-        return StabilizabilityReport(True, np.zeros((m, n)), P, "static", residual, None)
+        return StabilizabilityReport(True, np.zeros((m, n)), P, "static", residual, 0, 0)
 
     w = CostWeights(np.eye(n), np.zeros((m, n)), np.eye(m))
-    flow = integrate_riccati_flow(sys, w, np.zeros((n, n)), cfg)
-    if flow.status != "converged":
-        return StabilizabilityReport(False, None, None, flow.status, None, flow)
-
-    # convergence certifies the ARE residual and I + D'PD > 0; it does not
-    # certify P > 0 or that the gain stabilizes, so those are checked here
-    P = symmetrize(flow.values[-1])
-    if not is_pd(P):
-        raise InternalInconsistencyError("converged flow value is not positive definite")
-    N = np.eye(m) + sys.D.T @ P @ sys.D
-    L = P @ sys.B + sys.C.T @ P @ sys.D
-    gamma = -np.linalg.solve(N, L.T)
-    if not is_stabilizer(sys, gamma):
+    P, gamma, residual, route = _stabilizing_limit(sys, w, cfg)
+    steps = (route["flow_steps"], route["newton_steps"])
+    if P is None:
+        return StabilizabilityReport(False, None, None, route["status"], None, *steps)
+    # the limit's residual and I + D'PD > 0 are certified; P > 0 follows from
+    # Q = I for a certified gain, and is checked here
+    if gamma is None:
         raise InternalInconsistencyError("computed gain failed the stabilizer check")
-    return StabilizabilityReport(True, gamma, P, flow.status, flow.derivative_norm, flow)
+    if not is_pd(P):
+        raise InternalInconsistencyError("the unit-weight ARE solution is not positive definite")
+    return StabilizabilityReport(True, gamma, P, route["status"], residual, *steps)
 
 
 def find_stabilizer(sys: ControlledSystem, cfg: FlowConfig | None = None) -> np.ndarray | None:

@@ -152,6 +152,21 @@ def test_solve_reports_each_epsilon_route(tmp_path):
     assert route["steps"] > 0
 
 
+@pytest.mark.parametrize("a, flow_steps", [(-1.0, 0), (0.0, 1)])
+def test_check_reports_the_stabilizability_route(tmp_path, a, flow_steps):
+    # an open-loop stable pair certifies the gain 0 at step 0 of the flow;
+    # dX = u dt first certifies a gain at step 1; Newton finishes both
+    prob = write_problem(tmp_path, A=[[a]])
+    out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
+    assert main(["check", prob, "--out", out1]) == 0
+    assert main(["check", prob, "--out", out2]) == 0
+    assert open(out1, "rb").read() == open(out2, "rb").read()
+    block = read(out1)["stabilizability"]
+    assert (block["flow_status"], block["flow_steps"]) == ("certified", flow_steps)
+    assert block["newton_steps"] >= 1
+    assert block["gamma"][0][0] == pytest.approx(-block["P"][0][0], abs=1e-10)
+
+
 def test_solve_byte_identical_reports(tmp_path):
     prob = write_problem(tmp_path, inhomogeneity={
         "grid": [0.0, 0.5],

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_scalar_system, scalar_stabilizable
+from test_acceptance import criterion_04_battery, criterion_06_instances
+from test_stability import _second_moment_operator
+
+import slq.riccati
 from slq import (
     ControlledSystem,
     CostWeights,
+    GareMaps,
     check_sa_condition,
     find_stabilizer,
     integrate_riccati_flow,
@@ -12,7 +17,11 @@ from slq import (
     stabilizability_report,
 )
 from slq.errors import UnsupportedInputError
-from slq.linalg import is_psd
+from slq.linalg import fro, is_psd
+
+
+def unit_weights(n, m):
+    return CostWeights(np.eye(n), np.zeros((m, n)), np.eye(m))
 
 
 def test_find_stabilizer_scalar_example():
@@ -97,12 +106,95 @@ def test_two_dimensional_stabilizer():
     assert is_psd(report.P) and report.residual < 1e-7
 
 
-def test_residual_is_the_converged_flow_derivative():
-    # the right-hand side of the converged flow at P is the unit-weight ARE
-    # residual; D != 0 so that I + D'PD is not the identity
+def test_residual_is_the_unit_weight_are_residual():
+    # the reported residual is the unit-weight ARE residual at the reported
+    # P; D != 0 so that I + D'PD is not the identity
     sys2 = ControlledSystem([[0.3, 1.0], [0.0, -0.2]], [[0.2, 0.0], [0.1, 0.3]],
                             [[0.0], [1.0]], [[0.1], [0.0]])
     report = stabilizability_report(sys2)
-    assert report.stabilizable and report.flow.status == "converged"
-    assert report.residual == report.flow.derivative_norm
-    assert report.residual <= 1e-10 * (1.0 + np.linalg.norm(report.P))
+    assert report.stabilizable
+    want = fro(GareMaps(sys2, unit_weights(2, 1)).residual(report.P))
+    assert report.residual == pytest.approx(want, rel=1e-3, abs=1e-14 * (1.0 + fro(report.P)))
+    assert report.residual <= 1e-10 * (1.0 + fro(report.P))
+
+
+def test_max_horizon_flow_with_a_certified_stabilizer():
+    # A is skew and B B' = b^2 I, so Sig(t) = tanh(b t) / b * I solves the
+    # unit-weight flow: it reaches only tanh(1) of its limit I / b at the
+    # horizon cap t = 1 / b, and every gain along it stabilizes
+    b = 1e-4
+    A = np.array([[0.0, 0.05, 0.0], [-0.05, 0.0, 0.02], [0.0, -0.02, 0.0]])
+    V, _ = np.linalg.qr(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [1.0, 0.0, 1.0]]))
+    sys3 = ControlledSystem(A, np.zeros((3, 3)), b * V, np.zeros((3, 3)))
+    flow = integrate_riccati_flow(sys3, unit_weights(3, 3), np.zeros((3, 3)))
+    assert flow.status == "max-horizon"
+    report = stabilizability_report(sys3)
+    assert report.stabilizable and report.flow_status == "certified"
+    assert np.allclose(report.P, np.eye(3) / b, rtol=1e-8)
+    assert report.residual <= 1e-10 * (1.0 + fro(report.P))
+    spectrum = np.linalg.eigvals(_second_moment_operator(sys3.closed_loop(report.gamma)))
+    assert np.max(spectrum.real) < 0.0
+
+
+def test_certification_budget_on_a_diverging_flow(monkeypatch):
+    # an uncontrolled mode dx = -x/2 dt + 3x/2 dW, which is not mean-square
+    # stable, hidden by an orthogonal change of coordinates: no gain the flow
+    # produces certifies, and the failed checks stay logarithmic in its steps
+    rng = np.random.default_rng(5)
+    n, m = 8, 4
+    A, C = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-0.3, 0.3, (n, n))
+    B, D = rng.uniform(-1.0, 1.0, (n, m)), rng.uniform(-0.2, 0.2, (n, m))
+    A[0], C[0], B[0], D[0] = 0.0, 0.0, 0.0, 0.0
+    A[0, 0], C[0, 0] = -0.5, 1.5
+    T, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    sys8 = ControlledSystem(T.T @ A @ T, T.T @ C @ T, T.T @ B, T.T @ D)
+    calls = []
+    original = slq.riccati._stable_lyapunov
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(slq.riccati, "_stable_lyapunov", counting)
+    report = stabilizability_report(sys8)
+    assert not report.stabilizable and report.flow_status == "diverged"
+    assert report.flow_steps >= 64 and report.newton_steps == 0
+    assert 1 <= len(calls) <= int(np.log2(report.flow_steps)) + 2
+
+
+def _orthogonal(rng, k):
+    Q, R = np.linalg.qr(rng.standard_normal((k, k)))
+    return Q * np.sign(np.diag(R))
+
+
+def _metamorphic_systems(rng):
+    systems = [sys_i for sys_i, _ in criterion_04_battery(np.random.default_rng(1004))]
+    systems += [sys_i for sys_i, _ in criterion_06_instances(np.random.default_rng(1006))]
+    systems += [random_scalar_system(rng) for _ in range(40)]
+    for _ in range(12):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        systems.append(ControlledSystem(rng.uniform(-1.0, 1.0, (n, n)),
+                                        rng.uniform(-0.5, 0.5, (n, n)),
+                                        rng.uniform(-1.0, 1.0, (n, m)),
+                                        rng.uniform(-0.3, 0.3, (n, m))))
+    return systems
+
+
+def test_decision_is_invariant_under_orthogonal_changes(rng):
+    # x = T z and u = V w keep the unit weights: P -> T'P T, Gamma -> V'Gamma T
+    verdicts = set()
+    for sys_i in _metamorphic_systems(rng):
+        if not sys_i.B.any() and not sys_i.D.any():
+            continue
+        T, V = _orthogonal(rng, sys_i.n), _orthogonal(rng, sys_i.m)
+        moved = ControlledSystem(T.T @ sys_i.A @ T, T.T @ sys_i.C @ T,
+                                 T.T @ sys_i.B @ V, T.T @ sys_i.D @ V)
+        base, other = stabilizability_report(sys_i), stabilizability_report(moved)
+        assert other.stabilizable == base.stabilizable
+        verdicts.add(base.stabilizable)
+        if not base.stabilizable:
+            continue
+        scale = 1.0 + fro(base.P)
+        assert fro(other.P - T.T @ base.P @ T) <= 1e-8 * scale
+        assert fro(other.gamma - V.T @ base.gamma @ T) <= 1e-8 * scale
+    assert verdicts == {True, False}
