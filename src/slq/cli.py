@@ -237,7 +237,6 @@ def _solution_block(sol: GareSolution) -> dict:
         "Pi": sol.Pi,
         "epsilon_path": _epsilon_path_block(sol.epsilon_path),
         "diagnostics": diag,
-        "sigma": sol.diagnostics.get("sigma"),
     }
 
 
@@ -390,7 +389,7 @@ def _run_solve(problem: ProblemData, cfg: dict, args):
             "reason": outcome.reason,
             "epsilon_path": _epsilon_path_block(outcome.epsilon_path),
             "diagnostics": {k: v for k, v in outcome.diagnostics.items()
-                            if not isinstance(v, np.ndarray) or k == "sigma"},
+                            if not isinstance(v, np.ndarray)},
         }
         if oracle:
             doc["oracle_1d"] = _solve_oracle_block(problem, None)

@@ -34,11 +34,13 @@ On top of these sit:
 * ``transform_problem`` -- pre-feedback reduction of a stabilizable problem to
   one with a stable uncontrolled pair;
 * ``solve_gare`` -- the generalized ARE with pseudoinverse, range condition
-  and semidefinite constraint, computed as the epsilon -> 0 limit of the
-  regularized strictly convex solutions; the path reuses the certificate
-  ``transform_problem`` made of the reduced pair and one terminal value,
-  starts each epsilon's Newton from the previous solution, and the limit is
-  accepted through ``verify_static_stabilizing``;
+  and semidefinite constraint.  Over the reduced pair, certified once by the
+  Lyapunov solve for its terminal value G, Newton from G at epsilon = 0
+  solves the regular case (R + D'PD > 0 at the solution) directly.  Where
+  that fails, the solution is the epsilon -> 0 limit of the regularized
+  strictly convex solutions, each epsilon's Newton starting from the
+  previous solution.  Either limit is accepted through
+  ``verify_static_stabilizing``;
 * ``verify_static_stabilizing`` -- the one check of a candidate P against the
   GARE conditions, which also picks its stabilizing feedback.
 """
@@ -586,7 +588,8 @@ def transform_problem(
 
 @dataclass
 class GareConfig:
-    """Configuration of the epsilon-path GARE solver."""
+    """Configuration of the GARE solver; ``epsilon_schedule`` and ``path_tol``
+    govern the epsilon path, where it runs."""
 
     epsilon_schedule: tuple[float, ...] = tuple(10.0 ** -k for k in range(1, 9))
     path_tol: float = 1e-6         # relative settling threshold on consecutive P_eps or limits
@@ -604,7 +607,7 @@ class GareSolution:
     P: np.ndarray                    # the static stabilizing solution
     Theta: np.ndarray                # stabilizing feedback -N^+L' + (I - N^+N) Pi
     Pi: np.ndarray                   # the free parameter actually chosen
-    epsilon_path: list[tuple[float, np.ndarray]]
+    epsilon_path: list[tuple[float, np.ndarray]]   # empty on the direct route
     diagnostics: dict
 
 
@@ -668,53 +671,21 @@ def _select_feedback(sys: ControlledSystem, N: np.ndarray, Lt: np.ndarray,
     return Theta, Pi
 
 
-def solve_gare(
-    sys: ControlledSystem, w: CostWeights, cfg: GareConfig | None = None
-) -> GareSolution | GareUnsolvable:
-    """Compute the static stabilizing solution of the generalized ARE.
+def _epsilon_path(tsys: ControlledSystem, tw: CostWeights, G, cfg: GareConfig,
+                  diagnostics: dict):
+    """Follow the strictly convex solutions P_eps of the reduced problem with
+    control weight R + eps I down ``cfg.epsilon_schedule`` to their limit.
 
-    Pipeline: stabilize the system with a pre-feedback Sigma (the given
-    ``cfg.reduction_stabilizer``, else the one found by the stabilizability
-    decision), reduce to the stable case, follow the strictly convex solutions
-    P_eps of the problems with control weight R + eps I down the epsilon
-    schedule (Newton-Kleinman from G at the first epsilon and from the
-    previous P_eps after it, the flow from G where Newton fails; see
-    ``_strict_limit``), detect settling of the path (P_eps, or its
-    extrapolated limit, stops moving), and accept the limit through
-    :func:`verify_static_stabilizing` on the original (untransformed) data,
-    which also supplies the feedback.  Every pair is certified once: the
-    Lyapunov solve for G certifies the reduced pair, which the epsilon path
-    then does not re-check, and the verifier certifies the feedback.
-
-    Raises :class:`NotStabilizableError` when the system has no stabilizer,
-    and :class:`InvalidInputError` when ``cfg.reduction_stabilizer`` is not one.
-    Returns :class:`GareUnsolvable` when the epsilon path breaks down or its
-    limit fails verification (the problem has no optimal control).  Either
-    outcome's ``diagnostics["epsilon_solves"]`` lists, per epsilon reached,
-    the route that decided (``"newton"`` or ``"flow"``) and its step count.
+    The reduced pair is certified stable and G is its Lyapunov value.  Each
+    epsilon is solved by ``_strict_limit``, Newton starting from G at the
+    first epsilon and from the previous P_eps after it.  The path has settled
+    when P_eps, or its extrapolated limit, stops moving.  Records
+    ``epsilon_solves`` and the settling diagnostics in ``diagnostics``.
+    Returns (path, P, reason): P is the symmetrized limit, or None with
+    ``reason`` saying where the path broke down.
     """
-    cfg = cfg or GareConfig()
-    if cfg.reduction_stabilizer is not None:
-        Sigma = as_matrix(cfg.reduction_stabilizer, "reduction_stabilizer")
-    else:
-        from .stabilizability import find_stabilizer
-
-        Sigma = find_stabilizer(sys, cfg.flow)
-        if Sigma is None:
-            raise NotStabilizableError("system [A,C;B,D] is not L2-stabilizable")
-
-    tsys, tw = _transform(sys, w, Sigma)
-    try:
-        G = solve_lyapunov(tsys.pair(), tw.Q)   # certifies Sigma, as transform_problem would
-    except LyapunovUnsolvableError as exc:
-        # a failure that depends on Q, not on the pair, is the solver's own
-        if is_stabilizer(sys, Sigma):
-            raise
-        raise InvalidInputError(_NOT_A_STABILIZER) from exc
-    eye_m = np.eye(sys.m)
-
+    eye_m = np.eye(tsys.m)
     path: list[tuple[float, np.ndarray]] = []
-    diagnostics: dict = {"sigma": Sigma}
     prev = limit = None
     settled = False
     solves: list[dict] = []
@@ -726,9 +697,7 @@ def solve_gare(
         solves.append({"epsilon": eps, **route})
         if P_eps is None:
             diagnostics["failed_epsilon"] = eps
-            return GareUnsolvable(
-                f"strictly convex solve failed at epsilon={eps:g}", path, diagnostics
-            )
+            return path, None, f"strictly convex solve failed at epsilon={eps:g}"
         path.append((eps, P_eps))
         if prev is not None:
             # Geometric-schedule limit estimate: with P_eps ~= P + c*eps the
@@ -751,18 +720,74 @@ def solve_gare(
         prev = (eps, P_eps)
 
     if not settled:
-        return GareUnsolvable(
-            "epsilon path did not settle by the end of the schedule; "
-            "problem unsolvable or ill-conditioned",
-            path,
-            diagnostics,
-        )
-
+        return path, None, ("epsilon path did not settle by the end of the schedule; "
+                            "problem unsolvable or ill-conditioned")
     P = symmetrize(limit)
     diagnostics["settled_at_epsilon"] = prev[0]
     diagnostics["extrapolation_norm"] = fro(P - prev[1])
+    return path, P, None
 
-    check = verify_static_stabilizing(sys, w, P, cfg)
+
+def solve_gare(
+    sys: ControlledSystem, w: CostWeights, cfg: GareConfig | None = None
+) -> GareSolution | GareUnsolvable:
+    """Compute the static stabilizing solution of the generalized ARE.
+
+    Pipeline: stabilize the system with a pre-feedback Sigma (the given
+    ``cfg.reduction_stabilizer``, else the one found by the stabilizability
+    decision) and reduce to the stable case, whose Lyapunov value G is the
+    cost of the gain 0.  Newton-Kleinman from G at epsilon = 0 (the direct
+    route) reaches the stabilizing solution whenever it has
+    R + D'PD > 0 (Damm & Hinrichsen 2001), and its limit is accepted through
+    :func:`verify_static_stabilizing` on the original (untransformed) data,
+    which also supplies the feedback.  Only when Newton fails or the verifier
+    rejects its limit -- singular R + D'PD, or no solution -- does the
+    epsilon path run (``_epsilon_path``): the strictly convex solutions P_eps
+    with control weight R + eps I, followed down the epsilon schedule until
+    they settle, whose limit goes through the same verifier.  Every pair is
+    certified once: the Lyapunov solve for G certifies the reduced pair,
+    which neither route re-checks, and the verifier certifies the feedback.
+
+    Raises :class:`NotStabilizableError` when the system has no stabilizer,
+    and :class:`InvalidInputError` when ``cfg.reduction_stabilizer`` is not one.
+    Returns :class:`GareUnsolvable` when the epsilon path breaks down or its
+    limit fails verification (the problem has no optimal control).  Either
+    outcome's ``diagnostics["epsilon_solves"]`` lists, per epsilon reached,
+    the route that decided (``"newton"`` or ``"flow"``) and its step count;
+    for the direct route that is one entry at epsilon 0.0, the epsilon path
+    is empty and there is no ``settled_at_epsilon`` or
+    ``extrapolation_norm``.
+    """
+    cfg = cfg or GareConfig()
+    if cfg.reduction_stabilizer is not None:
+        Sigma = as_matrix(cfg.reduction_stabilizer, "reduction_stabilizer")
+    else:
+        from .stabilizability import find_stabilizer
+
+        Sigma = find_stabilizer(sys, cfg.flow)
+        if Sigma is None:
+            raise NotStabilizableError("system [A,C;B,D] is not L2-stabilizable")
+
+    tsys, tw = _transform(sys, w, Sigma)
+    try:
+        G = solve_lyapunov(tsys.pair(), tw.Q)   # certifies Sigma, as transform_problem would
+    except LyapunovUnsolvableError as exc:
+        # a failure that depends on Q, not on the pair, is the solver's own
+        if is_stabilizer(sys, Sigma):
+            raise
+        raise InvalidInputError(_NOT_A_STABILIZER) from exc
+
+    diagnostics: dict = {"sigma": Sigma}
+    path: list[tuple[float, np.ndarray]] = []
+    P, steps = _newton_limit(tsys, tw, G, cfg.flow.stat_tol)
+    check = None if P is None else verify_static_stabilizing(sys, w, P, cfg)
+    if check is not None and check.passed:
+        diagnostics["epsilon_solves"] = [{"epsilon": 0.0, "method": "newton", "steps": steps}]
+    else:
+        path, P, reason = _epsilon_path(tsys, tw, G, cfg, diagnostics)
+        if P is None:
+            return GareUnsolvable(reason, path, diagnostics)
+        check = verify_static_stabilizing(sys, w, P, cfg)
     diagnostics.update(are_residual=check.are_residual, range_defect=check.range_defect,
                        n_min_eig=check.n_min_eig)
     if check.reason is not None:

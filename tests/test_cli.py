@@ -140,9 +140,13 @@ def test_solve_unsolvable_exit_code(tmp_path):
 def test_solve_reports_each_epsilon_route(tmp_path):
     solved, failed = str(tmp_path / "solved.json"), str(tmp_path / "failed.json")
     assert main(["solve", write_problem(tmp_path), "--out", solved]) == 0
-    routes = read(solved)["solution"]["diagnostics"]["epsilon_solves"]
-    assert [r["epsilon"] for r in routes] == [10.0 ** -k for k in range(1, 9)]
-    assert all(r["method"] == "newton" and r["steps"] >= 0 for r in routes)
+    # R + D'PD > 0: one Newton solve at epsilon = 0, and no epsilon path
+    solution = read(solved)["solution"]
+    [route] = solution["diagnostics"]["epsilon_solves"]
+    assert (route["epsilon"], route["method"]) == (0.0, "newton") and route["steps"] >= 0
+    assert solution["epsilon_path"] == []
+    assert "settled_at_epsilon" not in solution["diagnostics"]
+    assert "sigma" not in solution      # the reduction used stabilizability.gamma
     # no strictly convex solution: Newton fails and the flow decides
     prob = write_problem(tmp_path, name="unsolvable.json", A=[[-1.0]], Q=[[-2.0]])
     assert main(["solve", prob, "--out", failed]) == 3
@@ -150,6 +154,7 @@ def test_solve_reports_each_epsilon_route(tmp_path):
     [route] = diag["epsilon_solves"]
     assert (route["epsilon"], route["method"]) == (diag["failed_epsilon"], "flow")
     assert route["steps"] > 0
+    assert "sigma" not in diag
 
 
 @pytest.mark.parametrize("a, flow_steps", [(-1.0, 0), (0.0, 1)])

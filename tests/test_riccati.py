@@ -30,7 +30,7 @@ from slq.errors import (
 from slq.linalg import fro
 from slq.oracle1d import solve_1d
 import slq.riccati
-from slq.riccati import _newton_limit, _strict_limit
+from slq.riccati import _epsilon_path, _newton_limit, _strict_limit
 from slq.stability import solve_lyapunov
 from test_acceptance import criterion_04_battery, criterion_05_draws, criterion_06_instances
 from test_stability import _second_moment_operator
@@ -165,6 +165,26 @@ def test_newton_refuses_a_gain_that_is_not_mean_square_stabilizing(A, C, q1, sta
     assert fro(P - expected) <= 1e-9
 
 
+def _path_limit(sys_i, w_i):
+    """The epsilon path of ``solve_gare``'s reduction and its limit (None
+    where the path breaks down), without the direct route."""
+    tsys, tw = transform_problem(sys_i, w_i, find_stabilizer(sys_i))
+    G = solve_lyapunov(tsys.pair(), tw.Q)
+    path, P, _ = _epsilon_path(tsys, tw, G, GareConfig(), {})
+    return path, P
+
+
+def _assert_direct_route_matches_the_path(sys_i, w_i, out):
+    assert isinstance(out, GareSolution)
+    assert out.epsilon_path == []
+    [route] = out.diagnostics["epsilon_solves"]
+    assert (route["epsilon"], route["method"]) == (0.0, "newton")
+    assert "settled_at_epsilon" not in out.diagnostics
+    assert "extrapolation_norm" not in out.diagnostics
+    _, P_path = _path_limit(sys_i, w_i)
+    assert fro(out.P - P_path) <= 1e-8 * (1.0 + fro(P_path))
+
+
 def _indefinite_draw(rng):
     """Random [A, C; B, D] with n <= 6, indefinite Q, and R indefinite now and then."""
     n = int(rng.integers(1, 7))
@@ -257,7 +277,7 @@ def test_gare_matches_care_oracle(n):
     Q = F.T @ F + S.T @ np.linalg.solve(R, S)    # Q - S'R^{-1}S >= 0
     sys_n = ControlledSystem(A, np.zeros((n, n)), B, np.zeros((n, m)))
     out = solve_gare(sys_n, CostWeights(Q, S, R))
-    assert isinstance(out, GareSolution)
+    _assert_direct_route_matches_the_path(sys_n, CostWeights(Q, S, R), out)
     P_ref = scipy.linalg.solve_continuous_are(A, B, Q, R, s=S.T)
     Theta_ref = -np.linalg.solve(R, B.T @ P_ref + S)
     assert fro(out.P - P_ref) <= 1e-6 * (1.0 + fro(P_ref))
@@ -317,6 +337,32 @@ def test_gare_passes_on_a_failed_solve_of_a_stabilizer(monkeypatch):
 
 # ---------------------------------------------------------------- GARE
 
+@pytest.mark.parametrize("k", range(25, 30))
+def test_gare_direct_route_on_matrix_systems(k):
+    # criterion 6's 2x2 systems: R + D'PD > 0, so one Newton solve at
+    # epsilon = 0 gives the path's limit
+    sys_i, w_i = criterion_06_instances(np.random.default_rng(1006))[k]
+    assert sys_i.n == 2
+    _assert_direct_route_matches_the_path(sys_i, w_i, solve_gare(sys_i, w_i))
+
+
+def test_gare_singular_control_weight_falls_back_to_the_path():
+    # a scalar-sweep 'degenerate' draw: N(P) = 0 at the solution, so Newton at
+    # epsilon = 0 fails on its first step and the epsilon path decides
+    coeffs = (-2.328513224951325, -1.511516205021674, 1.5599169306365415,
+              -2.4226304197708473, -0.44292863959903267, 0.9749289259947951,
+              1.095797257396005)
+    out = solve_gare(scalar_system(*coeffs[:4]), scalar_weights(*coeffs[4:]))
+    assert isinstance(out, GareSolution)
+    assert ([r["epsilon"] for r in out.diagnostics["epsilon_solves"]]
+            == list(GareConfig().epsilon_schedule))
+    assert len(out.epsilon_path) == 8 and "settled_at_epsilon" in out.diagnostics
+    oracle = solve_1d(*coeffs)
+    assert oracle.solvable
+    assert abs(out.P[0, 0] - oracle.P) <= 1e-8 * (1.0 + abs(oracle.P))
+    assert oracle.strategy.contains(float(out.Theta[0, 0]), margin=1e-9)
+
+
 def test_gare_scalar_regular():
     out = solve_gare(scalar_system(0.0, 0.0, 1.0, 0.0), scalar_weights(1.0, 0.0, 1.0))
     assert isinstance(out, GareSolution)
@@ -356,7 +402,8 @@ def test_gare_not_stabilizable():
 def test_gare_unsolvable_negative_discriminant():
     out = solve_gare(scalar_system(-1.0, 0.0, 1.0, 0.0), scalar_weights(-2.0, 0.0, 1.0))
     assert isinstance(out, GareUnsolvable)
-    assert len(out.epsilon_path) >= 0
+    assert out.reason == "strictly convex solve failed at epsilon=0.1"
+    assert out.epsilon_path == []
 
 
 def test_gare_settles_when_consecutive_limit_estimates_agree():
@@ -365,13 +412,14 @@ def test_gare_settles_when_consecutive_limit_estimates_agree():
     # extrapolated limits of the last two steps agree to 6.5e-10 relative and
     # give the closed form.
     a, c, b, d, q, s, r = 2.8746, 0.4148, 0.7288, 0.0, -0.01095, 0.6517, 0.3225
-    out = solve_gare(scalar_system(a, c, b, d), scalar_weights(q, s, r))
-    assert isinstance(out, GareSolution)
-    (_, P_prev), (_, P_last) = out.epsilon_path[-2:]
+    sys1, w = scalar_system(a, c, b, d), scalar_weights(q, s, r)
+    path, P = _path_limit(sys1, w)
+    assert P is not None and verify_static_stabilizing(sys1, w, P).passed
+    (_, P_prev), (_, P_last) = path[-2:]
     assert fro(P_last - P_prev) > GareConfig().path_tol * (1.0 + fro(P_last))
     oracle = solve_1d(a, c, b, d, q, s, r)
     assert oracle.solvable
-    assert abs(out.P[0, 0] - oracle.P) <= 1e-8 * (1.0 + abs(oracle.P))
+    assert abs(P[0, 0] - oracle.P) <= 1e-8 * (1.0 + abs(oracle.P))
 
 
 def test_gare_two_dimensional_residuals():
@@ -403,15 +451,15 @@ def test_gare_epsilon_gain_limit():
     # solution of N(P) Theta = -L(P)'
     sys1 = scalar_system(0.0, 0.0, 1.0, 0.0)
     w = scalar_weights(1.0, 0.0, 1.0)
-    out = solve_gare(sys1, w)
+    path, P = _path_limit(sys1, w)
     maps = GareMaps(sys1, w)
     thetas = []
-    for eps, P_eps in out.epsilon_path:
+    for eps, P_eps in path:
         N_eps = w.R + eps * np.eye(1) + sys1.D.T @ P_eps @ sys1.D
         L_eps = P_eps @ sys1.B + sys1.C.T @ P_eps @ sys1.D + w.S.T
         thetas.append(-np.linalg.solve(N_eps, L_eps.T))
     theta_lim = thetas[-1]
-    N, Lt = maps.control_part(out.P), maps.cross_part(out.P).T
+    N, Lt = maps.control_part(P), maps.cross_part(P).T
     assert fro(N @ theta_lim + Lt) <= 1e-6
 
 
