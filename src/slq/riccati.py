@@ -25,12 +25,15 @@ the closed-loop generalized Lyapunov equation.  That is the certified
 Bartels-Stewart fixed point of ``stability``, the package's one generalized
 Lyapunov solver (Hurwitz drift and a contracting noise map), warm-started
 from P; when n = m = 1 it is one float division.  Its limit is accepted on
-the flow's own certificate, and when Newton fails the flow from G decides.
-On top of these sit:
+the flow's own certificate, and Newton alone decides: when a stabilizing
+solution with R + D'PD > 0 exists, the Lyapunov value G of the stable pair
+lies above it, so Newton from G stays certified and decreases to it (Damm &
+Hinrichsen 2001), and a failed Newton means there is none.  On top of these
+sit:
 
 * ``solve_are_strict`` -- the strictly convex ARE (R + D'PD > 0) for a stable
   uncontrolled pair, which it certifies, solved by Newton from the Lyapunov
-  terminal value with the flow as fallback;
+  terminal value;
 * ``transform_problem`` -- pre-feedback reduction of a stabilizable problem to
   one with a stable uncontrolled pair;
 * ``solve_gare`` -- the generalized ARE with pseudoinverse, range condition
@@ -365,7 +368,7 @@ def integrate_riccati_flow(
     )
 
 
-_NEWTON_MAX_STEPS = 60   # Newton steps before the flow takes over
+_NEWTON_MAX_STEPS = 60   # Newton steps before the solve counts as failed
 
 
 def _newton(are, gain_value, norm, P0, stat_tol: float):
@@ -374,25 +377,26 @@ def _newton(are, gain_value, norm, P0, stat_tol: float):
 
     ``are`` is ``_matrix_are``/``_scalar_are``; ``gain_value(Theta, P)`` is
     the cost matrix of the feedback Theta, or None when it cannot certify
-    Theta as mean-square stabilizing.  Returns (P, steps), with P None when
-    R + D'PD is not positive definite, a gain is not certified, a value is not
-    finite, or ``_NEWTON_MAX_STEPS`` steps do not converge.
+    Theta as mean-square stabilizing.  Returns (P, steps, cause): on failure
+    P is None and cause says why -- R + D'PD is not positive definite, a gain
+    is not certified, a value is not finite, or ``_NEWTON_MAX_STEPS`` steps do
+    not converge; on success cause is None.
     """
     P = P0
     for step in range(_NEWTON_MAX_STEPS):
         try:
             residual, K = are(P)
         except _PositivityLost:
-            return None, step
+            return None, step, "R + D'PD is not positive definite"
         p_norm = norm(P)
         if not np.isfinite(p_norm):
-            return None, step
+            return None, step, "a Newton iterate is not finite"
         if norm(residual) < stat_tol * (1.0 + p_norm):
-            return P, step
+            return P, step, None
         P = gain_value(-K, P)
         if P is None:
-            return None, step + 1
-    return None, _NEWTON_MAX_STEPS
+            return None, step + 1, "a Newton gain is not certified mean-square stabilizing"
+    return None, _NEWTON_MAX_STEPS, f"Newton did not converge in {_NEWTON_MAX_STEPS} steps"
 
 
 def _matrix_gain_value(sys: ControlledSystem, w: CostWeights):
@@ -431,14 +435,20 @@ def _scalar_gain_value(sys: ControlledSystem, w: CostWeights):
 
 def _newton_limit(
     sys: ControlledSystem, w: CostWeights, P0, stat_tol: float
-) -> tuple[np.ndarray | None, int]:
-    """Newton-Kleinman for the strictly convex ARE from P0; see ``_newton``."""
+) -> tuple[np.ndarray | None, dict]:
+    """Newton-Kleinman for the strictly convex ARE from P0; see ``_newton``.
+
+    Returns (P, solve): P is the limit or None, and solve is {"steps": k},
+    with "failed": the cause when P is None.
+    """
     if sys.n == 1 and sys.m == 1:
-        p, steps = _newton(_scalar_are(sys, w), _scalar_gain_value(sys, w), abs,
-                           float(P0[0, 0]), stat_tol)
-        return (None if p is None else np.array([[p]])), steps
-    return _newton(_matrix_are(sys, w), _matrix_gain_value(sys, w), fro,
-                   np.asarray(P0, dtype=float), stat_tol)
+        p, steps, cause = _newton(_scalar_are(sys, w), _scalar_gain_value(sys, w), abs,
+                                  float(P0[0, 0]), stat_tol)
+        P = None if p is None else np.array([[p]])
+    else:
+        P, steps, cause = _newton(_matrix_are(sys, w), _matrix_gain_value(sys, w), fro,
+                                  np.asarray(P0, dtype=float), stat_tol)
+    return P, {"steps": steps} if cause is None else {"steps": steps, "failed": cause}
 
 
 def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
@@ -481,7 +491,7 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
         if start is None:
             return False
         tried = True
-        P, newton_steps = _newton(are_at, gain_value, norm, start, cfg.stat_tol)
+        P, newton_steps, _ = _newton(are_at, gain_value, norm, start, cfg.stat_tol)
         if P is None or gain_value(-last[1], P) is None:
             return False
         limit = P
@@ -503,34 +513,6 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     return np.reshape(limit, (sys.n, sys.n)), Theta, float(norm(residual)), route
 
 
-def _strict_limit(
-    sys: ControlledSystem, w: CostWeights, G, cfg: FlowConfig, start=None
-) -> tuple[np.ndarray | None, dict]:
-    """The strictly convex ARE solution over a certified stable pair, or None.
-
-    The caller has certified [A, C] and supplies its Lyapunov value G.
-    Newton-Kleinman runs from ``start`` (default G, the value of the gain 0)
-    and its limit is accepted on the flow's own certificate: R + D'PD was
-    factored at P and the ARE residual is below ``cfg.stat_tol * (1 + ||P||)``.
-    When Newton fails (see ``_newton``), the flow from G decides: its limit is
-    accepted iff it converges, and None is returned when it diverges, exits
-    positivity, hits the horizon cap, or R + D'GD is not positive definite.
-    Newton's certificate on every gain keeps it from the non-stabilizing
-    roots, so it never reports a solution the flow would not reach and never
-    reports failure on its own.  Also returns {"method": "newton" | "flow",
-    "steps": ...}, the route that decided and its step count.
-    """
-    P, steps = _newton_limit(sys, w, G if start is None else start, cfg.stat_tol)
-    if P is not None:
-        return P, {"method": "newton", "steps": steps}
-    try:
-        flow = integrate_riccati_flow(sys, w, G, cfg)
-    except InvalidTerminalError:
-        return None, {"method": "flow", "steps": 0}
-    P = flow.values[-1] if flow.status == "converged" else None
-    return P, {"method": "flow", "steps": len(flow.times) - 1}
-
-
 def solve_are_strict(
     sys: ControlledSystem, w: CostWeights, cfg: FlowConfig | None = None
 ) -> np.ndarray | None:
@@ -539,18 +521,18 @@ def solve_are_strict(
     One certifying Lyapunov solve gives the terminal value G solving
     G A + A'G + C'G C + Q = 0 (the infinite-horizon cost of the uncontrolled
     system), or raises :class:`NotStableError` when [A, C] is not certified
-    mean-square stable.  Newton-Kleinman runs from G; when it fails --
-    R + D'PD loses definiteness, a gain is not certified stabilizing, a value
-    is not finite or 60 steps do not converge -- the flow from G decides.
-    Returns None when that flow does not converge -- it diverges, exits
-    positivity or hits the horizon cap -- i.e. the strictly convex problem
-    has no solution.
+    mean-square stable.  Newton-Kleinman runs from G, and its limit is
+    accepted when the ARE residual is below ``cfg.stat_tol * (1 + ||P||)``.
+    Returns None when Newton fails -- R + D'PD loses definiteness, a gain is
+    not certified stabilizing, a value is not finite or 60 steps do not
+    converge -- i.e. the strictly convex problem has no stabilizing
+    solution: such a solution lies below G, and Newton from G reaches it.
     """
     try:
         G = solve_lyapunov(sys.pair(), w.Q)
     except LyapunovUnsolvableError as exc:
         raise NotStableError("solve_are_strict requires a mean-square stable [A, C]") from exc
-    return _strict_limit(sys, w, G, cfg or FlowConfig())[0]
+    return _newton_limit(sys, w, G, (cfg or FlowConfig()).stat_tol)[0]
 
 
 _NOT_A_STABILIZER = "Sigma is not a stabilizer of the system"
@@ -613,9 +595,11 @@ class GareSolution:
 
 @dataclass
 class GareUnsolvable:
-    """Outcome when the epsilon path diverges, fails to settle, or the limit
-    fails verification -- the problem has no static stabilizing solution (or
-    is numerically indistinguishable from such a problem)."""
+    """Outcome when a strictly convex solve of the epsilon path fails, the
+    path does not settle, or the limit fails verification -- the problem has
+    no static stabilizing solution (or is numerically indistinguishable from
+    such a problem).  ``reason`` names the first of these, and for a failed
+    solve its epsilon and Newton's cause."""
 
     reason: str
     epsilon_path: list[tuple[float, np.ndarray]]
@@ -677,12 +661,13 @@ def _epsilon_path(tsys: ControlledSystem, tw: CostWeights, G, cfg: GareConfig,
     control weight R + eps I down ``cfg.epsilon_schedule`` to their limit.
 
     The reduced pair is certified stable and G is its Lyapunov value.  Each
-    epsilon is solved by ``_strict_limit``, Newton starting from G at the
-    first epsilon and from the previous P_eps after it.  The path has settled
-    when P_eps, or its extrapolated limit, stops moving.  Records
+    epsilon is solved by Newton-Kleinman (``_newton_limit``), starting from G
+    at the first epsilon and from the previous P_eps after it.  The path has
+    settled when P_eps, or its extrapolated limit, stops moving.  Records
     ``epsilon_solves`` and the settling diagnostics in ``diagnostics``.
     Returns (path, P, reason): P is the symmetrized limit, or None with
-    ``reason`` saying where the path broke down.
+    ``reason`` saying where the path broke down and, at a failed solve, why
+    Newton failed.
     """
     eye_m = np.eye(tsys.m)
     path: list[tuple[float, np.ndarray]] = []
@@ -692,12 +677,13 @@ def _epsilon_path(tsys: ControlledSystem, tw: CostWeights, G, cfg: GareConfig,
     diagnostics["epsilon_solves"] = solves
     for eps in cfg.epsilon_schedule:
         w_eps = CostWeights(tw.Q, tw.S, tw.R + eps * eye_m)
-        P_eps, route = _strict_limit(tsys, w_eps, G, cfg.flow,
-                                     start=None if prev is None else prev[1])
-        solves.append({"epsilon": eps, **route})
+        P_eps, solve = _newton_limit(tsys, w_eps, G if prev is None else prev[1],
+                                     cfg.flow.stat_tol)
+        solves.append({"epsilon": eps, **solve})
         if P_eps is None:
             diagnostics["failed_epsilon"] = eps
-            return path, None, f"strictly convex solve failed at epsilon={eps:g}"
+            return path, None, (f"strictly convex solve failed at epsilon={eps:g}: "
+                                f"{solve['failed']}")
         path.append((eps, P_eps))
         if prev is not None:
             # Geometric-schedule limit estimate: with P_eps ~= P + c*eps the
@@ -753,9 +739,10 @@ def solve_gare(
     Returns :class:`GareUnsolvable` when the epsilon path breaks down or its
     limit fails verification (the problem has no optimal control).  Either
     outcome's ``diagnostics["epsilon_solves"]`` lists, per epsilon reached,
-    the route that decided (``"newton"`` or ``"flow"``) and its step count;
-    for the direct route that is one entry at epsilon 0.0, the epsilon path
-    is empty and there is no ``settled_at_epsilon`` or
+    ``{"epsilon", "steps"}``, the Newton steps taken, and the entry of a
+    failed solve also carries ``"failed"``, Newton's cause, which ends the
+    ``reason``.  For the direct route that is one entry at epsilon 0.0, the
+    epsilon path is empty and there is no ``settled_at_epsilon`` or
     ``extrapolation_norm``.
     """
     cfg = cfg or GareConfig()
@@ -779,10 +766,10 @@ def solve_gare(
 
     diagnostics: dict = {"sigma": Sigma}
     path: list[tuple[float, np.ndarray]] = []
-    P, steps = _newton_limit(tsys, tw, G, cfg.flow.stat_tol)
+    P, solve = _newton_limit(tsys, tw, G, cfg.flow.stat_tol)
     check = None if P is None else verify_static_stabilizing(sys, w, P, cfg)
     if check is not None and check.passed:
-        diagnostics["epsilon_solves"] = [{"epsilon": 0.0, "method": "newton", "steps": steps}]
+        diagnostics["epsilon_solves"] = [{"epsilon": 0.0, **solve}]
     else:
         path, P, reason = _epsilon_path(tsys, tw, G, cfg, diagnostics)
         if P is None:

@@ -143,18 +143,39 @@ def test_solve_reports_each_epsilon_route(tmp_path):
     # R + D'PD > 0: one Newton solve at epsilon = 0, and no epsilon path
     solution = read(solved)["solution"]
     [route] = solution["diagnostics"]["epsilon_solves"]
-    assert (route["epsilon"], route["method"]) == (0.0, "newton") and route["steps"] >= 0
+    assert route.keys() == {"epsilon", "steps"}
+    assert route["epsilon"] == 0.0 and route["steps"] >= 0
     assert solution["epsilon_path"] == []
     assert "settled_at_epsilon" not in solution["diagnostics"]
     assert "sigma" not in solution      # the reduction used stabilizability.gamma
-    # no strictly convex solution: Newton fails and the flow decides
+    # no strictly convex solution: Newton fails at the first epsilon and says why
     prob = write_problem(tmp_path, name="unsolvable.json", A=[[-1.0]], Q=[[-2.0]])
     assert main(["solve", prob, "--out", failed]) == 3
-    diag = read(failed)["unsolvable"]["diagnostics"]
+    unsolvable = read(failed)["unsolvable"]
+    diag = unsolvable["diagnostics"]
     [route] = diag["epsilon_solves"]
-    assert (route["epsilon"], route["method"]) == (diag["failed_epsilon"], "flow")
-    assert route["steps"] > 0
+    assert route["epsilon"] == diag["failed_epsilon"] and route["steps"] > 0
+    assert route["failed"] == "a Newton gain is not certified mean-square stabilizing"
+    assert unsolvable["reason"].endswith(": " + route["failed"])
     assert "sigma" not in diag
+
+
+@pytest.mark.parametrize("overrides, code", [({}, 0), ({"A": [[-1.0]], "Q": [[-2.0]]}, 3)],
+                         ids=["solvable", "unsolvable"])
+def test_solve_runs_one_riccati_flow(tmp_path, monkeypatch, overrides, code):
+    # the stabilizability decision is the only flow of a solve: Newton alone
+    # decides the GARE's strictly convex problems, also where they fail
+    calls = []
+    original = slq.riccati._adaptive_flow
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(slq.riccati, "_adaptive_flow", counting)
+    prob = write_problem(tmp_path, **overrides)
+    assert main(["solve", prob, "--out", str(tmp_path / "r.json")]) == code
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("a, flow_steps", [(-1.0, 0), (0.0, 1)])

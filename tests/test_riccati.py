@@ -30,7 +30,7 @@ from slq.errors import (
 from slq.linalg import fro
 from slq.oracle1d import solve_1d
 import slq.riccati
-from slq.riccati import _epsilon_path, _newton_limit, _strict_limit
+from slq.riccati import _epsilon_path, _newton_limit
 from slq.stability import solve_lyapunov
 from test_acceptance import criterion_04_battery, criterion_05_draws, criterion_06_instances
 from test_stability import _second_moment_operator
@@ -116,10 +116,20 @@ def test_strict_are_zero_cost():
     assert P is not None and abs(P[0, 0]) <= 1e-10
 
 
-def test_strict_are_unsolvable():
-    # only a double root with R + P = 0, so no strictly convex solution
+def test_strict_are_unsolvable(monkeypatch):
+    # only a double root with R + P = 0, so no strictly convex solution;
+    # Newton from G decides that alone, without a flow
+    calls = []
+    original = slq.riccati._adaptive_flow
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(slq.riccati, "_adaptive_flow", counting)
     sys1 = scalar_system(-1.0, 0.0, 1.0, 0.0)
     assert solve_are_strict(sys1, scalar_weights(-2.0, 0.0, 1.0)) is None
+    assert calls == []
 
 
 def test_strict_are_requires_stable_pair():
@@ -137,9 +147,9 @@ def test_newton_refuses_a_destabilizing_scalar_start():
     w = scalar_weights(3.0, 0.0, 1.0)
     start = np.array([[-2.5]])
     assert _newton_limit(sys1, w, start, FlowConfig().stat_tol)[0] is None
+    # from the Lyapunov value G, above the stabilizing root, Newton reaches it
     G = solve_lyapunov(sys1.pair(), w.Q)
-    P, route = _strict_limit(sys1, w, G, FlowConfig(), start=start)
-    assert route["method"] == "flow"
+    P, _ = _newton_limit(sys1, w, G, FlowConfig().stat_tol)
     assert abs(P[0, 0] - 1.0) <= 1e-9
 
 
@@ -160,8 +170,7 @@ def test_newton_refuses_a_gain_that_is_not_mean_square_stabilizing(A, C, q1, sta
     assert not is_stabilizer(sys2, -start)
     assert _newton_limit(sys2, w, start, FlowConfig().stat_tol)[0] is None
     G = solve_lyapunov(sys2.pair(), w.Q)
-    P, route = _strict_limit(sys2, w, G, FlowConfig(), start=start)
-    assert route["method"] == "flow"
+    P, _ = _newton_limit(sys2, w, G, FlowConfig().stat_tol)
     assert fro(P - expected) <= 1e-9
 
 
@@ -178,7 +187,7 @@ def _assert_direct_route_matches_the_path(sys_i, w_i, out):
     assert isinstance(out, GareSolution)
     assert out.epsilon_path == []
     [route] = out.diagnostics["epsilon_solves"]
-    assert (route["epsilon"], route["method"]) == (0.0, "newton")
+    assert route.keys() == {"epsilon", "steps"} and route["epsilon"] == 0.0
     assert "settled_at_epsilon" not in out.diagnostics
     assert "extrapolation_norm" not in out.diagnostics
     _, P_path = _path_limit(sys_i, w_i)
@@ -261,6 +270,59 @@ def test_pipeline_gains_pass_an_independent_certificate():
             assert mean_square_stable(sys_i, out.Theta), (sys_i, w_i)
             thetas += 1
     assert gammas >= 620 and thetas >= 230
+
+
+def _gare_outcome(sys_i, w_i):
+    try:
+        return solve_gare(sys_i, w_i)
+    except NotStabilizableError as exc:
+        return exc
+
+
+def _coordinate_change(rng, n):
+    """A random non-orthogonal T with singular values in [1, 3], 3 attained."""
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    sv = rng.uniform(1.0, 3.0, n)
+    sv[0] = 3.0
+    return U @ np.diag(sv) @ V.T
+
+
+def test_gare_is_invariant_under_cost_scaling_and_state_coordinates():
+    # Scaling (Q, S, R) by c scales P by c.  In coordinates x = Tz the data
+    # become [T^-1 A T, T^-1 C T; T^-1 B, T^-1 D] and (T'QT, ST, R), so P
+    # becomes T'PT and, where N(P) > 0 makes it unique, Theta becomes Theta T.
+    # The verdict never moves.
+    instances = (criterion_04_battery(np.random.default_rng(1004))
+                 + criterion_06_instances(np.random.default_rng(1006)))
+    draws = np.random.default_rng(4243)
+    instances += [_indefinite_draw(draws) for _ in range(20)]
+    rng = np.random.default_rng(7)
+    solved = regular = 0
+    for sys_i, w_i in instances:
+        base = _gare_outcome(sys_i, w_i)
+        for c in (0.25, 4.0):
+            out = _gare_outcome(sys_i, CostWeights(c * w_i.Q, c * w_i.S, c * w_i.R))
+            assert type(out) is type(base), (sys_i, w_i, c)
+            if isinstance(base, GareSolution):
+                assert fro(out.P - c * base.P) <= 1e-8 * (1.0 + fro(c * base.P)), (sys_i, w_i, c)
+        T = _coordinate_change(rng, sys_i.n)
+        assert np.linalg.cond(T) <= 10.0
+        Ti = np.linalg.inv(T)
+        out = _gare_outcome(
+            ControlledSystem(Ti @ sys_i.A @ T, Ti @ sys_i.C @ T, Ti @ sys_i.B, Ti @ sys_i.D),
+            CostWeights(T.T @ w_i.Q @ T, w_i.S @ T, w_i.R))
+        assert type(out) is type(base), (sys_i, w_i, T)
+        if not isinstance(base, GareSolution):
+            continue
+        solved += 1
+        P_ref = T.T @ base.P @ T
+        assert fro(out.P - P_ref) <= 1e-8 * (1.0 + fro(P_ref)), (sys_i, w_i, T)
+        if base.diagnostics["n_min_eig"] > 1e-6:
+            regular += 1
+            Theta_ref = base.Theta @ T
+            assert fro(out.Theta - Theta_ref) <= 1e-8 * (1.0 + fro(Theta_ref)), (sys_i, w_i, T)
+    assert solved >= 80 and regular >= 70
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
@@ -402,8 +464,11 @@ def test_gare_not_stabilizable():
 def test_gare_unsolvable_negative_discriminant():
     out = solve_gare(scalar_system(-1.0, 0.0, 1.0, 0.0), scalar_weights(-2.0, 0.0, 1.0))
     assert isinstance(out, GareUnsolvable)
-    assert out.reason == "strictly convex solve failed at epsilon=0.1"
+    assert out.reason == ("strictly convex solve failed at epsilon=0.1: "
+                          "a Newton gain is not certified mean-square stabilizing")
     assert out.epsilon_path == []
+    [route] = out.diagnostics["epsilon_solves"]
+    assert route["failed"] == "a Newton gain is not certified mean-square stabilizing"
 
 
 def test_gare_settles_when_consecutive_limit_estimates_agree():
