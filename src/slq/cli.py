@@ -154,15 +154,39 @@ _DEFAULT_CONFIG = {
 }
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)      # a JSON number; true and false are not
+
+
+def _merge_options(cfg: dict, given: dict, prefix: str = "") -> None:
+    """Override ``cfg`` in place with the solver options ``given`` by a
+    problem file, each checked against the form of its default: an object of
+    known options, a list of numbers, an integer, or a number (or null where
+    the default is null)."""
+    for key, value in given.items():
+        name = prefix + key
+        if key not in cfg:
+            raise ProblemFileError(f"unknown solver option: {name}")
+        default = cfg[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ProblemFileError(f"solver option {name} must be an object")
+            _merge_options(default, value, name + ".")
+            continue
+        if isinstance(default, list):
+            ok, form = isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
+        elif isinstance(default, int):
+            ok, form = type(value) is int, "an integer"
+        else:
+            ok, form = _is_number(value) or (default is None and value is None), "a number"
+        if not ok:
+            raise ProblemFileError(f"solver option {name} must be {form}")
+        cfg[key] = value
+
+
 def _resolve_config(problem: ProblemData, args) -> dict:
     cfg = json.loads(json.dumps(_DEFAULT_CONFIG))  # deep copy
-    for key, value in problem.solver.items():
-        if key == "simulate" and isinstance(value, dict):
-            cfg["simulate"].update(value)
-        elif key in cfg:
-            cfg[key] = value
-        else:
-            raise ProblemFileError(f"unknown solver option: {key}")
+    _merge_options(cfg, problem.solver)
     if getattr(args, "eps_schedule", None):
         cfg["epsilon_schedule"] = [float(v) for v in args.eps_schedule.split(",")]
     if getattr(args, "tol", None) is not None:

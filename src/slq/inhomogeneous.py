@@ -25,8 +25,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidInputError, UnsupportedInputError, ValueUndefinedError
-from .linalg import fro, symmetrize
-from .riccati import CostWeights, GareSolution, control_pseudoinverse
+from .linalg import fro
+from .riccati import CostWeights, GareMaps, GareSolution, control_pseudoinverse
 from .stability import ControlledSystem
 
 __all__ = [
@@ -199,7 +199,7 @@ def solve_eta(sol: GareSolution, sys: ControlledSystem, w: CostWeights,
         prop, integ = _propagator(M, phi[k], tau)
         eta[k] = prop @ eta[k + 1] + integ
 
-    N = symmetrize(w.R + sys.D.T @ P @ sys.D)
+    N = GareMaps(sys, w).control_part(P)
     N_dag = control_pseudoinverse(N)
 
     terms = AffineTerms(

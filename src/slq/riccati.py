@@ -14,8 +14,9 @@ the solve.  The right-hand side is the ARE residual, so a flow that ends
 'converged' certifies its limit: the residual is below ``stat_tol`` relative
 and R + D'PD was factored at it.  The first evaluation, at Sig(0) = G, is the
 check of the terminal value.  Where no stabilizer is known yet -- the
-stabilizability decision -- the flow runs until its first certified gain and
-Newton-Kleinman finishes from there (``_stabilizing_limit``).
+stabilizability decision -- the flow runs until its first certified gain or
+its converged limit, and Newton-Kleinman finishes from there
+(``_stabilizing_limit``).
 
 Where a stabilizing gain is known -- the strictly convex problems over a
 certified stable pair -- the ARE is solved by Newton-Kleinman (Kleinman
@@ -24,12 +25,12 @@ certified mean-square stabilizing and P becomes its cost, the solution of
 the closed-loop generalized Lyapunov equation.  That is the certified
 Bartels-Stewart fixed point of ``stability``, the package's one generalized
 Lyapunov solver (Hurwitz drift and a contracting noise map), warm-started
-from P; when n = m = 1 it is one float division.  Its limit is accepted on
-the flow's own certificate, and Newton alone decides: when a stabilizing
-solution with R + D'PD > 0 exists, the Lyapunov value G of the stable pair
-lies above it, so Newton from G stays certified and decreases to it (Damm &
-Hinrichsen 2001), and a failed Newton means there is none.  On top of these
-sit:
+from P; when n = m = 1 it is one float division (``_maps`` picks the float
+or the matrix maps).  Its limit is accepted on the flow's own certificate,
+and Newton alone decides: when a stabilizing solution with R + D'PD > 0
+exists, the Lyapunov value G of the stable pair lies above it, so Newton
+from G stays certified and decreases to it (Damm & Hinrichsen 2001), and a
+failed Newton means there is none.  On top of these sit:
 
 * ``solve_are_strict`` -- the strictly convex ARE (R + D'PD > 0) for a stable
   uncontrolled pair, which it certifies, solved by Newton from the Lyapunov
@@ -347,18 +348,9 @@ def integrate_riccati_flow(
     if G0.shape != (sys.n, sys.n):
         raise InvalidInputError("G must be n x n")
 
-    if sys.n == 1 and sys.m == 1:
-        are = _scalar_are(sys, w)
-        status, times, vals, dnorm = _adaptive_flow(
-            lambda y: are(y)[0], lambda y: y, abs, float(G0[0, 0]), cfg
-        )
-        values = np.asarray(vals, dtype=float).reshape(-1, 1, 1)
-    else:
-        are = _matrix_are(sys, w)
-        status, times, vals, dnorm = _adaptive_flow(
-            lambda y: are(y)[0], lambda y: (y + y.T) / 2.0, fro, G0, cfg
-        )
-        values = np.asarray(vals, dtype=float)
+    are, _, norm, sym, state = _maps(sys, w)
+    status, times, vals, dnorm = _adaptive_flow(lambda y: are(y)[0], sym, norm, state(G0), cfg)
+    values = np.asarray(vals, dtype=float).reshape(-1, sys.n, sys.n)
     return RiccatiFlow(
         times=np.asarray(times, dtype=float),
         values=values,
@@ -433,6 +425,17 @@ def _scalar_gain_value(sys: ControlledSystem, w: CostWeights):
     return gain_value
 
 
+def _maps(sys: ControlledSystem, w: CostWeights):
+    """(are, gain_value, norm, sym, state): the ARE and gain-value maps, the
+    norm and symmetrization of a flow state, and ``state(X)``, the state of
+    an n x n matrix X -- on floats when n = m = 1, on matrices otherwise."""
+    if sys.n == 1 and sys.m == 1:
+        return (_scalar_are(sys, w), _scalar_gain_value(sys, w), abs, lambda y: y,
+                lambda X: float(X[0, 0]))
+    return (_matrix_are(sys, w), _matrix_gain_value(sys, w), fro, lambda y: (y + y.T) / 2.0,
+            lambda X: np.asarray(X, dtype=float))
+
+
 def _newton_limit(
     sys: ControlledSystem, w: CostWeights, P0, stat_tol: float
 ) -> tuple[np.ndarray | None, dict]:
@@ -441,13 +444,9 @@ def _newton_limit(
     Returns (P, solve): P is the limit or None, and solve is {"steps": k},
     with "failed": the cause when P is None.
     """
-    if sys.n == 1 and sys.m == 1:
-        p, steps, cause = _newton(_scalar_are(sys, w), _scalar_gain_value(sys, w), abs,
-                                  float(P0[0, 0]), stat_tol)
-        P = None if p is None else np.array([[p]])
-    else:
-        P, steps, cause = _newton(_matrix_are(sys, w), _matrix_gain_value(sys, w), fro,
-                                  np.asarray(P0, dtype=float), stat_tol)
+    are, gain_value, norm, _, state = _maps(sys, w)
+    P, steps, cause = _newton(are, gain_value, norm, state(P0), stat_tol)
+    P = None if P is None else np.reshape(P, (sys.n, sys.n))
     return P, {"steps": steps} if cause is None else {"steps": steps, "failed": cause}
 
 
@@ -455,62 +454,52 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     """The ARE solution that the flow from 0 reaches when Q > 0: the flow
     until its first certified gain, then Newton-Kleinman.
 
-    At accepted steps 0, 1, 2, 4, 8, ... the flow hands its gain -K(Sig),
-    the K of its last right-hand side, to the certifying gain-value map.  The
-    value of the first gain certified starts ``_newton``, and the flow stops
-    when Newton converges and the gain of its limit is certified too.  With
-    Q > 0 the solution Newton reaches from a stabilizing gain is the unique
-    PSD solution, which is the flow's limit.  The flow decides when no
-    checkpoint certifies a gain or Newton fails; after a failed Newton the
-    checkpoints stop, so a flow of k steps that certifies no gain makes at
-    most floor(log2 k) + 2 certification attempts.
+    At accepted steps 0, 1, 2, 4, 8, ... the flow hands its gain -K(Sig) to
+    the certifying gain-value map, and stops at the first gain certified or
+    at its own converged limit.  Both end the same way: Newton-Kleinman from
+    that gain's value, or from the converged limit, which already meets
+    Newton's bound so that Newton takes no step, then one certification of
+    the gain of Newton's limit.  With Q > 0, Newton from a stabilizing gain
+    reaches the unique PSD solution, the flow's limit, so a failure there
+    raises :class:`InternalInconsistencyError`, whose message ends with the
+    cause.  A flow of k steps that certifies no gain makes at most
+    floor(log2 k) + 2 certification attempts.
 
     Returns (P, Theta, residual, route).  P is the limit, Theta = -K(P) its
-    gain and residual the norm of the ARE residual at P, below
-    ``cfg.stat_tol * (1 + ||P||)``; P and Theta are None when the flow does
-    not converge, and Theta is None when the map cannot certify it.  route is
-    {"status", "flow_steps", "newton_steps"}: status is 'certified' when
-    Newton finished the solve and the flow's own status otherwise.
+    certified gain and residual the norm of the ARE residual at P, below
+    ``cfg.stat_tol * (1 + ||P||)``; all three are None when the flow
+    diverges or hits its horizon cap.  route is {"status", "flow_steps",
+    "newton_steps"}: status is 'certified' when a checkpoint stopped the
+    flow and the flow's own status otherwise.
     """
-    if sys.n == 1 and sys.m == 1:
-        are, gain_value = _scalar_are(sys, w), _scalar_gain_value(sys, w)
-        norm, sym, y0 = abs, (lambda y: y), 0.0
-    else:
-        are, gain_value = _matrix_are(sys, w), _matrix_gain_value(sys, w)
-        norm, sym, y0 = fro, (lambda y: (y + y.T) / 2.0), np.zeros((sys.n, sys.n))
-    last = [0.0, None]          # residual and K of the latest ARE evaluation
-    limit, newton_steps, tried = None, 0, False
+    are, gain_value, norm, sym, state = _maps(sys, w)
+    start = None                # the value of the first certified gain
 
-    def are_at(y):
-        last[:] = are(y)
-        return last
+    def certified(y):
+        nonlocal start
+        start = gain_value(-are(y)[1], y)
+        return start is not None
 
-    def finish(y):
-        nonlocal limit, newton_steps, tried
-        start = None if tried else gain_value(-last[1], y)
-        if start is None:
-            return False
-        tried = True
-        P, newton_steps, _ = _newton(are_at, gain_value, norm, start, cfg.stat_tol)
-        if P is None or gain_value(-last[1], P) is None:
-            return False
-        limit = P
-        return True
-
-    status, times, values, _ = _adaptive_flow(lambda y: are_at(y)[0], sym, norm, y0, cfg,
-                                              stop=finish)
-    route = {"status": status, "flow_steps": len(times) - 1, "newton_steps": newton_steps}
+    status, times, values, _ = _adaptive_flow(lambda y: are(y)[0], sym, norm,
+                                              state(np.zeros((sys.n, sys.n))), cfg,
+                                              stop=certified)
+    route = {"status": status, "flow_steps": len(times) - 1, "newton_steps": 0}
     if status == "stopped":
         route["status"] = "certified"
     elif status == "converged":
-        limit = values[-1]
+        start = values[-1]
     else:
         return None, None, None, route
-    residual, K = last
-    Theta = np.reshape(-K, (sys.m, sys.n))
-    if status == "converged" and gain_value(-K, limit) is None:
-        Theta = None
-    return np.reshape(limit, (sys.n, sys.n)), Theta, float(norm(residual)), route
+    P, route["newton_steps"], cause = _newton(are, gain_value, norm, start, cfg.stat_tol)
+    if cause is None:
+        residual, K = are(P)
+        if gain_value(-K, P) is None:
+            cause = "the gain of its limit is not certified mean-square stabilizing"
+    if cause is not None:
+        raise InternalInconsistencyError(
+            f"Newton-Kleinman from the unit-weight flow failed: {cause}")
+    return (np.reshape(P, (sys.n, sys.n)), np.reshape(-K, (sys.m, sys.n)),
+            float(norm(residual)), route)
 
 
 def solve_are_strict(
@@ -786,7 +775,7 @@ def solve_gare(
     maps = GareMaps(sys, w)
     N = maps.control_part(P)
     Lt = maps.cross_part(P).T
-    Lt_t = (P @ tsys.B + tsys.C.T @ P @ tsys.D + tw.S.T).T
+    Lt_t = GareMaps(tsys, tw).cross_part(P).T
     Sigma_star = -control_pseudoinverse(N, cfg.psd_tol) @ Lt_t
     identity_gap = fro(N @ (Sigma_star + Sigma) + Lt) / (1.0 + fro(Lt))
     diagnostics["identity_gap"] = identity_gap

@@ -14,9 +14,9 @@ semidefinite order) exactly when the system is stabilizable and blows up
 otherwise.  The flow runs until its first certified gain: at accepted steps
 0, 1, 2, 4, 8, ... its gain is checked by the certifying gain-value map that
 Newton-Kleinman uses, and the first gain certified proves stabilizability.
-From that gain's value Newton-Kleinman finishes the solve; since Q = I > 0,
-the solution it reaches is the unique positive one, the flow's limit.  The
-flow decides when no checkpoint certifies a gain or Newton fails.
+From that gain's value, or from the flow's limit if it converges first,
+Newton-Kleinman finishes the solve; since Q = I > 0, the solution it
+reaches is the unique positive one, the flow's limit.
 """
 
 from __future__ import annotations
@@ -61,16 +61,15 @@ def stabilizability_report(
 ) -> StabilizabilityReport:
     """Decide stabilizability of [A, C; B, D] and produce a stabilizer.
 
-    The unit-weight flow from 0 runs until a checkpoint certifies its gain;
-    Newton-Kleinman from that gain's value then gives P and the status
-    'certified'.  Otherwise the flow decides: 'converged' gives P as its
-    limit, and 'diverged' or 'max-horizon' classify the system as not
-    stabilizable.  Either way the gain of P is certified once, by the same
-    map, and ``residual`` is the norm of the unit-weight ARE residual at P,
-    below ``cfg.stat_tol * (1 + ||P||)``.  With no control authority the ARE
-    is the Lyapunov equation, and ``residual`` is ||P A + A'P + C'P C + I||
-    for the P solved.  It is None when the system is classified not
-    stabilizable.
+    The unit-weight flow from 0 runs until a checkpoint certifies its gain
+    (status 'certified') or it converges ('converged'); Newton-Kleinman
+    finishes from there and the gain of its limit P is certified once, by
+    the same map.  'diverged' or 'max-horizon' classify the system as not
+    stabilizable.  ``residual`` is the norm of the unit-weight ARE residual
+    at P, below ``cfg.stat_tol * (1 + ||P||)``.  With no control authority
+    the ARE is the Lyapunov equation (status 'static'), and ``residual`` is
+    ||P A + A'P + C'P C + I|| for the P solved.  It is None when the system
+    is classified not stabilizable.
 
     A flow that would settle only after the horizon cap is still found
     stabilizable once one of its checked gains is certified.  A flow ends
@@ -96,10 +95,8 @@ def stabilizability_report(
     steps = (route["flow_steps"], route["newton_steps"])
     if P is None:
         return StabilizabilityReport(False, None, None, route["status"], None, *steps)
-    # the limit's residual and I + D'PD > 0 are certified; P > 0 follows from
-    # Q = I for a certified gain, and is checked here
-    if gamma is None:
-        raise InternalInconsistencyError("computed gain failed the stabilizer check")
+    # the limit's residual, I + D'PD > 0 and its gain are certified; P > 0
+    # follows from Q = I for a certified gain, and is checked here
     if not is_pd(P):
         raise InternalInconsistencyError("the unit-weight ARE solution is not positive definite")
     return StabilizabilityReport(True, gamma, P, route["status"], residual, *steps)

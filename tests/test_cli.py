@@ -226,6 +226,25 @@ def test_flow_res_tol_is_not_an_option(tmp_path, capsys):
     assert "flow_res_tol" not in read(out)["config"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--simulate", "10"]], ids=["plain", "simulate"])
+@pytest.mark.parametrize("solver, message", [
+    ({"simulate": 5}, "solver option simulate must be an object"),
+    ({"path_tol": "abc"}, "solver option path_tol must be a number"),
+    ({"res_tol": None}, "solver option res_tol must be a number"),
+    ({"epsilon_schedule": 0.1}, "solver option epsilon_schedule must be a list of numbers"),
+    ({"simulate": {"pathz": 100}}, "unknown solver option: simulate.pathz"),
+    ({"simulate": {"paths": "many"}}, "solver option simulate.paths must be an integer"),
+    ({"seed": 1.5}, "solver option seed must be an integer"),
+], ids=["simulate-number", "tol-string", "tol-null", "schedule-number", "unknown-nested",
+        "paths-string", "seed-float"])
+def test_solve_rejects_malformed_solver_options(tmp_path, capsys, solver, message, flags):
+    prob = write_problem(tmp_path, solver=solver)
+    out = tmp_path / "r.json"
+    assert main(["solve", prob, *flags, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_inhomogeneous_value_block(tmp_path):
     prob = write_problem(tmp_path, inhomogeneity={
         "grid": [0.0, 1.0],

@@ -16,7 +16,7 @@ from slq import (
     is_stabilizer,
     stabilizability_report,
 )
-from slq.errors import UnsupportedInputError
+from slq.errors import InternalInconsistencyError, UnsupportedInputError
 from slq.linalg import fro, is_psd
 
 
@@ -160,6 +160,46 @@ def test_certification_budget_on_a_diverging_flow(monkeypatch):
     assert not report.stabilizable and report.flow_status == "diverged"
     assert report.flow_steps >= 64 and report.newton_steps == 0
     assert 1 <= len(calls) <= int(np.log2(report.flow_steps)) + 2
+
+
+def _route_systems():
+    # n = 1 takes the float maps, n = 3 the matrix ones; neither flow
+    # certifies its gain at step 0
+    A = np.array([[0.4, 1.0, 0.0], [0.0, -0.2, 0.5], [0.3, 0.0, 0.1]])
+    return [ControlledSystem([[0.5]], [[0.3]], [[1.0]], [[0.2]]),
+            ControlledSystem(A, 0.2 * np.eye(3), [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+                             [[0.1, 0.0], [0.0, 0.0], [0.0, 0.1]])]
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["n1", "n3"])
+def test_converged_flow_takes_the_same_finish(monkeypatch, index):
+    # without checkpoints the flow runs to its own limit, and the one finish
+    # from there gives the P and Gamma of the certified route
+    sys_i = _route_systems()[index]
+    base = stabilizability_report(sys_i)
+    assert base.flow_status == "certified" and base.flow_steps > 0
+    original = slq.riccati._adaptive_flow
+    monkeypatch.setattr(slq.riccati, "_adaptive_flow",
+                        lambda *args, stop=None: original(*args))
+    report = stabilizability_report(sys_i)
+    assert report.stabilizable and report.flow_status == "converged"
+    assert report.flow_steps > base.flow_steps
+    scale = 1.0 + fro(base.P)
+    assert fro(report.P - base.P) <= 1e-8 * scale
+    assert fro(report.gamma - base.gamma) <= 1e-8 * scale
+    assert report.residual <= 1e-10 * (1.0 + fro(report.P))
+    assert is_stabilizer(sys_i, report.gamma)
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["n1", "n3"])
+def test_newton_failure_after_a_certified_gain_raises(monkeypatch, index):
+    # Newton from a certified gain of the unit-weight ARE cannot fail; if it
+    # does, the decision raises and names Newton's cause
+    monkeypatch.setattr(slq.riccati, "_newton",
+                        lambda are, gain_value, norm, P0, stat_tol:
+                        (None, 2, "a Newton iterate is not finite"))
+    with pytest.raises(InternalInconsistencyError, match="a Newton iterate is not finite$"):
+        stabilizability_report(_route_systems()[index])
 
 
 def _orthogonal(rng, k):
