@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys as _sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
@@ -188,14 +190,32 @@ def _resolve_config(problem: ProblemData, args) -> dict:
     cfg = json.loads(json.dumps(_DEFAULT_CONFIG))  # deep copy
     _merge_options(cfg, problem.solver)
     if getattr(args, "eps_schedule", None):
-        cfg["epsilon_schedule"] = [float(v) for v in args.eps_schedule.split(",")]
+        try:
+            cfg["epsilon_schedule"] = [float(v) for v in args.eps_schedule.split(",")]
+        except ValueError:
+            raise ProblemFileError("--eps-schedule must be comma-separated numbers") from None
     if getattr(args, "tol", None) is not None:
         cfg["path_tol"] = cfg["res_tol"] = cfg["range_tol"] = float(args.tol)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = int(args.seed)
     if getattr(args, "simulate", None) is not None:
         cfg["simulate"]["paths"] = int(args.simulate)
+    _check_ranges(cfg)
     return cfg
+
+
+def _check_ranges(cfg: dict) -> None:
+    """Reject a resolved configuration whose epsilons or tolerances are not
+    all finite and positive, whose seed is outside [0, 2**64) (the Philox
+    key), or whose path count is below 1."""
+    for f in _SOLVER_FIELDS:
+        value = cfg[f.name]
+        if not all(0.0 < v < math.inf for v in (value if isinstance(value, list) else [value])):
+            raise ProblemFileError(f"solver option {f.name} must be finite and positive")
+    if not 0 <= cfg["seed"] < 2**64:
+        raise ProblemFileError("solver option seed must be in [0, 2**64)")
+    if cfg["simulate"]["paths"] < 1:
+        raise ProblemFileError("solver option simulate.paths must be at least 1")
 
 
 def _from_config(cls, cfg: dict, **given):
@@ -218,25 +238,54 @@ def _gare_config(cfg: dict, stabilizer: np.ndarray) -> GareConfig:
                         reduction_stabilizer=stabilizer)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [[float(v) for v in row] for row in np.atleast_2d(obj)]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else None
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+_string = json.encoder.encode_basestring_ascii
+_NON_FINITE = re.compile(r"-?inf|nan")     # how repr writes the non-finite floats
+
+
+def _lines(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """``items`` between ``brackets``, one to a line at ``indent`` plus two spaces."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _encode(obj, indent: str = "") -> str:
+    """``obj`` as the JSON text of ``json.dumps(obj, sort_keys=True,
+    indent=2)``, its nested lines indented by ``indent`` plus two spaces per
+    level.  Dict keys are written as ``str(k)``, tuples as lists, numpy
+    scalars as Python numbers, arrays as lists of rows of floats (a 1-D
+    array is one row), and every non-finite number as null."""
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        keyed = {str(k): v for k, v in obj.items()}
+        return _lines([_string(k) + ": " + _encode(v, inner) for k, v in sorted(keyed.items())],
+                      indent, "{}")
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        return _lines([_encode(v, inner) for v in obj], indent)
+    if isinstance(obj, np.ndarray):
+        # one repr per row writes its floats in C; a float's repr holds no ", "
+        rows = np.atleast_2d(obj).astype(float)
+        texts = [repr(row)[1:-1] for row in rows.tolist()]
+        if not np.isfinite(rows).all():
+            texts = [_NON_FINITE.sub("null", text) for text in texts]
+        return _lines([_lines(text.split(", ") if text else [], inner) for text in texts], indent)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, out_path: str | None):
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    text = _encode(report) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

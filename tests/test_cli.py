@@ -204,6 +204,154 @@ def test_solve_byte_identical_reports(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+def test_solve_writes_the_same_bytes_to_stdout_and_out(tmp_path, capsys):
+    prob = write_problem(tmp_path, C=[[0.4]])
+    out = tmp_path / "r.json"
+    assert main(["solve", prob, "--oracle"]) == 0
+    printed = capsys.readouterr().out
+    assert main(["solve", prob, "--oracle", "--out", str(out)]) == 0
+    assert printed.encode() == out.read_bytes()
+
+
+def _reference(obj):
+    """The report encoding's model: numpy values as Python ones, arrays as
+    lists of rows, and every non-finite number as None."""
+    if isinstance(obj, np.ndarray):
+        return [[float(v) if np.isfinite(v) else None for v in row] for row in np.atleast_2d(obj)]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj) if np.isfinite(obj) else None
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {str(k): _reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference(v) for v in obj]
+    return obj
+
+
+def _reference_text(obj) -> str:
+    return json.dumps(_reference(obj), sort_keys=True, indent=2, allow_nan=False)
+
+
+_FLOATS = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
+           np.nan, np.inf, -np.inf]
+_SCALARS = [None, True, False, 0, -7, 2**70, "", "plain", "Σ, Γ and Θ*",
+            "tab\tquote\"back\\slash", "line\nbreak", "日本"]
+_SHAPES = [(), (3,), (0,), (0, 3), (3, 0), (2, 3), (1, 1), (4, 2)]
+_KEYS = ["b", "a", "Z", "é", "10", "9", 3, "key with space"]
+
+
+def _random_document(rng, depth=0):
+    """A nested document of every kind of value a report can hold."""
+    def pick(seq):
+        return seq[rng.integers(len(seq))]
+
+    kind = rng.integers(0, 11 if depth < 3 else 6)
+    if kind == 0:
+        return pick(_FLOATS) if rng.random() < 0.5 else rng.normal() * 10.0 ** rng.integers(-20, 20)
+    if kind == 1:
+        return pick([np.float64, np.float32, np.int64, np.int32, np.bool_])(rng.normal() * 100)
+    if kind == 2:
+        return pick(_SCALARS)
+    if kind in (3, 4, 5):
+        a = np.array(rng.normal(size=pick(_SHAPES)) * 10.0 ** rng.integers(-8, 8))
+        if a.size and rng.random() < 0.3:
+            a.flat[rng.integers(a.size)] = pick(_FLOATS[-3:])
+        elif rng.random() < 0.2:
+            a = (a * 10).round().astype(int)
+        elif rng.random() < 0.1:
+            a = a > 0
+        return a
+    if kind in (6, 7):
+        return {_KEYS[i]: _random_document(rng, depth + 1)
+                for i in rng.permutation(len(_KEYS))[:rng.integers(0, 5)]}
+    items = [_random_document(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+    return tuple(items) if kind == 8 else items
+
+
+def test_encoder_matches_the_reference_on_random_documents():
+    rng = np.random.default_rng(20141)
+    for _ in range(400):
+        doc = _random_document(rng)
+        assert slq.cli._encode(doc) == _reference_text(doc)
+
+
+def test_reports_match_the_reference_encoding(tmp_path, monkeypatch):
+    # every kind of report, as written to --out, against json.dumps of its model
+    written = []
+    emit = slq.cli._emit
+
+    def recording(doc, out_path):
+        written.append((doc, out_path))
+        emit(doc, out_path)
+
+    monkeypatch.setattr(slq.cli, "_emit", recording)
+    plain = write_problem(tmp_path, C=[[0.4]])
+    forced = write_problem(tmp_path, name="forced.json", inhomogeneity={
+        "grid": [0.0, 0.5], "b": [[0.4]], "sigma": [[0.1]], "q": [[0.0]], "rho": [[0.0]],
+    })
+    # R = 0: singular N(P), so the epsilon path runs; with Q = 1 it does not settle
+    singular = write_problem(tmp_path, name="singular.json", A=[[-1.0]], Q=[[0.0]], R=[[0.0]])
+    unsolvable = write_problem(tmp_path, name="unsolvable.json", A=[[-1.0]], R=[[0.0]])
+    runs = [
+        (["check", plain], 0),
+        (["solve", plain, "--oracle", "--simulate", "20"], 0),
+        (["solve", forced], 0),
+        (["solve", singular], 0),
+        (["solve", unsolvable, "--oracle"], 3),
+        (["simulate", plain, "--simulate", "20"], 0),
+        (["simulate", plain, "--theta", "0.0"], 2),
+        (["oracle1d", plain], 0),
+    ]
+    for i, (argv, code) in enumerate(runs):
+        assert main([*argv, "--out", str(tmp_path / f"r{i}.json")]) == code
+    assert len(written) == len(runs)
+    assert any(doc["solution"]["epsilon_path"] for doc, _ in written if "solution" in doc)
+    assert any(doc["unsolvable"]["epsilon_path"] for doc, _ in written if "unsolvable" in doc)
+    for doc, out_path in written:
+        with open(out_path, encoding="utf-8") as fh:
+            assert fh.read() == _reference_text(doc) + "\n"
+
+
+def test_non_finite_matrix_entries_are_written_as_null(capsys):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    doc = {"P": np.array([[np.nan, np.inf], [-np.inf, 1.0]]), "Theta": np.eye(2),
+           "diagnostics": {"are_residual": np.float64(np.nan)}}
+    slq.cli._emit(doc, None)
+    parsed = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert parsed["P"] == [[None, None], [None, 1.0]]
+    assert parsed["diagnostics"]["are_residual"] is None
+
+
+@pytest.mark.parametrize("flags, solver, message", [
+    (["--eps-schedule", "abc"], {}, "--eps-schedule must be comma-separated numbers"),
+    (["--eps-schedule=-0.1,nan"], {}, "solver option epsilon_schedule must be finite"),
+    ([], {"epsilon_schedule": [0.1, 0.0]}, "solver option epsilon_schedule must be finite"),
+    ([], {"epsilon_schedule": [float("inf")]}, "solver option epsilon_schedule must be finite"),
+    (["--tol", "nan"], {}, "solver option path_tol must be finite and positive"),
+    (["--tol", "0"], {}, "solver option path_tol must be finite and positive"),
+    ([], {"res_tol": float("nan")}, "solver option res_tol must be finite and positive"),
+    ([], {"stat_tol": -1e-10}, "solver option stat_tol must be finite and positive"),
+    (["--seed", str(2**64), "--simulate", "10"], {}, "solver option seed must be in [0, 2**64)"),
+    (["--seed", "-1", "--simulate", "10"], {}, "solver option seed must be in [0, 2**64)"),
+    (["--simulate", "10"], {"seed": 2**64}, "solver option seed must be in [0, 2**64)"),
+    (["--simulate", "0"], {}, "solver option simulate.paths must be at least 1"),
+    ([], {"simulate": {"paths": 0}}, "solver option simulate.paths must be at least 1"),
+], ids=["schedule-flag-text", "schedule-flag-negative-nan", "schedule-zero", "schedule-inf",
+        "tol-flag-nan", "tol-flag-zero", "tol-nan", "tol-negative", "seed-flag-2**64",
+        "seed-flag-negative", "seed-2**64", "paths-flag-zero", "paths-zero"])
+def test_solve_rejects_options_out_of_range(tmp_path, capsys, flags, solver, message):
+    prob = write_problem(tmp_path, C=[[0.4]], solver=solver)
+    out = tmp_path / "r.json"
+    assert main(["solve", prob, *flags, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_config_round_trip(tmp_path):
     prob = write_problem(tmp_path)
     out1 = str(tmp_path / "r1.json")
