@@ -206,12 +206,16 @@ def _resolve_config(problem: ProblemData, args) -> dict:
 
 def _check_ranges(cfg: dict) -> None:
     """Reject a resolved configuration whose epsilons or tolerances are not
-    all finite and positive, whose seed is outside [0, 2**64) (the Philox
-    key), or whose path count is below 1."""
+    all finite and positive, whose epsilon schedule has fewer than two
+    entries (the path settles only by comparing consecutive solutions),
+    whose seed is outside [0, 2**64) (the Philox key), or whose path count
+    is below 1."""
     for f in _SOLVER_FIELDS:
         value = cfg[f.name]
         if not all(0.0 < v < math.inf for v in (value if isinstance(value, list) else [value])):
             raise ProblemFileError(f"solver option {f.name} must be finite and positive")
+    if len(cfg["epsilon_schedule"]) < 2:
+        raise ProblemFileError("solver option epsilon_schedule must have at least two entries")
     if not 0 <= cfg["seed"] < 2**64:
         raise ProblemFileError("solver option seed must be in [0, 2**64)")
     if cfg["simulate"]["paths"] < 1:
@@ -293,10 +297,6 @@ def _emit(report: dict, out_path: str | None):
         _sys.stdout.write(text)
 
 
-def _epsilon_path_block(path) -> list:
-    return [{"epsilon": eps, "P": P} for eps, P in path]
-
-
 def _solution_block(sol: GareSolution) -> dict:
     diag = {
         k: v
@@ -308,7 +308,6 @@ def _solution_block(sol: GareSolution) -> dict:
         "P": sol.P,
         "Theta": sol.Theta,
         "Pi": sol.Pi,
-        "epsilon_path": _epsilon_path_block(sol.epsilon_path),
         "diagnostics": diag,
     }
 
@@ -420,7 +419,6 @@ def _simulation_block(problem: ProblemData, cfg: dict, Theta: np.ndarray,
 def _stabilizability_block(report) -> dict:
     return {
         "gamma": report.gamma,
-        "P": report.P,
         "flow_status": report.flow_status,
         "residual": report.residual,
         "flow_steps": report.flow_steps,
@@ -460,7 +458,6 @@ def _run_solve(problem: ProblemData, cfg: dict, args):
         doc["verdict"] = {"stabilizable": True, "solvable": False}
         doc["unsolvable"] = {
             "reason": outcome.reason,
-            "epsilon_path": _epsilon_path_block(outcome.epsilon_path),
             "diagnostics": {k: v for k, v in outcome.diagnostics.items()
                             if not isinstance(v, np.ndarray)},
         }

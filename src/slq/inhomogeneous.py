@@ -266,13 +266,14 @@ def assemble_value(sol: GareSolution, terms: AffineTerms, g: InhomogeneityGrid,
     is evaluated with 8-point Gauss-Legendre quadrature per forcing interval
     (eta is smooth within each one); beyond the support eta vanishes, so the
     tail contributes exactly zero.  Raises :class:`ValueUndefinedError` when
-    the range condition fails.
+    the range condition fails, as ``terms.range_check`` (found by
+    :func:`solve_eta`) records it.
     """
     xv = np.asarray(x, dtype=float).reshape(-1)
     P = sol.P
     if xv.size != P.shape[0]:
         raise InvalidInputError("x has the wrong dimension")
-    check = check_range_ez(sol, terms, g)
+    check = terms.range_check
     if not check:
         raise ValueUndefinedError(
             f"range condition fails (defect {check.max_defect:.3e} at t={check.worst_t:g})"

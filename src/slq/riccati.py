@@ -578,7 +578,6 @@ class GareSolution:
     P: np.ndarray                    # the static stabilizing solution
     Theta: np.ndarray                # stabilizing feedback -N^+L' + (I - N^+N) Pi
     Pi: np.ndarray                   # the free parameter actually chosen
-    epsilon_path: list[tuple[float, np.ndarray]]   # empty on the direct route
     diagnostics: dict
 
 
@@ -591,7 +590,6 @@ class GareUnsolvable:
     solve its epsilon and Newton's cause."""
 
     reason: str
-    epsilon_path: list[tuple[float, np.ndarray]]
     diagnostics: dict
 
 
@@ -652,28 +650,27 @@ def _epsilon_path(tsys: ControlledSystem, tw: CostWeights, G, cfg: GareConfig,
     The reduced pair is certified stable and G is its Lyapunov value.  Each
     epsilon is solved by Newton-Kleinman (``_newton_limit``), starting from G
     at the first epsilon and from the previous P_eps after it.  The path has
-    settled when P_eps, or its extrapolated limit, stops moving.  Records
-    ``epsilon_solves`` and the settling diagnostics in ``diagnostics``.
-    Returns (path, P, reason): P is the symmetrized limit, or None with
-    ``reason`` saying where the path broke down and, at a failed solve, why
-    Newton failed.
+    settled when P_eps, or its extrapolated limit, stops moving.  Records in
+    ``diagnostics`` the ``epsilon_solves`` entries, each after the first
+    solve with ``"change"``, ||P_eps - P_prev||, and on success
+    ``settled_at_epsilon``, the first epsilon from which every later one
+    settled, and ``extrapolation_norm``.  Returns (P, reason): P is the
+    symmetrized limit, or None with ``reason`` saying where the path broke
+    down and, at a failed solve, why Newton failed.
     """
     eye_m = np.eye(tsys.m)
-    path: list[tuple[float, np.ndarray]] = []
-    prev = limit = None
-    settled = False
+    prev = limit = settled_at = None
     solves: list[dict] = []
     diagnostics["epsilon_solves"] = solves
     for eps in cfg.epsilon_schedule:
         w_eps = CostWeights(tw.Q, tw.S, tw.R + eps * eye_m)
         P_eps, solve = _newton_limit(tsys, w_eps, G if prev is None else prev[1],
                                      cfg.flow.stat_tol)
-        solves.append({"epsilon": eps, **solve})
+        entry = {"epsilon": eps, **solve}
+        solves.append(entry)
         if P_eps is None:
-            diagnostics["failed_epsilon"] = eps
-            return path, None, (f"strictly convex solve failed at epsilon={eps:g}: "
-                                f"{solve['failed']}")
-        path.append((eps, P_eps))
+            return None, (f"strictly convex solve failed at epsilon={eps:g}: "
+                          f"{solve['failed']}")
         if prev is not None:
             # Geometric-schedule limit estimate: with P_eps ~= P + c*eps the
             # residual correction after this refinement is
@@ -687,20 +684,23 @@ def _epsilon_path(tsys: ControlledSystem, tw: CostWeights, G, cfg: GareConfig,
             # The whole schedule still runs: the regularized gains only
             # approach their limit linearly in epsilon even when P_eps has
             # already settled.
-            settled = (fro(P_eps - prev[1]) < cfg.path_tol * (1.0 + fro(P_eps))
+            entry["change"] = fro(P_eps - prev[1])
+            settled = (entry["change"] < cfg.path_tol * (1.0 + fro(P_eps))
                        or prev_limit is not None
                        and fro(limit - prev_limit) < cfg.path_tol * (1.0 + fro(limit)))
-            if settled and "first_settled_epsilon" not in diagnostics:
-                diagnostics["first_settled_epsilon"] = eps
+            if not settled:
+                settled_at = None
+            elif settled_at is None:
+                settled_at = eps
         prev = (eps, P_eps)
 
-    if not settled:
-        return path, None, ("epsilon path did not settle by the end of the schedule; "
-                            "problem unsolvable or ill-conditioned")
+    if settled_at is None:
+        return None, ("epsilon path did not settle by the end of the schedule; "
+                      "problem unsolvable or ill-conditioned")
     P = symmetrize(limit)
-    diagnostics["settled_at_epsilon"] = prev[0]
+    diagnostics["settled_at_epsilon"] = settled_at
     diagnostics["extrapolation_norm"] = fro(P - prev[1])
-    return path, P, None
+    return P, None
 
 
 def solve_gare(
@@ -728,11 +728,12 @@ def solve_gare(
     Returns :class:`GareUnsolvable` when the epsilon path breaks down or its
     limit fails verification (the problem has no optimal control).  Either
     outcome's ``diagnostics["epsilon_solves"]`` lists, per epsilon reached,
-    ``{"epsilon", "steps"}``, the Newton steps taken, and the entry of a
-    failed solve also carries ``"failed"``, Newton's cause, which ends the
-    ``reason``.  For the direct route that is one entry at epsilon 0.0, the
-    epsilon path is empty and there is no ``settled_at_epsilon`` or
-    ``extrapolation_norm``.
+    ``{"epsilon", "steps"}``, the Newton steps taken.  On the epsilon path
+    every entry after the first also carries ``"change"``,
+    ||P_eps - P_prev||, and the entry of a failed solve carries ``"failed"``
+    instead, Newton's cause, which ends the ``reason``.  For the direct route
+    that is one entry at epsilon 0.0, and there is no ``settled_at_epsilon``
+    or ``extrapolation_norm``.
     """
     cfg = cfg or GareConfig()
     if cfg.reduction_stabilizer is not None:
@@ -754,20 +755,19 @@ def solve_gare(
         raise InvalidInputError(_NOT_A_STABILIZER) from exc
 
     diagnostics: dict = {"sigma": Sigma}
-    path: list[tuple[float, np.ndarray]] = []
     P, solve = _newton_limit(tsys, tw, G, cfg.flow.stat_tol)
     check = None if P is None else verify_static_stabilizing(sys, w, P, cfg)
     if check is not None and check.passed:
         diagnostics["epsilon_solves"] = [{"epsilon": 0.0, **solve}]
     else:
-        path, P, reason = _epsilon_path(tsys, tw, G, cfg, diagnostics)
+        P, reason = _epsilon_path(tsys, tw, G, cfg, diagnostics)
         if P is None:
-            return GareUnsolvable(reason, path, diagnostics)
+            return GareUnsolvable(reason, diagnostics)
         check = verify_static_stabilizing(sys, w, P, cfg)
     diagnostics.update(are_residual=check.are_residual, range_defect=check.range_defect,
                        n_min_eig=check.n_min_eig)
     if check.reason is not None:
-        return GareUnsolvable(check.reason, path, diagnostics)
+        return GareUnsolvable(check.reason, diagnostics)
     Theta, Pi = check.theta, check.pi
 
     # Consistency of the reduction: N(P) (Sigma* + Sigma) = -L(P)' must hold
@@ -784,7 +784,7 @@ def solve_gare(
             f"reduction identity violated (gap {identity_gap:.3e})"
         )
 
-    return GareSolution(P=P, Theta=Theta, Pi=Pi, epsilon_path=path, diagnostics=diagnostics)
+    return GareSolution(P=P, Theta=Theta, Pi=Pi, diagnostics=diagnostics)
 
 
 @dataclass
@@ -794,7 +794,6 @@ class GareVerification:
     are_residual: float
     n_min_eig: float
     range_defect: float
-    stabilizer_found: bool
     theta: np.ndarray | None         # the stabilizing feedback of the induced family
     pi: np.ndarray | None            # the free parameter that gives theta
     reason: str | None               # the first failed check, None when all pass
@@ -834,7 +833,6 @@ def verify_static_stabilizing(
         are_residual=res_norm,
         n_min_eig=n_min,
         range_defect=rdefect,
-        stabilizer_found=picked is not None,
         theta=theta,
         pi=pi,
         reason=next((text for failed, text in failures if failed), None),

@@ -25,14 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InternalInconsistencyError,
-    LyapunovUnsolvableError,
-    UnsupportedInputError,
-)
-from .linalg import fro, is_pd, is_psd
+from .errors import InternalInconsistencyError, UnsupportedInputError
+from .linalg import is_pd, is_psd
 from .riccati import CostWeights, FlowConfig, _stabilizing_limit
-from .stability import ControlledSystem, solve_lyapunov
+from .stability import ControlledSystem
 
 __all__ = [
     "StabilizabilityReport",
@@ -50,8 +46,7 @@ class StabilizabilityReport:
     gamma: np.ndarray | None       # a stabilizer when one exists
     P: np.ndarray | None           # positive solution of the unit-weight ARE
     flow_status: str               # 'certified' | 'converged' | 'diverged' | 'max-horizon'
-                                   # | 'static'
-    residual: float | None         # ARE residual at P; the Lyapunov one without control
+    residual: float | None         # ARE residual at P
     flow_steps: int                # accepted steps of the unit-weight flow
     newton_steps: int              # Newton-Kleinman steps after the first certified gain
 
@@ -66,10 +61,11 @@ def stabilizability_report(
     finishes from there and the gain of its limit P is certified once, by
     the same map.  'diverged' or 'max-horizon' classify the system as not
     stabilizable.  ``residual`` is the norm of the unit-weight ARE residual
-    at P, below ``cfg.stat_tol * (1 + ||P||)``.  With no control authority
-    the ARE is the Lyapunov equation (status 'static'), and ``residual`` is
-    ||P A + A'P + C'P C + I|| for the P solved.  It is None when the system
-    is classified not stabilizable.
+    at P, below ``cfg.stat_tol * (1 + ||P||)``, or None when the system is
+    classified not stabilizable.  With no control authority (B = D = 0) the
+    same route decides stability: every checked gain is 0, the ARE is the
+    Lyapunov equation P A + A'P + C'P C + I = 0, and a pair that is not
+    stable makes the flow diverge or hit its horizon cap.
 
     A flow that would settle only after the horizon cap is still found
     stabilizable once one of its checked gains is certified.  A flow ends
@@ -79,17 +75,6 @@ def stabilizability_report(
     """
     cfg = cfg or FlowConfig()
     n, m = sys.n, sys.m
-
-    if not sys.B.any() and not sys.D.any():
-        # No control authority: stabilizability degenerates to stability.
-        # This is is_l2_stable's test, keeping its certificate P for the report.
-        try:
-            P = solve_lyapunov(sys.pair(), np.eye(n))
-        except LyapunovUnsolvableError:
-            return StabilizabilityReport(False, None, None, "static", None, 0, 0)
-        residual = fro(P @ sys.A + sys.A.T @ P + sys.C.T @ P @ sys.C + np.eye(n))
-        return StabilizabilityReport(True, np.zeros((m, n)), P, "static", residual, 0, 0)
-
     w = CostWeights(np.eye(n), np.zeros((m, n)), np.eye(m))
     P, gamma, residual, route = _stabilizing_limit(sys, w, cfg)
     steps = (route["flow_steps"], route["newton_steps"])

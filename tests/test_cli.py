@@ -6,6 +6,7 @@ import pytest
 
 import slq
 import slq.cli
+import slq.inhomogeneous
 import slq.montecarlo
 import slq.riccati
 import slq.stability
@@ -38,7 +39,6 @@ def test_check_stabilizable(tmp_path):
     doc = read(out)
     assert doc["verdict"]["stabilizable"] is True
     assert doc["stabilizability"]["gamma"][0][0] == pytest.approx(-1.0, abs=1e-8)
-    assert doc["stabilizability"]["P"][0][0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_check_not_stabilizable(tmp_path):
@@ -145,7 +145,6 @@ def test_solve_reports_each_epsilon_route(tmp_path):
     [route] = solution["diagnostics"]["epsilon_solves"]
     assert route.keys() == {"epsilon", "steps"}
     assert route["epsilon"] == 0.0 and route["steps"] >= 0
-    assert solution["epsilon_path"] == []
     assert "settled_at_epsilon" not in solution["diagnostics"]
     assert "sigma" not in solution      # the reduction used stabilizability.gamma
     # no strictly convex solution: Newton fails at the first epsilon and says why
@@ -154,10 +153,74 @@ def test_solve_reports_each_epsilon_route(tmp_path):
     unsolvable = read(failed)["unsolvable"]
     diag = unsolvable["diagnostics"]
     [route] = diag["epsilon_solves"]
-    assert route["epsilon"] == diag["failed_epsilon"] and route["steps"] > 0
+    assert route["epsilon"] == 0.1 and route["steps"] > 0
     assert route["failed"] == "a Newton gain is not certified mean-square stabilizing"
     assert unsolvable["reason"].endswith(": " + route["failed"])
     assert "sigma" not in diag
+
+
+_STABILIZABILITY_KEYS = {"gamma", "flow_status", "residual", "flow_steps", "newton_steps"}
+_VERIFIED_KEYS = {"are_residual", "range_defect", "n_min_eig"}
+_SETTLED_KEYS = {"settled_at_epsilon", "extrapolation_norm"}
+
+
+# one problem per route; R = 0 makes N(P) singular, so the epsilon path
+# runs, and with Q = 1 it does not settle
+@pytest.mark.parametrize("command, overrides, code, block, diagnostics", [
+    ("solve", {}, 0, "solution", _VERIFIED_KEYS | {"identity_gap", "epsilon_solves"}),
+    ("solve", {"A": [[-1.0]], "Q": [[0.0]], "R": [[0.0]]}, 0, "solution",
+     _VERIFIED_KEYS | _SETTLED_KEYS | {"identity_gap", "epsilon_solves"}),
+    ("solve", {"A": [[-1.0]], "Q": [[-2.0]]}, 3, "unsolvable", {"epsilon_solves"}),
+    ("solve", {"A": [[-1.0]], "R": [[0.0]]}, 3, "unsolvable", {"epsilon_solves"}),
+    ("solve", {"A": [[1.0]], "B": [[0.0]]}, 2, None, None),
+    ("check", {}, 0, None, None),
+], ids=["direct", "epsilon-path", "unsolvable-first-epsilon", "unsolvable-unsettled",
+        "not-stabilizable", "check"])
+def test_report_keys_of_each_route(tmp_path, command, overrides, code, block, diagnostics):
+    # each fact of a solve is written once: no intermediate matrices, and per
+    # epsilon one entry whose "change" is ||P_eps - P_prev||
+    out = str(tmp_path / "r.json")
+    assert main([command, write_problem(tmp_path, **overrides), "--out", out]) == code
+    doc = read(out)
+    written = {"solution": {"solution", "value"}, "unsolvable": {"unsolvable"}, None: set()}
+    assert doc.keys() == {"version", "command", "config", "verdict", "stabilizability",
+                          *written[block]}
+    assert doc["stabilizability"].keys() == _STABILIZABILITY_KEYS
+    if block is None:
+        return
+    assert doc[block].keys() == ({"P", "Theta", "Pi", "diagnostics"} if block == "solution"
+                                 else {"reason", "diagnostics"})
+    diag = doc[block]["diagnostics"]
+    assert diag.keys() == diagnostics
+    first, *rest = diag["epsilon_solves"]
+    assert first.keys() <= {"epsilon", "steps", "failed"}
+    for entry in rest:
+        assert entry.keys() <= {"epsilon", "steps", "change", "failed"}
+        assert ("change" in entry) != ("failed" in entry)
+        if "change" in entry:
+            assert type(entry["change"]) is float and np.isfinite(entry["change"])
+    if "settled_at_epsilon" in diag:
+        assert diag["settled_at_epsilon"] in [e["epsilon"] for e in rest]
+
+
+def test_forced_solve_checks_the_range_condition_once(tmp_path, monkeypatch):
+    # assemble_value reads the check solve_eta made
+    calls = []
+    original = slq.inhomogeneous.check_range_ez
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(slq.inhomogeneous, "check_range_ez", counting)
+    prob = write_problem(tmp_path, inhomogeneity={
+        "grid": [0.0, 0.5, 1.0], "b": [[0.4], [0.0]], "sigma": [[0.1], [0.2]],
+        "q": [[0.0], [0.3]], "rho": [[0.0], [0.1]],
+    })
+    out = str(tmp_path / "r.json")
+    assert main(["solve", prob, "--out", out]) == 0
+    assert read(out)["inhomogeneous"]["range_ok"] is True
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("overrides, code", [({}, 0), ({"A": [[-1.0]], "Q": [[-2.0]]}, 3)],
@@ -190,7 +253,8 @@ def test_check_reports_the_stabilizability_route(tmp_path, a, flow_steps):
     block = read(out1)["stabilizability"]
     assert (block["flow_status"], block["flow_steps"]) == ("certified", flow_steps)
     assert block["newton_steps"] >= 1
-    assert block["gamma"][0][0] == pytest.approx(-block["P"][0][0], abs=1e-10)
+    # 2aP + 1 - P^2 = 0 at the positive root P, and the gain is -P
+    assert block["gamma"][0][0] == pytest.approx(-(a + np.sqrt(a * a + 1.0)), abs=1e-10)
 
 
 def test_solve_byte_identical_reports(tmp_path):
@@ -308,8 +372,9 @@ def test_reports_match_the_reference_encoding(tmp_path, monkeypatch):
     for i, (argv, code) in enumerate(runs):
         assert main([*argv, "--out", str(tmp_path / f"r{i}.json")]) == code
     assert len(written) == len(runs)
-    assert any(doc["solution"]["epsilon_path"] for doc, _ in written if "solution" in doc)
-    assert any(doc["unsolvable"]["epsilon_path"] for doc, _ in written if "unsolvable" in doc)
+    for block in ("solution", "unsolvable"):     # each carries an epsilon path
+        assert any(len(doc[block]["diagnostics"]["epsilon_solves"]) > 1
+                   for doc, _ in written if block in doc)
     for doc, out_path in written:
         with open(out_path, encoding="utf-8") as fh:
             assert fh.read() == _reference_text(doc) + "\n"
@@ -332,6 +397,9 @@ def test_non_finite_matrix_entries_are_written_as_null(capsys):
     (["--eps-schedule=-0.1,nan"], {}, "solver option epsilon_schedule must be finite"),
     ([], {"epsilon_schedule": [0.1, 0.0]}, "solver option epsilon_schedule must be finite"),
     ([], {"epsilon_schedule": [float("inf")]}, "solver option epsilon_schedule must be finite"),
+    (["--eps-schedule", "0.1"], {},
+     "solver option epsilon_schedule must have at least two entries"),
+    ([], {"epsilon_schedule": []}, "solver option epsilon_schedule must have at least two entries"),
     (["--tol", "nan"], {}, "solver option path_tol must be finite and positive"),
     (["--tol", "0"], {}, "solver option path_tol must be finite and positive"),
     ([], {"res_tol": float("nan")}, "solver option res_tol must be finite and positive"),
@@ -342,7 +410,7 @@ def test_non_finite_matrix_entries_are_written_as_null(capsys):
     (["--simulate", "0"], {}, "solver option simulate.paths must be at least 1"),
     ([], {"simulate": {"paths": 0}}, "solver option simulate.paths must be at least 1"),
 ], ids=["schedule-flag-text", "schedule-flag-negative-nan", "schedule-zero", "schedule-inf",
-        "tol-flag-nan", "tol-flag-zero", "tol-nan", "tol-negative", "seed-flag-2**64",
+        "schedule-flag-one-entry", "schedule-empty", "tol-flag-nan", "tol-flag-zero", "tol-nan", "tol-negative", "seed-flag-2**64",
         "seed-flag-negative", "seed-2**64", "paths-flag-zero", "paths-zero"])
 def test_solve_rejects_options_out_of_range(tmp_path, capsys, flags, solver, message):
     prob = write_problem(tmp_path, C=[[0.4]], solver=solver)
@@ -495,22 +563,6 @@ def test_seed_flag_changes_simulation(tmp_path):
     assert main(["simulate", prob, "--seed", "1", "--out", out1]) == 0
     assert main(["simulate", prob, "--seed", "2", "--out", out2]) == 0
     assert read(out1)["simulation"]["estimate"] != read(out2)["simulation"]["estimate"]
-
-
-def test_no_control_check_reports_the_lyapunov_residual(tmp_path):
-    # B = D = 0: the certificate P solves P A + A'P + C'P C + I = 0, and the
-    # report carries that equation's residual for the P it prints
-    A = [[-0.6, 0.3], [-0.2, -0.9]]
-    C = [[0.3, 0.1], [0.0, 0.2]]
-    prob = write_problem(tmp_path, n=2, m=1, A=A, C=C, B=[[0.0], [0.0]], D=[[0.0], [0.0]],
-                         Q=[[1.0, 0.0], [0.0, 1.0]], S=[[0.0, 0.0]], x0=[1.0, 0.0])
-    out = str(tmp_path / "r.json")
-    assert main(["check", prob, "--out", out]) == 0
-    block = read(out)["stabilizability"]
-    P, A, C = np.array(block["P"]), np.array(A), np.array(C)
-    want = np.linalg.norm(P @ A + A.T @ P + C.T @ P @ C + np.eye(2))
-    assert want > 0.0
-    assert block["residual"] == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_main_builds_one_parser(tmp_path, monkeypatch):

@@ -175,17 +175,17 @@ def test_newton_refuses_a_gain_that_is_not_mean_square_stabilizing(A, C, q1, sta
 
 
 def _path_limit(sys_i, w_i):
-    """The epsilon path of ``solve_gare``'s reduction and its limit (None
-    where the path breaks down), without the direct route."""
+    """The epsilon path of ``solve_gare``'s reduction, without the direct
+    route: its diagnostics and its limit (None where the path breaks down)."""
     tsys, tw = transform_problem(sys_i, w_i, find_stabilizer(sys_i))
     G = solve_lyapunov(tsys.pair(), tw.Q)
-    path, P, _ = _epsilon_path(tsys, tw, G, GareConfig(), {})
-    return path, P
+    diagnostics = {}
+    P, _ = _epsilon_path(tsys, tw, G, GareConfig(), diagnostics)
+    return diagnostics, P
 
 
 def _assert_direct_route_matches_the_path(sys_i, w_i, out):
     assert isinstance(out, GareSolution)
-    assert out.epsilon_path == []
     [route] = out.diagnostics["epsilon_solves"]
     assert route.keys() == {"epsilon", "steps"} and route["epsilon"] == 0.0
     assert "settled_at_epsilon" not in out.diagnostics
@@ -292,12 +292,15 @@ def test_gare_is_invariant_under_cost_scaling_and_state_coordinates():
     # Scaling (Q, S, R) by c scales P by c.  In coordinates x = Tz the data
     # become [T^-1 A T, T^-1 C T; T^-1 B, T^-1 D] and (T'QT, ST, R), so P
     # becomes T'PT and, where N(P) > 0 makes it unique, Theta becomes Theta T.
-    # The verdict never moves.
+    # In controls u = Vw they become [A, C; BV, DV] and (Q, V'S, V'RV), so P
+    # stays and, where unique, Theta becomes V^-1 Theta.  The verdict never
+    # moves.
     instances = (criterion_04_battery(np.random.default_rng(1004))
                  + criterion_06_instances(np.random.default_rng(1006)))
     draws = np.random.default_rng(4243)
     instances += [_indefinite_draw(draws) for _ in range(20)]
     rng = np.random.default_rng(7)
+    rng_v = np.random.default_rng(8)
     solved = regular = 0
     for sys_i, w_i in instances:
         base = _gare_outcome(sys_i, w_i)
@@ -313,15 +316,22 @@ def test_gare_is_invariant_under_cost_scaling_and_state_coordinates():
             ControlledSystem(Ti @ sys_i.A @ T, Ti @ sys_i.C @ T, Ti @ sys_i.B, Ti @ sys_i.D),
             CostWeights(T.T @ w_i.Q @ T, w_i.S @ T, w_i.R))
         assert type(out) is type(base), (sys_i, w_i, T)
+        V = _coordinate_change(rng_v, sys_i.m)
+        out_v = _gare_outcome(ControlledSystem(sys_i.A, sys_i.C, sys_i.B @ V, sys_i.D @ V),
+                              CostWeights(w_i.Q, V.T @ w_i.S, V.T @ w_i.R @ V))
+        assert type(out_v) is type(base), (sys_i, w_i, V)
         if not isinstance(base, GareSolution):
             continue
         solved += 1
         P_ref = T.T @ base.P @ T
         assert fro(out.P - P_ref) <= 1e-8 * (1.0 + fro(P_ref)), (sys_i, w_i, T)
+        assert fro(out_v.P - base.P) <= 1e-8 * (1.0 + fro(base.P)), (sys_i, w_i, V)
         if base.diagnostics["n_min_eig"] > 1e-6:
             regular += 1
             Theta_ref = base.Theta @ T
             assert fro(out.Theta - Theta_ref) <= 1e-8 * (1.0 + fro(Theta_ref)), (sys_i, w_i, T)
+            Theta_ref = np.linalg.solve(V, base.Theta)
+            assert fro(out_v.Theta - Theta_ref) <= 1e-8 * (1.0 + fro(Theta_ref)), (sys_i, w_i, V)
     assert solved >= 80 and regular >= 70
 
 
@@ -416,9 +426,10 @@ def test_gare_singular_control_weight_falls_back_to_the_path():
               1.095797257396005)
     out = solve_gare(scalar_system(*coeffs[:4]), scalar_weights(*coeffs[4:]))
     assert isinstance(out, GareSolution)
-    assert ([r["epsilon"] for r in out.diagnostics["epsilon_solves"]]
-            == list(GareConfig().epsilon_schedule))
-    assert len(out.epsilon_path) == 8 and "settled_at_epsilon" in out.diagnostics
+    first, *rest = out.diagnostics["epsilon_solves"]
+    assert [r["epsilon"] for r in [first, *rest]] == list(GareConfig().epsilon_schedule)
+    assert "change" not in first and all(r.keys() == {"epsilon", "steps", "change"} for r in rest)
+    assert out.diagnostics["settled_at_epsilon"] in GareConfig().epsilon_schedule[1:]
     oracle = solve_1d(*coeffs)
     assert oracle.solvable
     assert abs(out.P[0, 0] - oracle.P) <= 1e-8 * (1.0 + abs(oracle.P))
@@ -466,7 +477,6 @@ def test_gare_unsolvable_negative_discriminant():
     assert isinstance(out, GareUnsolvable)
     assert out.reason == ("strictly convex solve failed at epsilon=0.1: "
                           "a Newton gain is not certified mean-square stabilizing")
-    assert out.epsilon_path == []
     [route] = out.diagnostics["epsilon_solves"]
     assert route["failed"] == "a Newton gain is not certified mean-square stabilizing"
 
@@ -478,13 +488,23 @@ def test_gare_settles_when_consecutive_limit_estimates_agree():
     # give the closed form.
     a, c, b, d, q, s, r = 2.8746, 0.4148, 0.7288, 0.0, -0.01095, 0.6517, 0.3225
     sys1, w = scalar_system(a, c, b, d), scalar_weights(q, s, r)
-    path, P = _path_limit(sys1, w)
+    diagnostics, P = _path_limit(sys1, w)
     assert P is not None and verify_static_stabilizing(sys1, w, P).passed
-    (_, P_prev), (_, P_last) = path[-2:]
-    assert fro(P_last - P_prev) > GareConfig().path_tol * (1.0 + fro(P_last))
+    assert diagnostics["epsilon_solves"][-1]["change"] > GareConfig().path_tol * (1.0 + fro(P))
     oracle = solve_1d(a, c, b, d, q, s, r)
     assert oracle.solvable
     assert abs(P[0, 0] - oracle.P) <= 1e-8 * (1.0 + abs(oracle.P))
+
+
+def test_settled_at_epsilon_is_where_the_path_settles_for_good():
+    # Q = S = R = 0 over a stable drift: N(P) = 0, so the epsilon path runs,
+    # and P_eps = 0 at every epsilon, so it settles at the second epsilon
+    # and stays settled
+    out = solve_gare(scalar_system(-1.0, 0.0, 1.0, 0.0), scalar_weights(0.0, 0.0, 0.0))
+    assert isinstance(out, GareSolution) and out.P[0, 0] == 0.0
+    first, *rest = out.diagnostics["epsilon_solves"]
+    assert "change" not in first and [r["change"] for r in rest] == [0.0] * len(rest)
+    assert out.diagnostics["settled_at_epsilon"] == GareConfig().epsilon_schedule[1]
 
 
 def test_gare_two_dimensional_residuals():
@@ -512,18 +532,17 @@ def test_gare_reduction_stabilizer_independence():
 
 
 def test_gare_epsilon_gain_limit():
-    # the regularized gains computed on the original data converge to a
-    # solution of N(P) Theta = -L(P)'
+    # the regularized gain at the last epsilon, computed on the original
+    # data, solves N(P) Theta = -L(P)' at the path's limit
     sys1 = scalar_system(0.0, 0.0, 1.0, 0.0)
     w = scalar_weights(1.0, 0.0, 1.0)
-    path, P = _path_limit(sys1, w)
+    _, P = _path_limit(sys1, w)
+    eps = GareConfig().epsilon_schedule[-1]
+    P_eps = solve_gare(sys1, CostWeights(w.Q, w.S, w.R + eps * np.eye(1))).P
+    N_eps = w.R + eps * np.eye(1) + sys1.D.T @ P_eps @ sys1.D
+    L_eps = P_eps @ sys1.B + sys1.C.T @ P_eps @ sys1.D + w.S.T
+    theta_lim = -np.linalg.solve(N_eps, L_eps.T)
     maps = GareMaps(sys1, w)
-    thetas = []
-    for eps, P_eps in path:
-        N_eps = w.R + eps * np.eye(1) + sys1.D.T @ P_eps @ sys1.D
-        L_eps = P_eps @ sys1.B + sys1.C.T @ P_eps @ sys1.D + w.S.T
-        thetas.append(-np.linalg.solve(N_eps, L_eps.T))
-    theta_lim = thetas[-1]
     N, Lt = maps.control_part(P), maps.cross_part(P).T
     assert fro(N @ theta_lim + Lt) <= 1e-6
 
@@ -539,7 +558,7 @@ def test_verify_rejects_non_stabilizing_root():
     bad = verify_static_stabilizing(sys1, w, [[y1 - 1.0]])
     good = verify_static_stabilizing(sys1, w, [[y2 - 1.0]])
     off = verify_static_stabilizing(sys1, w, [[y2 - 1.0 + 0.1]])
-    assert bad.are_residual <= 1e-10 and not bad.stabilizer_found and not bad.passed
+    assert bad.are_residual <= 1e-10 and bad.theta is None and not bad.passed
     assert bad.reason == "no feedback of the admissible family stabilizes the system"
     assert good.passed and good.reason is None
     assert off.reason == "limit fails the ARE residual check" and not off.passed
@@ -555,7 +574,7 @@ def test_verify_partially_degenerate_without_freedom():
     assert report.are_residual <= 1e-10
     assert abs(report.n_min_eig) <= 1e-12
     assert report.range_defect <= 1e-12
-    assert not report.stabilizer_found and not report.passed
+    assert report.theta is None and not report.passed
 
 
 def test_verify_zero_matrix_on_zero_cost():

@@ -44,6 +44,25 @@ def test_find_stabilizer_no_authority_unstable():
     assert find_stabilizer(sys1) is None
 
 
+def test_no_control_report_carries_the_lyapunov_residual():
+    # B = D = 0: every checked gain is 0, the unit-weight ARE is
+    # P A + A'P + C'P C + I = 0, and the report carries that equation's
+    # residual for its P; shifted unstable, the flow diverges
+    A = np.array([[-0.6, 0.3], [-0.2, -0.9]])
+    C = np.array([[0.3, 0.1], [0.0, 0.2]])
+    none = np.zeros((2, 1))
+    report = stabilizability_report(ControlledSystem(A, C, none, none))
+    assert report.stabilizable and report.flow_status == "certified"
+    assert np.array_equal(report.gamma, np.zeros((1, 2)))
+    P = report.P
+    want = np.linalg.norm(P @ A + A.T @ P + C.T @ P @ C + np.eye(2))
+    assert want > 0.0
+    assert report.residual == pytest.approx(want, rel=1e-9, abs=0.0)
+    report = stabilizability_report(ControlledSystem(A + np.eye(2), C, none, none))
+    assert not report.stabilizable and report.flow_status == "diverged"
+    assert report.gamma is None and report.P is None and report.residual is None
+
+
 def test_check_sa_condition_examples():
     assert check_sa_condition(ControlledSystem([[1.0]], [[0.0]], [[0.0]], [[0.0]]))
     assert not check_sa_condition(ControlledSystem([[-1.0]], [[0.0]], [[0.0]], [[0.0]]))
