@@ -70,12 +70,15 @@ class ProblemFileError(SlqError):
 def _matrix_field(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
     if key not in doc:
         raise ProblemFileError(f"missing field: {key}")
-    arr = np.asarray(doc[key], dtype=float)
+    try:
+        arr = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"{key} must be a rectangular array of numbers") from exc
     if arr.ndim == 1 and shape[1] == 1:
         arr = arr.reshape(-1, 1)
     if arr.shape != shape:
         raise ProblemFileError(f"dimension mismatch: {key}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ProblemFileError(f"non-finite entries: {key}")
     return arr
 
@@ -120,16 +123,23 @@ def load_problem(path: str) -> ProblemData:
                 q=np.asarray(sub.get("q", np.zeros((len(sub["grid"]) - 1, n))), float),
                 rho=np.asarray(sub.get("rho", np.zeros((len(sub["grid"]) - 1, m))), float),
             )
-        except (KeyError, TypeError) as exc:
+        except SlqError:
+            raise           # the grid's own checks, which name what failed
+        except (KeyError, TypeError, ValueError) as exc:
             raise ProblemFileError(f"malformed inhomogeneity block: {exc}") from exc
         if grid.n != n or grid.m != m:
             raise ProblemFileError("dimension mismatch: inhomogeneity")
 
     x0 = np.zeros(n)
     if doc.get("x0") is not None:
-        x0 = np.asarray(doc["x0"], dtype=float).reshape(-1)
+        try:
+            x0 = np.asarray(doc["x0"], dtype=float).reshape(-1)
+        except (TypeError, ValueError) as exc:
+            raise ProblemFileError("x0 must be a rectangular array of numbers") from exc
         if x0.size != n:
             raise ProblemFileError("dimension mismatch: x0")
+        if not np.isfinite(x0).all():
+            raise ProblemFileError("non-finite entries: x0")
 
     solver = doc.get("solver", {})
     if not isinstance(solver, dict):

@@ -48,7 +48,7 @@ def _value_rows(values, K: int, dim: int, name: str) -> np.ndarray:
     V = np.asarray(values, dtype=float)
     if V.ndim == 1:
         V = V.reshape(-1, 1) if dim == 1 else V.reshape(1, -1)
-    if not np.all(np.isfinite(V)):
+    if not np.isfinite(V).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     if V.shape == (K + 1, dim):
         if np.any(V[-1] != 0.0):
@@ -82,7 +82,7 @@ class InhomogeneityGrid:
             raise InvalidInputError("grid needs at least two breakpoints")
         if t[0] != 0.0:
             raise InvalidInputError("grid must start at t = 0")
-        if not np.all(np.diff(t) > 0.0) or not np.all(np.isfinite(t)):
+        if not (np.diff(t) > 0.0).all() or not np.isfinite(t).all():
             raise InvalidInputError("grid must be finite and strictly increasing")
         K = t.size - 1
         # 1-d value tables mean a single state (or control) dimension.

@@ -41,7 +41,7 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
         A = A.reshape(-1, 1)
     elif A.ndim != 2:
         raise InvalidInputError(f"{name} must be at most 2-dimensional")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     return A
 

@@ -51,6 +51,7 @@ failed Newton means there is none.  On top of these sit:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,6 +202,13 @@ def _adaptive_flow(rhs, sym, norm, y0, cfg: FlowConfig, stop=None):
     that have neither settled nor escaped, right after ``rhs(y)``; a true
     return ends the flow with status 'stopped'.
     """
+    # coefficients and settings as locals: on floats a step costs lookups and calls
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _CK_A
+    b1, _, b3, b4, _, b6 = _CK_B5
+    e1, _, e3, e4, e5, e6 = _CK_ERR
+    stat_tol, divergence_norm = cfg.stat_tol, cfg.divergence_norm
+    max_horizon, rtol = cfg.max_horizon, cfg.rtol
+
     t = 0.0
     y = sym(y0)
     try:
@@ -210,7 +218,7 @@ def _adaptive_flow(rhs, sym, norm, y0, cfg: FlowConfig, stop=None):
     times = [0.0]
     values = [y]
     dnorm = norm(f)
-    if dnorm < cfg.stat_tol * (1.0 + norm(y)):
+    if dnorm < stat_tol * (1.0 + norm(y)):
         return "converged", times, values, dnorm
     if stop is not None and stop(y):
         return "stopped", times, values, dnorm
@@ -218,33 +226,30 @@ def _adaptive_flow(rhs, sym, norm, y0, cfg: FlowConfig, stop=None):
     h = min(1.0, 0.01 * (1.0 + norm(y)) / (1.0 + dnorm))
     lam_est = 0.0  # local Jacobian scale, to keep h inside the stability region
     for _ in range(_MAX_STEPS):
-        h = min(h, cfg.max_horizon - t)
+        h = min(h, max_horizon - t)
         try:
             k1 = f
-            k2 = rhs(sym(y + h * (_CK_A[0][0] * k1)))
-            k3 = rhs(sym(y + h * (_CK_A[1][0] * k1 + _CK_A[1][1] * k2)))
-            k4 = rhs(sym(y + h * (_CK_A[2][0] * k1 + _CK_A[2][1] * k2 + _CK_A[2][2] * k3)))
-            k5 = rhs(sym(y + h * (_CK_A[3][0] * k1 + _CK_A[3][1] * k2
-                                  + _CK_A[3][2] * k3 + _CK_A[3][3] * k4)))
-            k6 = rhs(sym(y + h * (_CK_A[4][0] * k1 + _CK_A[4][1] * k2 + _CK_A[4][2] * k3
-                                  + _CK_A[4][3] * k4 + _CK_A[4][4] * k5)))
+            k2 = rhs(sym(y + h * (a21 * k1)))
+            k3 = rhs(sym(y + h * (a31 * k1 + a32 * k2)))
+            k4 = rhs(sym(y + h * (a41 * k1 + a42 * k2 + a43 * k3)))
+            k5 = rhs(sym(y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)))
+            k6 = rhs(sym(y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)))
         except _PositivityLost:
             h *= 0.25
             if h < _MIN_STEP:
                 return "diverged", times, values, float("inf")
             continue
 
-        err = h * (_CK_ERR[0] * k1 + _CK_ERR[2] * k3 + _CK_ERR[3] * k4
-                   + _CK_ERR[4] * k5 + _CK_ERR[5] * k6)
+        err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6)
         err_norm = norm(err)
-        tol = cfg.rtol * (1.0 + norm(y))
+        tol = rtol * (1.0 + norm(y))
         if err_norm > tol:
             h *= max(0.2, 0.9 * (tol / err_norm) ** 0.2)
             if h < _MIN_STEP:
                 return "diverged", times, values, float("inf")
             continue
 
-        y_new = sym(y + h * (_CK_B5[0] * k1 + _CK_B5[2] * k3 + _CK_B5[3] * k4 + _CK_B5[5] * k6))
+        y_new = sym(y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b6 * k6))
         t += h
         try:
             f_new = rhs(y_new)
@@ -259,14 +264,14 @@ def _adaptive_flow(rhs, sym, norm, y0, cfg: FlowConfig, stop=None):
 
         ynorm = norm(y)
         dnorm = norm(f)
-        if not np.isfinite(ynorm) or ynorm > cfg.divergence_norm:
+        if not math.isfinite(ynorm) or ynorm > divergence_norm:
             return "diverged", times, values, dnorm
-        if dnorm < cfg.stat_tol * (1.0 + ynorm):
+        if dnorm < stat_tol * (1.0 + ynorm):
             return "converged", times, values, dnorm
         steps = len(times) - 1
         if stop is not None and steps & (steps - 1) == 0 and stop(y):
             return "stopped", times, values, dnorm
-        if t >= cfg.max_horizon:
+        if t >= max_horizon:
             return "max-horizon", times, values, dnorm
 
         if err_norm > 0.0:
@@ -282,12 +287,13 @@ def _adaptive_flow(rhs, sym, norm, y0, cfg: FlowConfig, stop=None):
 
 
 def _matrix_are(sys: ControlledSystem, w: CostWeights):
-    """Return ``are(Sig) -> (residual, K)``: the ARE residual at Sig and
-    K = (R + D'Sig D)^{-1} L(Sig)', whose negative is the gain of Sig.
+    """Return ``(residual, are)``: ``are(Sig) -> (residual, K)`` gives the ARE
+    residual at Sig and K = (R + D'Sig D)^{-1} L(Sig)', whose negative is the
+    gain of Sig, and ``residual(Sig)`` the residual alone, the flow's
+    right-hand side.
 
     One Cholesky factor of R + D'Sig D is both the positivity test (raising
-    :class:`_PositivityLost`) and the solver.  The residual is the flow's
-    right-hand side.
+    :class:`_PositivityLost`) and the solver.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     Q, S, R = w.Q, w.S, w.R
@@ -301,15 +307,17 @@ def _matrix_are(sys: ControlledSystem, w: CostWeights):
         K, _ = dpotrs(factor, L.T, lower=1)
         return Sig @ A + A.T @ Sig + C.T @ Sig @ C + Q - L @ K, K
 
-    return are
+    return (lambda Sig: are(Sig)[0]), are
 
 
-# n = m = 1 keeps its own maps on Python floats.  Through _matrix_are, whose
-# 1x1 arrays and LAPACK calls cost far more than the arithmetic,
-# scalar-sweep's median solve took about 10x as long (47 ms instead of
-# 4.4 ms on a 2-core VM).
+# n = m = 1 keeps its own maps on Python floats.  Through _matrix_are and
+# _matrix_gain_value, whose 1x1 arrays and LAPACK calls cost far more than
+# the arithmetic, scalar-sweep's median solve took about 8x as long (17 to
+# 20 ms instead of 2.1 ms, seed 61, in-process through slq.cli.main with
+# one BLAS thread on a 2-core x86_64 VM).
 def _scalar_are(sys: ControlledSystem, w: CostWeights):
-    """``_matrix_are`` for n = m = 1, on floats."""
+    """``_matrix_are`` for n = m = 1, on floats.  The flow's right-hand side
+    is its own closure: it makes most of the evaluations of a solve."""
     a = float(sys.A[0, 0])
     b = float(sys.B[0, 0])
     c = float(sys.C[0, 0])
@@ -319,6 +327,13 @@ def _scalar_are(sys: ControlledSystem, w: CostWeights):
     r = float(w.R[0, 0])
     two_a_c2 = 2.0 * a + c * c
 
+    def residual(sig):
+        n_val = r + d * d * sig
+        if n_val <= 0.0:
+            raise _PositivityLost
+        l_val = sig * b + c * sig * d + s
+        return two_a_c2 * sig + q - l_val * (l_val / n_val)
+
     def are(sig):
         n_val = r + d * d * sig
         if n_val <= 0.0:
@@ -327,7 +342,7 @@ def _scalar_are(sys: ControlledSystem, w: CostWeights):
         k = l_val / n_val
         return two_a_c2 * sig + q - l_val * k, k
 
-    return are
+    return residual, are
 
 
 def integrate_riccati_flow(
@@ -348,8 +363,8 @@ def integrate_riccati_flow(
     if G0.shape != (sys.n, sys.n):
         raise InvalidInputError("G must be n x n")
 
-    are, _, norm, sym, state = _maps(sys, w)
-    status, times, vals, dnorm = _adaptive_flow(lambda y: are(y)[0], sym, norm, state(G0), cfg)
+    rhs, _, _, norm, sym, state = _maps(sys, w)
+    status, times, vals, dnorm = _adaptive_flow(rhs, sym, norm, state(G0), cfg)
     values = np.asarray(vals, dtype=float).reshape(-1, sys.n, sys.n)
     return RiccatiFlow(
         times=np.asarray(times, dtype=float),
@@ -381,7 +396,7 @@ def _newton(are, gain_value, norm, P0, stat_tol: float):
         except _PositivityLost:
             return None, step, "R + D'PD is not positive definite"
         p_norm = norm(P)
-        if not np.isfinite(p_norm):
+        if not math.isfinite(p_norm):
             return None, step, "a Newton iterate is not finite"
         if norm(residual) < stat_tol * (1.0 + p_norm):
             return P, step, None
@@ -426,13 +441,15 @@ def _scalar_gain_value(sys: ControlledSystem, w: CostWeights):
 
 
 def _maps(sys: ControlledSystem, w: CostWeights):
-    """(are, gain_value, norm, sym, state): the ARE and gain-value maps, the
-    norm and symmetrization of a flow state, and ``state(X)``, the state of
-    an n x n matrix X -- on floats when n = m = 1, on matrices otherwise."""
+    """(rhs, are, gain_value, norm, sym, state): the flow's right-hand side
+    (the ARE residual alone), the ARE and gain-value maps, the norm and
+    symmetrization of a flow state, and ``state(X)``, the state of an n x n
+    matrix X -- on floats when n = m = 1, on matrices otherwise.  A float is
+    its own symmetrization."""
     if sys.n == 1 and sys.m == 1:
-        return (_scalar_are(sys, w), _scalar_gain_value(sys, w), abs, lambda y: y,
+        return (*_scalar_are(sys, w), _scalar_gain_value(sys, w), abs, float,
                 lambda X: float(X[0, 0]))
-    return (_matrix_are(sys, w), _matrix_gain_value(sys, w), fro, lambda y: (y + y.T) / 2.0,
+    return (*_matrix_are(sys, w), _matrix_gain_value(sys, w), fro, lambda y: (y + y.T) / 2.0,
             lambda X: np.asarray(X, dtype=float))
 
 
@@ -444,7 +461,7 @@ def _newton_limit(
     Returns (P, solve): P is the limit or None, and solve is {"steps": k},
     with "failed": the cause when P is None.
     """
-    are, gain_value, norm, _, state = _maps(sys, w)
+    _, are, gain_value, norm, _, state = _maps(sys, w)
     P, steps, cause = _newton(are, gain_value, norm, state(P0), stat_tol)
     P = None if P is None else np.reshape(P, (sys.n, sys.n))
     return P, {"steps": steps} if cause is None else {"steps": steps, "failed": cause}
@@ -472,7 +489,7 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     "newton_steps"}: status is 'certified' when a checkpoint stopped the
     flow and the flow's own status otherwise.
     """
-    are, gain_value, norm, sym, state = _maps(sys, w)
+    rhs, are, gain_value, norm, sym, state = _maps(sys, w)
     start = None                # the value of the first certified gain
 
     def certified(y):
@@ -480,9 +497,8 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
         start = gain_value(-are(y)[1], y)
         return start is not None
 
-    status, times, values, _ = _adaptive_flow(lambda y: are(y)[0], sym, norm,
-                                              state(np.zeros((sys.n, sys.n))), cfg,
-                                              stop=certified)
+    status, times, values, _ = _adaptive_flow(rhs, sym, norm, state(np.zeros((sys.n, sys.n))),
+                                              cfg, stop=certified)
     route = {"status": status, "flow_steps": len(times) - 1, "newton_steps": 0}
     if status == "stopped":
         route["status"] = "certified"

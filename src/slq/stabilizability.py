@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError, UnsupportedInputError
-from .linalg import is_pd, is_psd
+from .linalg import is_psd
 from .riccati import CostWeights, FlowConfig, _stabilizing_limit
 from .stability import ControlledSystem
 
@@ -81,9 +81,14 @@ def stabilizability_report(
     if P is None:
         return StabilizabilityReport(False, None, None, route["status"], None, *steps)
     # the limit's residual, I + D'PD > 0 and its gain are certified; P > 0
-    # follows from Q = I for a certified gain, and is checked here
-    if not is_pd(P):
-        raise InternalInconsistencyError("the unit-weight ARE solution is not positive definite")
+    # follows from Q = I for a certified gain, and a Cholesky factor checks
+    # exactly that: a margin relative to ||P|| would refuse a correct P that
+    # is ill-conditioned, as near-marginal pairs give
+    try:
+        np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        raise InternalInconsistencyError(
+            "the unit-weight ARE solution is not positive definite") from None
     return StabilizabilityReport(True, gamma, P, route["status"], residual, *steps)
 
 

@@ -55,6 +55,37 @@ def test_schema_error_dimension_mismatch(tmp_path, capsys):
     assert "dimension mismatch: Q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field, value, message", [
+    ("A", lambda x: [[x]], "non-finite entries: A"),
+    ("R", lambda x: [[x]], "non-finite entries: R"),
+    ("x0", lambda x: [x], "non-finite entries: x0"),
+    ("inhomogeneity", lambda x: {"grid": [0.0, 1.0], "b": [[x]]}, "b has non-finite entries"),
+    ("inhomogeneity", lambda x: {"grid": [0.0, 1.0, x], "b": [[0.0], [0.0]]},
+     "grid must be finite and strictly increasing"),
+], ids=["A", "R", "x0", "forcing", "grid"])
+def test_non_finite_problem_entries_exit_1(tmp_path, capsys, field, value, message, bad):
+    prob = write_problem(tmp_path, **{field: value(bad)})
+    out = tmp_path / "r.json"
+    for command in ("solve", "check"):
+        assert main([command, prob, "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("A", [["a"]], "A must be a rectangular array of numbers"),
+    ("Q", [[1.0, 2.0], [3.0]], "Q must be a rectangular array of numbers"),
+    ("x0", ["a"], "x0 must be a rectangular array of numbers"),
+    ("inhomogeneity", {"grid": [0.0, 1.0], "b": [["x"]]}, "malformed inhomogeneity block"),
+], ids=["text", "ragged", "x0", "forcing"])
+def test_non_numeric_problem_entries_exit_1(tmp_path, capsys, field, value, message):
+    prob = write_problem(tmp_path, **{field: value})
+    assert main(["solve", prob, "--out", str(tmp_path / "r.json")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_missing_file():
     assert main(["solve", "/nonexistent/prob.json"]) == 1
 

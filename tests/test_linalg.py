@@ -3,6 +3,7 @@ import pytest
 
 from slq.errors import InvalidInputError
 from slq.linalg import (
+    as_matrix,
     fro,
     is_pd,
     is_psd,
@@ -20,6 +21,18 @@ def penrose_gap(M, Md):
         fro((M @ Md).T - M @ Md),
         fro((Md @ M).T - Md @ M),
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["0d", "1d", "2d"])
+def test_as_matrix_rejects_non_finite_entries(shape, bad):
+    M = np.ones(shape)
+    assert as_matrix(M).shape == {0: (1, 1), 1: (3, 1), 2: (2, 3)}[len(shape)]
+    M.flat[-1] = bad
+    with pytest.raises(InvalidInputError, match="^M has non-finite entries$"):
+        as_matrix(M, "M")
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        as_matrix(M.tolist())
 
 
 def test_pinv_identity():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_scalar_system, scalar_stabilizable
+from conftest import random_scalar_system, random_stable_pair, scalar_stabilizable
 from test_acceptance import criterion_04_battery, criterion_06_instances
+from test_riccati import _coordinate_change
 from test_stability import _second_moment_operator
 
 import slq.riccati
+import slq.stabilizability
 from slq import (
     ControlledSystem,
     CostWeights,
@@ -257,3 +259,107 @@ def test_decision_is_invariant_under_orthogonal_changes(rng):
         assert fro(other.P - T.T @ base.P @ T) <= 1e-8 * scale
         assert fro(other.gamma - V.T @ base.gamma @ T) <= 1e-8 * scale
     assert verdicts == {True, False}
+
+
+def _decided_systems(rng):
+    """(system, stabilizable) pairs for n = 2, 3, 4, each far from the
+    boundary: a stable pair behind a known gain K, so that u = K x gives it
+    back, and an unstable mode dx_0 = x_0/2 dt + x_0/2 dW that neither B nor
+    D reaches."""
+    cases = []
+    for n in (2, 3, 4):
+        for m in (1, n - 1):
+            pair = random_stable_pair(rng, n)
+            B, D = rng.uniform(-1.0, 1.0, (n, m)), rng.uniform(-0.3, 0.3, (n, m))
+            K = rng.uniform(-1.0, 1.0, (m, n))
+            cases.append((ControlledSystem(pair.A - B @ K, pair.C - D @ K, B, D), True))
+            A, C = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-0.3, 0.3, (n, n))
+            B, D = rng.uniform(-1.0, 1.0, (n, m)), rng.uniform(-0.3, 0.3, (n, m))
+            A[0], C[0], B[0], D[0] = 0.0, 0.0, 0.0, 0.0
+            A[0, 0], C[0, 0] = 0.5, 0.5
+            cases.append((ControlledSystem(A, C, B, D), False))
+    return cases
+
+
+def test_decision_is_invariant_under_non_orthogonal_changes():
+    # x = T z and u = V w give [T^-1 A T, T^-1 C T; T^-1 B V, T^-1 D V].  The
+    # unit weights do not follow, so P moves, but the verdict does not; the
+    # gain Gamma of the new system stabilizes it, and V Gamma T^-1 the old one
+    rng = np.random.default_rng(4244)
+    for sys_i, stabilizable in _decided_systems(rng):
+        T, V = _coordinate_change(rng, sys_i.n), _coordinate_change(rng, sys_i.m)
+        Ti = np.linalg.inv(T)
+        moved = ControlledSystem(Ti @ sys_i.A @ T, Ti @ sys_i.C @ T,
+                                 Ti @ sys_i.B @ V, Ti @ sys_i.D @ V)
+        base, other = stabilizability_report(sys_i), stabilizability_report(moved)
+        assert base.stabilizable == other.stabilizable == stabilizable, (sys_i, T, V)
+        if stabilizable:
+            assert is_stabilizer(moved, other.gamma)
+            assert is_stabilizer(sys_i, V @ other.gamma @ Ti)
+
+
+def test_near_marginal_pairs_are_decided_without_raising():
+    # B = D = C = 0 and max Re lambda(A) within 1e-14 of 0: the gain 0 is
+    # certified and P is positive definite, but its eigenvalues spread over
+    # 15 decades, so no margin relative to ||P|| may be asked of it
+    rng = np.random.default_rng(8)
+    n, stabilizable = 8, 0
+    for _ in range(20):
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        A -= (np.max(np.linalg.eigvals(A).real) + rng.uniform(1e-16, 1e-14)) * np.eye(n)
+        sys8 = ControlledSystem(A, np.zeros((n, n)), np.zeros((n, 1)), np.zeros((n, 1)))
+        report = stabilizability_report(sys8)
+        if report.stabilizable:
+            stabilizable += 1
+            assert np.linalg.eigvalsh(report.P)[-1] > 1e13
+            assert is_stabilizer(sys8, report.gamma)
+    assert stabilizable >= 15
+
+
+def test_a_certified_limit_that_is_not_positive_definite_raises(monkeypatch):
+    # the check after a certified gain refuses only a P that has no Cholesky
+    # factor, such as one with a negative eigenvalue far below ||P||
+    P = np.diag([1e15, -1e-3])
+    route = {"status": "certified", "flow_steps": 0, "newton_steps": 0}
+    monkeypatch.setattr(slq.stabilizability, "_stabilizing_limit",
+                        lambda sys, w, cfg: (P, np.zeros((1, 2)), 0.0, route))
+    sys2 = ControlledSystem(-np.eye(2), np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((2, 1)))
+    with pytest.raises(InternalInconsistencyError, match="not positive definite$"):
+        stabilizability_report(sys2)
+
+
+# The unit-weight flows of three scalar systems, pinned bit for bit: on
+# floats the flow is IEEE arithmetic alone, so its steps and values hold on
+# every platform.  Per system (A, C, B, D): integrate_riccati_flow's status,
+# accepted steps, and last time and value (float.hex); then the report's
+# status, flow and Newton steps and P.  The third report runs without
+# checkpoints, so that its flow converges.
+_SCALAR_FLOW_BITS = [
+    ((1.0, 0.5, 0.2, 1.0), True,
+     ("diverged", 247, "0x1.56ef736594494p+3", "0x1.966ad3dc9d180p+26"),
+     ("diverged", 247, 0, None)),
+    ((0.5, 0.3, 1.0, 0.2), True,
+     ("converged", 74, "0x1.8a66f9a68229cp+3", "0x1.9e50755b535c4p+0"),
+     ("certified", 16, 4, "0x1.9e50755b701b4p+0")),
+    ((-0.3, 0.8, 0.6, -0.4), False,
+     ("converged", 77, "0x1.35c054e8e619bp+6", "0x1.576d8cd192229p+2"),
+     ("converged", 77, 0, "0x1.576d8cd192229p+2")),
+]
+
+
+@pytest.mark.parametrize("coeffs, checkpoints, flow_bits, report_bits", _SCALAR_FLOW_BITS,
+                         ids=["diverged", "certified", "converged"])
+def test_scalar_flow_keeps_its_steps_and_bits(monkeypatch, coeffs, checkpoints,
+                                              flow_bits, report_bits):
+    a, c, b, d = coeffs
+    sys1 = ControlledSystem([[a]], [[c]], [[b]], [[d]])
+    flow = integrate_riccati_flow(sys1, unit_weights(1, 1), [[0.0]])
+    assert (flow.status, len(flow.times) - 1, float(flow.times[-1]).hex(),
+            float(flow.values[-1, 0, 0]).hex()) == flow_bits
+    if not checkpoints:
+        original = slq.riccati._adaptive_flow
+        monkeypatch.setattr(slq.riccati, "_adaptive_flow",
+                            lambda *args, stop=None: original(*args))
+    report = stabilizability_report(sys1)
+    P = None if report.P is None else float(report.P[0, 0]).hex()
+    assert (report.flow_status, report.flow_steps, report.newton_steps, P) == report_bits
