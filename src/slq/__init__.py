@@ -28,7 +28,7 @@ from .inhomogeneous import (
     check_range_ez,
     solve_eta,
 )
-from .linalg import is_pd, is_psd, pinv, symmetrize
+from .linalg import is_psd, pinv, symmetrize
 from .montecarlo import (
     FeedbackCheck,
     SimConfig,

@@ -452,7 +452,8 @@ def cmd_check(args) -> int:
 
 
 def _run_solve(problem: ProblemData, cfg: dict, args):
-    """Shared solve pipeline; returns (exit_code, report_doc, sol, terms)."""
+    """Shared solve pipeline, up to the value; returns (exit_code, report_doc,
+    sol, terms)."""
     doc: dict = {"version": __version__, "command": "solve", "config": cfg}
     oracle = getattr(args, "oracle", False) and problem.sys.n == 1 and problem.sys.m == 1
     stab = stabilizability_report(problem.sys, _flow_config(cfg))
@@ -463,7 +464,8 @@ def _run_solve(problem: ProblemData, cfg: dict, args):
             doc["oracle_1d"] = _solve_oracle_block(problem, None)
         return _EXIT_NOT_STABILIZABLE, doc, None, None
 
-    outcome = solve_gare(problem.sys, problem.w, _gare_config(cfg, stab.gamma))
+    gare_cfg = _gare_config(cfg, stab.gamma)
+    outcome = solve_gare(problem.sys, problem.w, gare_cfg)
     if isinstance(outcome, GareUnsolvable):
         doc["verdict"] = {"stabilizable": True, "solvable": False}
         doc["unsolvable"] = {
@@ -480,9 +482,8 @@ def _run_solve(problem: ProblemData, cfg: dict, args):
     doc["solution"] = _solution_block(sol)
 
     terms = None
-    value = None
     if problem.grid is not None:
-        terms = solve_eta(sol, problem.sys, problem.w, problem.grid)
+        terms = solve_eta(sol, problem.sys, problem.w, problem.grid, gare_cfg)
         check = terms.range_check
         doc["inhomogeneous"] = {
             "times": [float(t) for t in terms.times],
@@ -496,22 +497,22 @@ def _run_solve(problem: ProblemData, cfg: dict, args):
             doc["verdict"]["solvable"] = False
             doc["unsolvable"] = {"reason": "range condition fails on the forcing grid"}
             return _EXIT_UNSOLVABLE, doc, sol, terms
-        value = assemble_value(sol, terms, problem.grid, problem.x0)
+        value = assemble_value(terms, problem.x0)
     else:
         value = float(problem.x0 @ sol.P @ problem.x0)
     doc["value"] = {"x0": [float(v) for v in problem.x0], "V": value}
 
     if oracle:
         doc["oracle_1d"] = _solve_oracle_block(problem, sol)
-    if getattr(args, "simulate", None):
-        doc["simulation"] = _simulation_block(problem, cfg, sol.Theta, terms, value)
     return _EXIT_OK, doc, sol, terms
 
 
 def cmd_solve(args) -> int:
     problem = load_problem(args.problem)
     cfg = _resolve_config(problem, args)
-    code, doc, _, _ = _run_solve(problem, cfg, args)
+    code, doc, sol, terms = _run_solve(problem, cfg, args)
+    if code == _EXIT_OK and args.simulate:
+        doc["simulation"] = _simulation_block(problem, cfg, sol.Theta, terms, doc["value"]["V"])
     _emit(doc, args.out)
     return code
 
@@ -541,8 +542,7 @@ def cmd_simulate(args) -> int:
         terms = None
         value = None
     else:
-        solve_args = argparse.Namespace(**{**vars(args), "simulate": None})
-        code, solve_doc, sol, terms = _run_solve(problem, cfg, solve_args)
+        code, solve_doc, sol, terms = _run_solve(problem, cfg, args)
         if code != _EXIT_OK:
             _emit(solve_doc, args.out)
             return code
@@ -626,9 +626,6 @@ def main(argv=None) -> int:
     except NotStabilizableError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return _EXIT_NOT_STABILIZABLE
-    except UnsupportedInputError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return _EXIT_INPUT
     except (ProblemFileError, SlqError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return _EXIT_INPUT

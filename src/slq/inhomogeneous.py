@@ -26,7 +26,7 @@ import scipy.linalg
 
 from .errors import InvalidInputError, UnsupportedInputError, ValueUndefinedError
 from .linalg import fro
-from .riccati import CostWeights, GareMaps, GareSolution, control_pseudoinverse
+from .riccati import CostWeights, GareConfig, GareMaps, GareSolution, control_pseudoinverse
 from .stability import ControlledSystem
 
 __all__ = [
@@ -94,11 +94,6 @@ class InhomogeneityGrid:
         self.q = _value_rows(self.q, K, n, "q")
         self.rho = _value_rows(self.rho, K, m, "rho")
 
-    @classmethod
-    def zeros(cls, n: int, m: int, support: float = 1.0) -> "InhomogeneityGrid":
-        return cls(np.array([0.0, support]), np.zeros((1, n)), np.zeros((1, n)),
-                   np.zeros((1, n)), np.zeros((1, m)))
-
     @property
     def n(self) -> int:
         return self.b.shape[1]
@@ -120,51 +115,56 @@ class InhomogeneityGrid:
 
 @dataclass(eq=False)
 class AffineTerms:
-    """The affine part of the optimal strategy: eta, v*, and evaluators.
+    """The affine part of the optimal strategy on its forcing grid.
 
     The martingale term of the backward equation is identically zero for
     deterministic forcing; eta is exact per interval (matrix-exponential
     form) and identically zero beyond the support.  ``eta`` and ``v_star``
-    hold values at the grid breakpoints; ``range_check`` is the range
-    condition on the grid, as :func:`check_range_ez` finds it.
+    hold values at the breakpoints of ``grid``, solved with the Riccati
+    solution ``P``; ``range_check`` is the range condition on the grid, as
+    :func:`check_range_ez` finds it.
     """
 
-    times: np.ndarray
+    grid: InhomogeneityGrid
+    P: np.ndarray
     eta: np.ndarray                # (K+1, n)
     v_star: np.ndarray             # (K+1, m)
     range_check: RangeCheck = None
-    zeta_is_zero: bool = True
     _drift_T: np.ndarray = field(repr=False, default=None)   # (A + B Theta)'
     _phi: np.ndarray = field(repr=False, default=None)       # (K, n)
-    _grid: InhomogeneityGrid = field(repr=False, default=None)
     _N: np.ndarray = field(repr=False, default=None)
     _N_dag: np.ndarray = field(repr=False, default=None)
     _BT: np.ndarray = field(repr=False, default=None)
     _DTP: np.ndarray = field(repr=False, default=None)
 
+    @property
+    def times(self) -> np.ndarray:
+        return self.grid.times
+
     def eta_at(self, t: float) -> np.ndarray:
         """Evaluate eta exactly at any time (zero beyond the support)."""
         n = self.eta.shape[1]
-        if t >= self._grid.support_end:
+        if t >= self.grid.support_end:
             return np.zeros(n)
         if t < 0.0:
             raise InvalidInputError("eta is defined on t >= 0")
-        k = self._grid.interval_of(t)
-        tau = float(self._grid.times[k + 1] - t)
+        k = self.grid.interval_of(t)
+        tau = float(self.grid.times[k + 1] - t)
         prop, integ = _propagator(self._drift_T, self._phi[k], tau)
         return prop @ self.eta[k + 1] + integ
 
-    def forcing_at(self, t: float) -> np.ndarray:
-        """The range-condition vector w(t) = B'eta(t) + D'P sigma(t) + rho(t)."""
-        k = self._grid.interval_of(t)
-        w = self._BT @ self.eta_at(t)
-        if k is not None:
-            w = w + self._DTP @ self._grid.sigma[k] + self._grid.rho[k]
-        return w
-
     def v_star_at(self, t: float) -> np.ndarray:
         """The affine control term v*(t) = -N(P)^+ w(t)."""
-        return -self._N_dag @ self.forcing_at(t)
+        return -self._N_dag @ self._w(t, self.eta_at(t))
+
+    def _w(self, t: float, eta_t: np.ndarray) -> np.ndarray:
+        """The range-condition vector w(t) = B'eta(t) + D'P sigma(t) + rho(t),
+        given eta(t)."""
+        w = self._BT @ eta_t
+        k = self.grid.interval_of(t)
+        if k is not None:
+            w = w + self._DTP @ self.grid.sigma[k] + self.grid.rho[k]
+        return w
 
 
 def _propagator(M: np.ndarray, phi_k: np.ndarray, tau: float):
@@ -178,13 +178,16 @@ def _propagator(M: np.ndarray, phi_k: np.ndarray, tau: float):
 
 
 def solve_eta(sol: GareSolution, sys: ControlledSystem, w: CostWeights,
-              g: InhomogeneityGrid) -> AffineTerms:
+              g: InhomogeneityGrid, cfg: GareConfig | None = None) -> AffineTerms:
     """Solve for the affine terms of the optimal strategy on the forcing grid.
 
     The free component of v* in the null space of N(P) is taken as zero.
+    ``cfg`` is the configuration ``sol`` was solved with: its ``psd_tol``
+    sets the rank of N(P)^+ and its ``range_tol`` the range check.
     """
     if g.n != sys.n or g.m != sys.m:
         raise InvalidInputError("forcing grid dimensions do not match the system")
+    cfg = GareConfig() if cfg is None else cfg
     Theta, P = sol.Theta, sol.P
     M = (sys.A + sys.B @ Theta).T
     CL_T = (sys.C + sys.D @ Theta).T
@@ -200,23 +203,23 @@ def solve_eta(sol: GareSolution, sys: ControlledSystem, w: CostWeights,
         eta[k] = prop @ eta[k + 1] + integ
 
     N = GareMaps(sys, w).control_part(P)
-    N_dag = control_pseudoinverse(N)
+    N_dag = control_pseudoinverse(N, cfg.psd_tol)
 
     terms = AffineTerms(
-        times=g.times.copy(),
+        grid=g,
+        P=P,
         eta=eta,
         v_star=np.zeros((K + 1, sys.m)),
         _drift_T=M,
         _phi=phi,
-        _grid=g,
         _N=N,
         _N_dag=N_dag,
         _BT=sys.B.T,
         _DTP=sys.D.T @ P,
     )
-    for k in range(K + 1):
-        terms.v_star[k] = terms.v_star_at(float(g.times[k]))
-    terms.range_check = check_range_ez(sol, terms, g)
+    for k, t in enumerate(map(float, g.times)):
+        terms.v_star[k] = -N_dag @ terms._w(t, eta[k])
+    terms.range_check = check_range_ez(terms, cfg.range_tol)
     return terms
 
 
@@ -232,8 +235,7 @@ class RangeCheck:
         return self.ok
 
 
-def check_range_ez(sol: GareSolution, terms: AffineTerms, g: InhomogeneityGrid,
-                   tol: float = 1e-6) -> RangeCheck:
+def check_range_ez(terms: AffineTerms, tol: float = GareConfig.range_tol) -> RangeCheck:
     """Check w(t) in range(N(P)) at every breakpoint and interval midpoint.
 
     The condition must hold for almost every t; checking on the grid plus
@@ -241,11 +243,14 @@ def check_range_ez(sol: GareSolution, terms: AffineTerms, g: InhomogeneityGrid,
     """
     N_dag = terms._N_dag
     Nmat = terms._N
-    pts = list(map(float, g.times))
-    pts += [float(0.5 * (g.times[k] + g.times[k + 1])) for k in range(g.times.size - 1)]
+    times = terms.grid.times
+    pts = [(float(t), eta_t) for t, eta_t in zip(times, terms.eta)]
+    for k in range(times.size - 1):
+        t = float(0.5 * (times[k] + times[k + 1]))
+        pts.append((t, terms.eta_at(t)))
     worst = (0.0, 0.0)
-    for t in pts:
-        w_vec = terms.forcing_at(t)
+    for t, eta_t in pts:
+        w_vec = terms._w(t, eta_t)
         defect = fro(Nmat @ (N_dag @ w_vec) - w_vec) / (1.0 + fro(w_vec))
         if defect > worst[0]:
             worst = (defect, t)
@@ -255,8 +260,7 @@ def check_range_ez(sol: GareSolution, terms: AffineTerms, g: InhomogeneityGrid,
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def assemble_value(sol: GareSolution, terms: AffineTerms, g: InhomogeneityGrid,
-                   x) -> float:
+def assemble_value(terms: AffineTerms, x) -> float:
     """Assemble the value V(x) = <Px, x> + 2<eta(0), x> + constant correction.
 
     The correction integral
@@ -270,7 +274,7 @@ def assemble_value(sol: GareSolution, terms: AffineTerms, g: InhomogeneityGrid,
     :func:`solve_eta`) records it.
     """
     xv = np.asarray(x, dtype=float).reshape(-1)
-    P = sol.P
+    P = terms.P
     if xv.size != P.shape[0]:
         raise InvalidInputError("x has the wrong dimension")
     check = terms.range_check
@@ -278,6 +282,7 @@ def assemble_value(sol: GareSolution, terms: AffineTerms, g: InhomogeneityGrid,
         raise ValueUndefinedError(
             f"range condition fails (defect {check.max_defect:.3e} at t={check.worst_t:g})"
         )
+    g = terms.grid
     N_dag = terms._N_dag
     total = float(xv @ P @ xv + 2.0 * terms.eta[0] @ xv)
     for k in range(g.times.size - 1):
@@ -290,51 +295,52 @@ def assemble_value(sol: GareSolution, terms: AffineTerms, g: InhomogeneityGrid,
         for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
             t = mid + half * node
             eta_t = terms.eta_at(t)
-            w_vec = terms.forcing_at(t)
+            w_vec = terms._w(t, eta_t)
             acc += weight * (const_part + 2.0 * eta_t @ b_k - w_vec @ N_dag @ w_vec)
         total += half * acc
     return total
 
 
+def step_intervals(g: InhomogeneityGrid, dt: float, nsteps: int) -> np.ndarray:
+    """The forcing interval k of each step of a uniform step grid; k = K,
+    the number of intervals, past the support.
+
+    Step j covers [j dt, (j+1) dt), and breakpoint t_k starts at step
+    round(t_k / dt).  Raises InvalidInputError unless every breakpoint is a
+    multiple of dt, so that no step straddles two intervals.
+    """
+    ratio = g.times / dt
+    starts = np.rint(ratio)
+    off = np.abs(ratio - starts) > 1e-9 * np.maximum(1.0, ratio)
+    if off.any():
+        t = g.times[np.argmax(off)]
+        raise InvalidInputError(f"forcing breakpoint t={t:g} is not a multiple of dt={dt:g}")
+    return np.searchsorted(starts, np.arange(nsteps), side="right") - 1
+
+
 def forcing_on_steps(g: InhomogeneityGrid | None, dt: float, nsteps: int,
                      n: int, m: int):
     """Left-endpoint samples of (b, sigma, q, rho) on a uniform step grid."""
-    b = np.zeros((nsteps, n))
-    sig = np.zeros((nsteps, n))
-    q = np.zeros((nsteps, n))
-    rho = np.zeros((nsteps, m))
     if g is None:
-        return b, sig, q, rho
-    for k in range(g.times.size - 1):
-        i0 = int(round(g.times[k] / dt))
-        i1 = min(int(round(g.times[k + 1] / dt)), nsteps)
-        if i0 >= nsteps:
-            break
-        b[i0:i1] = g.b[k]
-        sig[i0:i1] = g.sigma[k]
-        q[i0:i1] = g.q[k]
-        rho[i0:i1] = g.rho[k]
-    return b, sig, q, rho
+        return tuple(np.zeros((nsteps, d)) for d in (n, n, n, m))
+    ks = step_intervals(g, dt, nsteps)
+    return tuple(np.vstack([V, np.zeros(V.shape[1])])[ks] for V in (g.b, g.sigma, g.q, g.rho))
 
 
-def vstar_on_steps(terms: AffineTerms | None, g: InhomogeneityGrid | None,
-                   dt: float, nsteps: int, m: int) -> np.ndarray:
+def vstar_on_steps(terms: AffineTerms, dt: float, nsteps: int) -> np.ndarray:
     """Exact v* at the left endpoints of a uniform step grid.
 
     Propagates eta backward one step at a time over the forcing support with
-    the exact one-step matrix-exponential map, which is valid because every
-    forcing breakpoint is required to be a multiple of dt.  Beyond the
-    support eta vanishes and v* is exactly zero; on it, v*_j =
-    -N(P)^+ (B'eta_j + D'P sigma_k + rho_k) for all steps at once.
+    the exact one-step matrix-exponential map of each step's interval, as
+    :func:`step_intervals` assigns it.  Beyond the support eta vanishes and
+    v* is exactly zero; on it, v*_j = -N(P)^+ (B'eta_j + D'P sigma_k + rho_k)
+    for all steps at once.
     """
-    if terms is None or g is None:
-        return np.zeros((nsteps, m))
-    n = terms.eta.shape[1]
-    K = g.times.size - 1
-    # interval of each left endpoint as interval_of assigns it, K past the support
-    ks = np.searchsorted(g.times, np.arange(nsteps) * dt, side="right") - 1
-    end = min(int(round(g.support_end / dt)), nsteps)
-    eta = np.zeros((nsteps + 1, n))
+    g = terms.grid
+    ks = step_intervals(g, dt, nsteps)
+    # the steps on the support come first
+    end = int(np.count_nonzero(ks < g.times.size - 1))
+    eta = np.zeros((end + 1, terms.eta.shape[1]))
     if end > 0:
         eta[end] = terms.eta_at(end * dt)
         props = {}
@@ -344,8 +350,7 @@ def vstar_on_steps(terms: AffineTerms | None, g: InhomogeneityGrid | None,
                 props[k] = _propagator(terms._drift_T, terms._phi[k], dt)
             prop, integ = props[k]
             eta[j] = prop @ eta[j + 1] + integ
-    v = np.zeros((nsteps, m))
-    on = int(np.count_nonzero(ks < K))
+    v = np.zeros((nsteps, terms.v_star.shape[1]))
     w_const = g.sigma @ terms._DTP.T + g.rho
-    v[:on] = -((eta[:on] @ terms._BT.T + w_const[ks[:on]]) @ terms._N_dag.T)
+    v[:end] = -((eta[:end] @ terms._BT.T + w_const[ks[:end]]) @ terms._N_dag.T)
     return v

@@ -18,7 +18,6 @@ __all__ = [
     "DEFAULT_RANK_TOL",
     "as_matrix",
     "fro",
-    "is_pd",
     "is_psd",
     "pinv",
     "range_defect",
@@ -92,20 +91,7 @@ def range_defect(L, N, rel_tol: float = DEFAULT_RANK_TOL) -> float:
     return fro(Nm @ (Nd @ Lm) - Lm) / (1.0 + fro(Lm))
 
 
-def _min_eig(M) -> tuple[float, float]:
-    A = symmetrize(M)
-    w = np.linalg.eigvalsh(A)
-    return float(w[0]), fro(A)
-
-
 def is_psd(M, tol: float = DEFAULT_PSD_TOL) -> bool:
     """True iff the smallest eigenvalue is >= -tol * (1 + ||M||)."""
-    lam, nrm = _min_eig(M)
-    return lam >= -tol * (1.0 + nrm)
-
-
-def is_pd(M, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue clears a strict margin +tol * (1 + ||M||)."""
-    lam, nrm = _min_eig(M)
-    return lam >= tol * (1.0 + nrm)
-
+    A = symmetrize(M)
+    return float(np.linalg.eigvalsh(A)[0]) >= -tol * (1.0 + fro(A))

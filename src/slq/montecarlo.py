@@ -117,19 +117,13 @@ class SimResult:
     dt: float
 
 
-def _validate(cfg: SimConfig, g: InhomogeneityGrid | None, nsteps: int):
+def _validate(cfg: SimConfig, nsteps: int):
     if cfg.n_paths < 1:
         raise InvalidInputError("need at least one path")
     if cfg.n_paths * float(nsteps) > cfg.budget:
         raise SimulationBudgetError(
             f"{cfg.n_paths} paths x {nsteps} steps exceeds budget {cfg.budget:g}"
         )
-    if g is not None:
-        for t in g.times:
-            if abs(t / cfg.dt - round(t / cfg.dt)) > 1e-9 * max(1.0, abs(t) / cfg.dt):
-                raise InvalidInputError(
-                    f"forcing breakpoint t={t:g} is not a multiple of dt={cfg.dt:g}"
-                )
 
 
 def _draw_paths(seed: int, p0: int, p1: int, nsteps: int, blocks: list, sqrt_dt: float):
@@ -294,13 +288,20 @@ def simulate_closed_loop(
     ``Theta`` is the m x n feedback gain, e.g. ``GareSolution.Theta``.
 
     Simulates dX = [(A + B Th)X + B v* + b]dt + [(C + D Th)X + D v* + sigma]dW
-    over cfg.horizon and accumulates the running cost pathwise.  Every
-    forcing breakpoint must be a multiple of dt.  ``v_grid`` (one row per
-    step) replaces the affine term derived from ``terms``, e.g. to cost a
-    perturbed strategy; with Theta = 0 it is an open-loop control.
+    over cfg.horizon and accumulates the running cost pathwise.  The forcing
+    is ``g``, which defaults to ``terms.grid`` and must be that grid when
+    ``terms`` is given; every breakpoint must be a multiple of dt.
+    ``v_grid`` (one row per step) replaces the affine term derived from
+    ``terms``, e.g. to cost a perturbed strategy; with Theta = 0 it is an
+    open-loop control.
     """
     nsteps = cfg.steps()
-    _validate(cfg, g, nsteps)
+    _validate(cfg, nsteps)
+    if terms is not None:
+        if g is None:
+            g = terms.grid
+        elif g is not terms.grid:
+            raise InvalidInputError("g must be the grid the affine terms were solved on")
     n, m = sys.n, sys.m
     x0 = np.asarray(x, dtype=float).reshape(-1)
     if x0.size != n:
@@ -311,7 +312,7 @@ def simulate_closed_loop(
     if v_grid is not None:
         v_arr = np.asarray(v_grid, dtype=float).reshape(nsteps, m)
     elif terms is not None:
-        v_arr = vstar_on_steps(terms, g, cfg.dt, nsteps, m)
+        v_arr = vstar_on_steps(terms, cfg.dt, nsteps)
     else:
         v_arr = np.zeros((nsteps, m))
 
@@ -369,7 +370,7 @@ def feedback_parametrization_check(
     the times 0, dt, ..., T.
     """
     nsteps = cfg.steps()
-    _validate(cfg, g, nsteps)
+    _validate(cfg, nsteps)
     n, m = sys.n, sys.m
     Th = np.asarray(Theta, dtype=float).reshape(m, n)
     x0 = np.asarray(x, dtype=float).reshape(-1)

@@ -137,7 +137,7 @@ def _solve_instance(sys, w, x0, g):
     assert isinstance(sol, GareSolution)
     if g is not None:
         terms = solve_eta(sol, sys, w, g)
-        value = assemble_value(sol, terms, g, x0)
+        value = assemble_value(terms, x0)
     else:
         terms = None
         x = np.asarray(x0, dtype=float)
@@ -397,7 +397,8 @@ def test_criterion_08_empirical_optimality(rng=np.random.default_rng(1008)):
         nsteps = cfg.steps()
         from slq.inhomogeneous import vstar_on_steps
 
-        v_base = vstar_on_steps(terms, g, dt, nsteps, sys_i.m)
+        v_base = (np.zeros((nsteps, sys_i.m)) if terms is None
+                  else vstar_on_steps(terms, dt, nsteps))
         for _ in range(20):
             d_theta = rng.normal(size=sol.Theta.shape) * 0.2
             for _ in range(12):
@@ -472,7 +473,7 @@ def test_criterion_10_inhomogeneous_consistency():
     assert fro(terms2.v_star - 2 * terms.v_star) <= 1e-9 * (1 + fro(terms.v_star))
 
     # value with nonzero forcing against Monte Carlo
-    value = assemble_value(sol, terms, g, [1.0])
+    value = assemble_value(terms, [1.0])
     rate = closed_loop_rate(sys1, sol.Theta)
     dt = 1e-3
     horizon = np.ceil(16.0 / rate / dt) * dt

@@ -254,6 +254,20 @@ def test_forced_solve_checks_the_range_condition_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_forced_solve_reads_the_range_tolerance(tmp_path):
+    # N(P) = R = 0, so w = rho = 1e-4 misses range(N(P)) by a defect of 1e-4:
+    # over the default range_tol, within the one --tol sets
+    prob = write_problem(tmp_path, A=[[-1.0]], Q=[[0.0]], R=[[0.0]],
+                         inhomogeneity={"grid": [0.0, 1.0], "rho": [[1e-4]]})
+    out = str(tmp_path / "r.json")
+    assert main(["solve", prob, "--out", out]) == 3
+    assert read(out)["inhomogeneous"]["range_defect"] == pytest.approx(1e-4, rel=1e-3)
+    assert main(["solve", prob, "--tol", "1e-3", "--out", out]) == 0
+    doc = read(out)
+    assert doc["config"]["range_tol"] == 1e-3
+    assert doc["inhomogeneous"]["range_ok"] is True
+
+
 @pytest.mark.parametrize("overrides, code", [({}, 0), ({"A": [[-1.0]], "Q": [[-2.0]]}, 3)],
                          ids=["solvable", "unsolvable"])
 def test_solve_runs_one_riccati_flow(tmp_path, monkeypatch, overrides, code):

@@ -11,8 +11,9 @@ from slq import (
     solve_eta,
     solve_gare,
 )
+import slq.inhomogeneous
 from slq.errors import InvalidInputError, UnsupportedInputError, ValueUndefinedError
-from slq.inhomogeneous import vstar_on_steps
+from slq.inhomogeneous import forcing_on_steps, step_intervals, vstar_on_steps
 from slq.linalg import fro
 
 
@@ -49,11 +50,9 @@ def test_grid_rejects_nonzero_tail():
 
 def test_zero_forcing_gives_zero_terms(scalar_solution):
     sys1, w, sol = scalar_solution
-    g = InhomogeneityGrid.zeros(1, 1)
-    terms = solve_eta(sol, sys1, w, g)
+    terms = solve_eta(sol, sys1, w, grid_b(0.0))
     assert fro(terms.eta) == 0.0
     assert fro(terms.v_star) == 0.0
-    assert terms.zeta_is_zero
 
 
 def test_eta_scalar_closed_form(scalar_solution):
@@ -135,7 +134,7 @@ def test_eta_two_dimensional_residual():
 def test_range_check_definite_control(scalar_solution):
     sys1, w, sol = scalar_solution
     terms = solve_eta(sol, sys1, w, grid_b(0.5))
-    check = check_range_ez(sol, terms, grid_b(0.5))
+    check = check_range_ez(terms)
     assert check and check.max_defect <= 1e-12
 
 
@@ -147,18 +146,17 @@ def test_range_check_degenerate_fails():
     g = InhomogeneityGrid(np.array([0.0, 1.0]), b=[[0.0]], sigma=[[0.0]],
                           q=[[0.0]], rho=[[0.5]])
     terms = solve_eta(sol, sys1, w, g)
-    check = check_range_ez(sol, terms, g)
+    check = check_range_ez(terms)
     assert not check
     with pytest.raises(ValueUndefinedError):
-        assemble_value(sol, terms, g, [1.0])
+        assemble_value(terms, [1.0])
 
 
 def test_value_zero_forcing_is_quadratic(scalar_solution):
     sys1, w, sol = scalar_solution
-    g = InhomogeneityGrid.zeros(1, 1)
-    terms = solve_eta(sol, sys1, w, g)
-    assert assemble_value(sol, terms, g, [2.0]) == pytest.approx(4.0 * sol.P[0, 0])
-    assert assemble_value(sol, terms, g, [0.0]) == 0.0
+    terms = solve_eta(sol, sys1, w, grid_b(0.0))
+    assert assemble_value(terms, [2.0]) == pytest.approx(4.0 * sol.P[0, 0])
+    assert assemble_value(terms, [0.0]) == 0.0
 
 
 def test_value_offset_independent_of_x(scalar_solution):
@@ -167,7 +165,7 @@ def test_value_offset_independent_of_x(scalar_solution):
     terms = solve_eta(sol, sys1, w, g)
 
     def offset(x):
-        V = assemble_value(sol, terms, g, [x])
+        V = assemble_value(terms, [x])
         return V - sol.P[0, 0] * x * x - 2.0 * terms.eta[0, 0] * x
 
     vals = [offset(x) for x in (-2.0, 0.0, 1.0, 3.5)]
@@ -179,7 +177,7 @@ def test_value_against_independent_quadrature(scalar_solution):
     sys1, w, sol = scalar_solution
     g = grid_b(0.5)
     terms = solve_eta(sol, sys1, w, g)
-    V = assemble_value(sol, terms, g, [1.0])
+    V = assemble_value(terms, [1.0])
     ts = np.linspace(0.0, 1.0, 20001)
     mid = (ts[:-1] + ts[1:]) / 2
     dt = ts[1] - ts[0]
@@ -195,6 +193,45 @@ def test_vstar_on_steps_matches_pointwise(scalar_solution):
     g = grid_b(0.5)
     terms = solve_eta(sol, sys1, w, g)
     dt = 1e-3
-    v = vstar_on_steps(terms, g, dt, 1500, 1)
+    v = vstar_on_steps(terms, dt, 1500)
     for j in [0, 100, 499, 500, 900, 1100]:
         assert v[j, 0] == pytest.approx(terms.v_star_at(j * dt)[0], abs=1e-12)
+
+
+def test_steps_take_forcing_and_vstar_from_the_same_interval(scalar_solution):
+    # 5 dt rounds below the breakpoint 0.003, yet step 5 starts the second
+    # interval: its rho and its v* must both come from there
+    sys1, w, sol = scalar_solution
+    g = InhomogeneityGrid(np.array([0.0, 0.003, 0.006]), b=[[0.0]] * 2, sigma=[[0.0]] * 2,
+                          q=[[0.0]] * 2, rho=[[1.0], [-1.0]])
+    terms = solve_eta(sol, sys1, w, g)
+    dt, nsteps = 0.0006, 12
+    assert 5 * dt < 0.003
+    assert step_intervals(g, dt, nsteps).tolist() == [0] * 5 + [1] * 5 + [2] * 2
+    rho = forcing_on_steps(g, dt, nsteps, 1, 1)[3][:, 0]
+    v = vstar_on_steps(terms, dt, nsteps)[:, 0]
+    assert rho.tolist() == [1.0] * 5 + [-1.0] * 5 + [0.0] * 2
+    assert (v[:5] < 0.0).all() and (v[5:10] > 0.0).all() and (v[10:] == 0.0).all()
+    assert v[5] == pytest.approx(terms.v_star[1, 0], abs=1e-12)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_eta_is_propagated_once_per_point(scalar_solution, monkeypatch, K):
+    # solve_eta: one exponential per interval for eta and one per midpoint
+    # check; assemble_value: one per Gauss-Legendre node
+    sys1, w, sol = scalar_solution
+    g = InhomogeneityGrid(np.linspace(0.0, 1.0, K + 1), b=0.5 + np.arange(K),
+                          sigma=0.1 * np.ones(K), q=np.zeros(K), rho=-0.2 * np.arange(K))
+    calls = []
+    original = slq.inhomogeneous._propagator
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(slq.inhomogeneous, "_propagator", counting)
+    terms = solve_eta(sol, sys1, w, g)
+    assert len(calls) <= 2 * K
+    calls.clear()
+    assemble_value(terms, [1.0])
+    assert len(calls) == 8 * K

@@ -113,7 +113,7 @@ def test_open_loop_replay_of_deterministic_closed_loop():
     closed = simulate_closed_loop(sys1, w, sol.Theta, [0.0], cfg, terms=terms, g=g)
 
     # rebuild the deterministic control path with the same recursion
-    v = vstar_on_steps(terms, g, cfg.dt, nsteps, 1)
+    v = vstar_on_steps(terms, cfg.dt, nsteps)
     b = np.zeros(nsteps)
     b[: int(0.5 / cfg.dt)] = 0.8
     x = 0.0
@@ -124,6 +124,22 @@ def test_open_loop_replay_of_deterministic_closed_loop():
         x = x + (a_cl * x + sys1.B[0, 0] * v[k, 0] + b[k]) * cfg.dt
     opened = simulate_closed_loop(sys1, w, np.zeros((1, 1)), [0.0], cfg, g=g, v_grid=u)
     assert opened.estimate == pytest.approx(closed.estimate, abs=1e-9)
+
+
+def test_affine_terms_bring_their_own_grid(scalar_problem):
+    # g defaults to terms.grid, and v* is applied on it; another grid is refused
+    sys1, w, sol = scalar_problem
+    g = InhomogeneityGrid(np.array([0.0, 0.5]), [[0.8]], [[0.0]], [[0.0]], [[0.3]])
+    terms = solve_eta(sol, sys1, w, g)
+    cfg = SimConfig(2.0, 1e-2, 8, seed=3)
+    own = simulate_closed_loop(sys1, w, sol.Theta, [1.0], cfg, terms=terms)
+    replay = simulate_closed_loop(sys1, w, sol.Theta, [1.0], cfg, g=g,
+                                  v_grid=vstar_on_steps(terms, cfg.dt, cfg.steps()))
+    assert own == replay
+    assert own == simulate_closed_loop(sys1, w, sol.Theta, [1.0], cfg, terms=terms, g=g)
+    other = InhomogeneityGrid(g.times, g.b, g.sigma, g.q, g.rho)
+    with pytest.raises(InvalidInputError, match="grid"):
+        simulate_closed_loop(sys1, w, sol.Theta, [1.0], cfg, terms=terms, g=other)
 
 
 @pytest.mark.parametrize("coeffs", [
