@@ -6,8 +6,9 @@ initial state, and optional solver overrides.  Reports are JSON with sorted
 keys and no environmental input (every random stream is seeded from the file
 or flags), so identical invocations produce byte-identical output.
 
-Exit codes: 0 success/solvable, 1 input error, 2 not stabilizable
-(or a supplied gain fails the stabilizer test), 3 unsolvable.
+Exit codes: 0 success/solvable, 1 input error (command-line usage errors
+included), 2 not stabilizable (or a supplied gain fails the stabilizer test),
+3 unsolvable.
 """
 
 from __future__ import annotations
@@ -518,8 +519,11 @@ def cmd_solve(args) -> int:
 
 
 def _parse_theta(text: str, m: int, n: int) -> np.ndarray:
-    rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
-    theta = np.asarray(rows, dtype=float)
+    try:
+        theta = np.asarray([[float(v) for v in row.split(",")] for row in text.split(";")])
+    except ValueError as exc:
+        raise ProblemFileError(f"--theta must be numbers, rows separated by ';' and entries "
+                               f"by ',' (as in --theta=-1,0;0,-1), not {text!r}") from exc
     if theta.shape != (m, n):
         raise ProblemFileError("dimension mismatch: theta flag")
     return theta
@@ -573,10 +577,19 @@ def cmd_oracle(args) -> int:
     return _EXIT_OK if res["solvable"] else _EXIT_UNSOLVABLE
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits 1 (input error): its own 2 would read
+    as "not stabilizable".  Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        self.exit(_EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on the first call and shared by every later one."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slq",
         description="Infinite-horizon stochastic linear-quadratic solver",
     )

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError, UnsupportedInputError, ValueUndefinedError
 from .linalg import fro
@@ -169,11 +168,14 @@ class AffineTerms:
 
 def _propagator(M: np.ndarray, phi_k: np.ndarray, tau: float):
     """exp(M tau) and int_0^tau exp(M s) phi_k ds via one block exponential."""
+    # SciPy loads on first use: scalar unforced runs never need it
+    from scipy.linalg import expm
+
     n = M.shape[0]
     blk = np.zeros((n + 1, n + 1))
     blk[:n, :n] = M
     blk[:n, n] = phi_k
-    E = scipy.linalg.expm(blk * tau)
+    E = expm(blk * tau)
     return E[:n, :n], E[:n, n]
 
 

@@ -55,7 +55,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     InternalInconsistencyError,
@@ -295,6 +294,9 @@ def _matrix_are(sys: ControlledSystem, w: CostWeights):
     One Cholesky factor of R + D'Sig D is both the positivity test (raising
     :class:`_PositivityLost`) and the solver.
     """
+    # SciPy loads on first use: scalar unforced runs never need it
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     Q, S, R = w.Q, w.S, w.R
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.linalg.lapack import dtrsyl
 
 from .errors import InvalidInputError, LyapunovUnsolvableError
 from .linalg import as_matrix, fro, symmetrize
@@ -144,6 +142,10 @@ def _stable_lyapunov(A, C, Lam, X0=None) -> np.ndarray:
     Sylvester solve reports near-common eigenvalues, or the iterate does not
     settle within the sweeps its certificate allows.
     """
+    # SciPy loads on first use: scalar unforced runs never need it
+    from scipy.linalg import schur
+    from scipy.linalg.lapack import dtrsyl
+
     n = A.shape[0]
     try:
         T, Z = schur(A, output="real", check_finite=False)

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -629,3 +633,69 @@ def test_main_builds_one_parser(tmp_path, monkeypatch):
     finally:
         clear()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--bogus", "{prob}"], 1),
+    ([], 1),
+    (["solve", "{prob}", "--simulate", "abc"], 1),
+    (["solve", "{prob}", "--seed", "x"], 1),
+    (["check", "{prob}", "--tol", "x"], 1),
+    (["--help"], 0),
+    (["--version"], 0),
+], ids=["unknown-flag", "no-command", "simulate", "seed", "tol", "help", "version"])
+def test_command_line_usage_exit_codes(tmp_path, capsys, argv, code):
+    prob = write_problem(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(prob=prob) for arg in argv])
+    assert exc.value.code == code
+    err = capsys.readouterr().err
+    assert (": error: " in err) == (code == 1)
+    assert err.startswith("usage: slq") == (code == 1)
+
+
+@pytest.mark.parametrize("theta", ["abc", "1,2;3"], ids=["not-a-number", "ragged"])
+def test_simulate_rejects_a_malformed_theta(tmp_path, capsys, theta):
+    prob = write_problem(tmp_path)
+    assert main(["simulate", prob, "--theta", theta]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: --theta must be numbers, rows separated by ';' and entries by ','")
+
+
+_COLD_START = """
+import json, sys
+import slq.cli
+
+scalar, matrix, out = sys.argv[1:]
+steps = [["import", None, "scipy" in sys.modules]]
+for argv in (["solve", scalar], ["check", scalar], ["oracle1d", scalar],
+             ["solve", scalar, "--simulate", "200"], ["solve", matrix]):
+    code = slq.cli.main(argv + ["--out", out])
+    steps.append([" ".join(argv[:1] + argv[2:]), code, "scipy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_unforced_scalar_commands_do_not_load_scipy(tmp_path):
+    scalar = write_problem(tmp_path, "scalar.json", C=[[0.4]])
+    matrix = write_problem(tmp_path, "matrix.json", n=2, m=1,
+                           A=[[0.0, 1.0], [0.0, 0.0]], C=[[0.0, 0.0], [0.0, 0.0]],
+                           B=[[0.0], [1.0]], D=[[0.0], [0.0]],
+                           Q=[[1.0, 0.0], [0.0, 1.0]], S=[[0.0, 0.0]], x0=[1.0, 0.0])
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", _COLD_START, scalar, matrix,
+                          str(tmp_path / "r.json")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [
+        ["import", None, False],
+        ["solve", 0, False],
+        ["check", 0, False],
+        ["oracle1d", 0, False],
+        ["solve --simulate 200", 0, False],
+        ["solve", 0, True],
+    ]
+    version = subprocess.run([sys.executable, "-m", "slq.cli", "--version"],
+                             env=env, capture_output=True, text=True, timeout=120)
+    assert version.returncode == 0 and version.stdout.strip() == slq.__version__
