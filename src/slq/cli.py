@@ -631,9 +631,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_theta(argv: list[str]) -> list[str]:
+    """Fold `--theta VALUE` into `--theta=VALUE`: argparse would read a gain
+    that starts with '-' (as in -1,0;0,-1) as an option, not as the value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--theta":
+            out[-1] = f"--theta={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_theta(_sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except NotStabilizableError as exc:

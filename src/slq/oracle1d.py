@@ -23,9 +23,6 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-
-import numpy as np
 
 from .errors import NotStabilizableError, UnsupportedInputError
 from .stability import SystemPair, is_l2_stable
@@ -47,17 +44,37 @@ NEAR_DEGENERACY_RTOL = 1e-9
 # The normalization by 1/D (or 1/B) inflates coefficients when the scale is
 # small, and the discriminants beta^2 - 4 alpha gamma then cancel
 # catastrophically in doubles even though the underlying problem is well
-# conditioned.  All polynomial quantities are therefore carried as exact
-# rationals and only the final square roots are taken, at 60 digits.
+# conditioned.  Each float input is therefore read as its exact binary value,
+# an integer over a power of two L common to all seven, and the normalization
+# is cleared by multiplying through by powers of L and of B or D: every
+# quantity is an integer numerator over a known positive denominator, every
+# decision is the sign of an integer polynomial, and only the final square
+# roots are taken, at 60 digits.  A reported float is the numerator divided
+# by its denominator, correctly rounded; a 60-digit Decimal is likewise the
+# correctly rounded quotient, so both depend on the rational value alone.
 _PREC = 60
 
+# The tolerances' exact binary values, as (numerator, denominator).
+_DEGENERACY = DEGENERACY_RTOL.as_integer_ratio()
+_NEAR_DEGENERACY = NEAR_DEGENERACY_RTOL.as_integer_ratio()
 
-def _dec(x: Fraction) -> decimal.Decimal:
-    return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+
+def _dec(num: int, den: int) -> decimal.Decimal:
+    """num / den (den > 0), correctly rounded in the current decimal context."""
+    return decimal.Decimal(num) / decimal.Decimal(den)
 
 
-def _dec_sqrt(x: Fraction) -> decimal.Decimal:
-    return _dec(x).sqrt()
+def _rel_close(x: int, y: int, den: int, rtol: tuple[int, int]) -> bool:
+    """|x - y| <= rtol (1 + |x| + |y|) for the rationals x/den and y/den, den > 0."""
+    num, rden = rtol
+    return abs(x - y) * rden <= num * (den + abs(x) + abs(y))
+
+
+def _integers(values) -> tuple[int, list[int]]:
+    """Finite floats as integer numerators over their common power of two."""
+    ratios = [v.as_integer_ratio() for v in values]
+    L = max(den for _, den in ratios)
+    return L, [n * (L // den) for n, den in ratios]
 
 
 @dataclass
@@ -133,92 +150,130 @@ class CaseReport:
     case: str | None              # which case (if any) holds
 
 
-def _is_stabilizable_1d(A, C, B, D) -> bool:
-    a, c, b, d = map(Fraction, (A, C, B, D))
-    return (2 * a + c * c) * d * d < (b + c * d) ** 2
+def _is_stabilizable_1d(L: int, a: int, c: int, b: int, d: int) -> bool:
+    # (2A + C^2) D^2 < (B + CD)^2, multiplied through by L^4
+    return (2 * a * L + c * c) * d * d < (b * L + c * d) ** 2
 
 
-def _rel_close(x: Fraction, y: Fraction, rtol: float) -> bool:
-    return abs(x - y) <= Fraction(rtol) * (1 + abs(x) + abs(y))
+def _solve_d0(L, a, c, b, q, s, r, scale_k: float) -> Oracle1dResult:
+    """Branch D = 0, normalized to B = 1; gains are divided by scale_k on return.
 
-
-def _solve_d0(A, C, Q, S, R, scale_k: float) -> Oracle1dResult:
-    """Normalized branch D = 0, B = 1; gains are divided by scale_k on return."""
-    a2 = 2 * A + C * C
-    half = -a2 / 2
-    if R < 0:
+    The normalized data depend on b only through S/B and R/B^2, so b is made
+    positive.  Then 2A + C^2 = g/L^2, S/B = s/b, R/B^2 = rL/b^2 and Q = q/L.
+    """
+    if b < 0:
+        b, s = -b, -s
+    g = 2 * a * L + c * c
+    L2 = L * L
+    if r < 0:
         return Oracle1dResult("D0-R-negative", False,
                               diagnostics={"detail": "negative control weight"})
-    if R == 0:
-        solvable = _rel_close(Q, S * a2, DEGENERACY_RTOL)
+    if r == 0:
+        # Q = S (2A + C^2), both over b L^2
+        solvable = _rel_close(q * b * L, s * g, b * L2, _DEGENERACY)
         if not solvable:
             return Oracle1dResult("D0-R-zero", False,
                                   diagnostics={"detail": "requires Q = S(2A+C^2)"})
-        theta_norm = half - 1
-        strategy = _half_line(half, theta_norm, scale_k)
-        return Oracle1dResult("D0-R-zero", True, P=float(-S), strategy=strategy)
-    Sigma = R * a2 * a2 - 4 * S * a2 + 4 * Q
-    if Sigma <= 0:
-        return Oracle1dResult("D0-R-positive", False, Sigma=float(Sigma),
+        # half = -(2A + C^2)/2 bounds the half-line; its canonical point is half - 1
+        strategy = _half_line(-g, -g - 2 * L2, 2 * L2, scale_k)
+        return Oracle1dResult("D0-R-zero", True, P=-s / b, strategy=strategy)
+    b2 = b * b
+    # Sigma = R (2A+C^2)^2 - 4 S (2A+C^2) + 4 Q = sigma / (b^2 L^3)
+    sigma = r * g * g - 4 * s * g * b * L + 4 * q * b2 * L2
+    if sigma <= 0:
+        return Oracle1dResult("D0-R-positive", False, Sigma=sigma / (b2 * L2 * L),
                               diagnostics={"detail": "discriminant not positive"})
     with decimal.localcontext() as ctx:
         ctx.prec = _PREC
-        sq_delta = _dec_sqrt(R * Sigma)
-        P = (_dec(a2 * R - 2 * S) + sq_delta) / 2
-        theta_norm = -(_dec(a2) + _dec_sqrt(Sigma / R)) / 2
-        rejected = (_dec(a2 * R - 2 * S) - sq_delta) / 2
+        sq_delta = _dec(r * sigma, b2 * b2 * L2).sqrt()      # sqrt(R Sigma)
+        mid = _dec(g * r - 2 * s * b * L, L * b2)            # (2A+C^2) R - 2S
+        P = (mid + sq_delta) / 2
+        theta_norm = -(_dec(g, L2) + _dec(sigma, r * L2 * L2).sqrt()) / 2
+        rejected = (mid - sq_delta) / 2
     strategy = StrategySet("point", float(theta_norm) / scale_k)
     result = Oracle1dResult("D0-R-positive", True, P=float(P), strategy=strategy,
-                            Sigma=float(Sigma), Delta=float(R * Sigma))
+                            Sigma=sigma / (b2 * L2 * L),
+                            Delta=r * sigma / (b2 * b2 * L2))
     result.diagnostics["rejected_root"] = float(rejected)
     return result
 
 
-def _half_line(bound_norm: Fraction, theta_norm: Fraction, k: float) -> StrategySet:
-    # {theta' < bound} maps to {theta < bound/k} for k > 0 and flips for k < 0.
+def _half_line(bound: int, theta: int, den: int, k: float) -> StrategySet:
+    # {theta' < bound/den} maps to {theta < bound/(den k)} for k > 0 and flips for k < 0.
     side = "below" if k > 0 else "above"
-    return StrategySet("half-line", float(theta_norm) / k, v_free=True,
-                       bound=float(bound_norm) / k, side=side)
+    return StrategySet("half-line", theta / den / k, v_free=True,
+                       bound=bound / den / k, side=side)
 
 
-def _abg(A, C, B, Q, S, R) -> tuple[Fraction, Fraction, Fraction]:
-    bc = B + C
-    a2 = 2 * A + C * C
-    alpha = bc * bc - a2
-    beta = Q - a2 * R + 2 * bc * (bc * R - S)
-    gamma = (bc * R - S) ** 2
-    return alpha, beta, gamma
+class _Noisy:
+    """Branch D != 0 normalized to D = 1, as integer numerators.
+
+    The normalized data depend on b, s and d only through B/D, S/D and
+    R/D^2, so d is made positive.  Then, with the inputs over L,
+    2A + C^2 = g/L^2, B/D + C = u/(L d), (B/D + C) R/D^2 - S/D = w/d^3 and
+    gamma = w^2/d^6; ``alpha``, ``beta`` and ``Delta`` are the numerators of
+    alpha over L^2 d^2, beta over L d^4 and Delta over L^2 d^8.
+    """
+
+    __slots__ = ("L", "d", "q", "s", "r", "g", "u", "w", "alpha", "beta", "Delta")
+
+    def __init__(self, L, a, c, b, d, q, s, r):
+        if d < 0:
+            b, d, s = -b, -d, -s
+        d2 = d * d
+        self.L, self.d, self.q, self.s, self.r = L, d, q, s, r
+        self.g = g = 2 * a * L + c * c
+        self.u = u = b * L + c * d
+        self.w = w = u * r - s * d2
+        self.alpha = alpha = u * u - g * d2
+        self.beta = beta = (q * d2 - g * r) * d2 + 2 * u * w
+        self.Delta = beta * beta - 4 * alpha * w * w
+
+    def floats(self) -> tuple[float, float, float, float]:
+        """alpha, beta, gamma and Delta, each correctly rounded."""
+        L2, d2 = self.L * self.L, self.d * self.d
+        d4 = d2 * d2
+        return (self.alpha / (L2 * d2), self.beta / (self.L * d4),
+                self.w * self.w / (d4 * d2), self.Delta / (L2 * d4 * d4))
+
+    def degenerate(self, rtol: tuple[int, int]) -> bool:
+        """Q = (2A + C^2) R (over L d^2) and S = (B + C) R (over d^3), within rtol."""
+        L, d, r = self.L, self.d, self.r
+        d2 = d * d
+        return (_rel_close(self.q * d2, self.g * r, L * d2, rtol)
+                and _rel_close(self.s * d2, self.u * r, d2 * d, rtol))
 
 
-def _classify_d1(A, C, B, Q, S, R) -> CaseReport:
-    bc = B + C
-    a2 = 2 * A + C * C
-    alpha, beta, gamma = _abg(A, C, B, Q, S, R)
-    if alpha <= 0:
+def _classify_d1(t: _Noisy) -> CaseReport:
+    if t.alpha <= 0:
         raise NotStabilizableError("alpha <= 0: the scalar system has no stabilizer")
-    Delta = beta * beta - 4 * alpha * gamma
-    degenerate = (_rel_close(Q, a2 * R, DEGENERACY_RTOL)
-                  and _rel_close(S, bc * R, DEGENERACY_RTOL))
+    L, d, g, u, q, s, r = t.L, t.d, t.g, t.u, t.q, t.s, t.r
+    d2 = d * d
+    degenerate = t.degenerate(_DEGENERACY)
 
     thr_ii = thr_iii = thr_iv = None
     case_ii = case_iii = case_iv = False
     with decimal.localcontext() as ctx:
         ctx.prec = _PREC
-        if a2 != 0:
-            sq = _dec_sqrt(alpha)
-            den_m = _dec(bc) - sq
-            den_p = _dec(bc) + sq
-            thr_ii = (2 * den_m * _dec(S) - _dec(Q)) / (den_m * den_m)
-            thr_iii = (2 * den_p * _dec(S) - _dec(Q)) / (den_p * den_p)
-            if a2 * S >= bc * Q:
-                case_ii = _dec(R) > thr_ii
+        if g != 0:
+            sq = _dec(t.alpha, L * L * d2).sqrt()
+            bc = _dec(u, L * d)
+            S, Q = _dec(s, d), _dec(q, L)
+            den_m = bc - sq
+            den_p = bc + sq
+            thr_ii = (2 * den_m * S - Q) / (den_m * den_m)
+            thr_iii = (2 * den_p * S - Q) / (den_p * den_p)
+            # (2A + C^2) S >= (B + C) Q, both over L^2 d
+            if g * s >= u * q:
+                case_ii = _dec(r * L, d2) > thr_ii
             else:
-                case_iii = _dec(R) > thr_iii
+                case_iii = _dec(r * L, d2) > thr_iii
         else:
-            thr_iv = (4 * bc * S - Q) / (4 * bc * bc)
-            case_iv = Q > 0 and R > thr_iv
+            # threshold (4 (B+C) S - Q) / (4 (B+C)^2); R above it, times 4 u^2 d^2 / L
+            thr_iv = L * (4 * u * s - q * d2) / (4 * u * u)
+            case_iv = q > 0 and 4 * r * u * u > d2 * (4 * u * s - q * d2)
 
-    reformulation = beta > 0 and Delta > 0
+    reformulation = t.beta > 0 and t.Delta > 0
     case = None
     if case_ii:
         case = "D1-case-ii"
@@ -226,65 +281,57 @@ def _classify_d1(A, C, B, Q, S, R) -> CaseReport:
         case = "D1-case-iii"
     elif case_iv:
         case = "D1-case-iv"
-    return CaseReport(float(alpha), float(beta), float(gamma), float(Delta),
-                      float(a2), degenerate, case_ii, case_iii, case_iv,
+    return CaseReport(*t.floats(), g / (L * L), degenerate, case_ii, case_iii, case_iv,
                       None if thr_ii is None else float(thr_ii),
                       None if thr_iii is None else float(thr_iii),
-                      None if thr_iv is None else float(thr_iv),
-                      reformulation, case)
+                      thr_iv, reformulation, case)
 
 
-def _solve_d1(A, C, B, Q, S, R, scale_k: float) -> Oracle1dResult:
+def _solve_d1(t: _Noisy, scale_k: float) -> Oracle1dResult:
     """Normalized branch D = 1; gains are divided by scale_k on return."""
-    bc = B + C
-    a2 = 2 * A + C * C
-    alpha, beta, gamma = _abg(A, C, B, Q, S, R)
-    Delta = beta * beta - 4 * alpha * gamma
+    L, d, u, r = t.L, t.d, t.u, t.r
+    d2 = d * d
+    if t.degenerate(_DEGENERACY):
+        alpha, beta, gamma, Delta = t.floats()
+        center = -u / (L * d) / scale_k
+        strategy = StrategySet("interval", center, v_free=True, center=center,
+                               radius=math.sqrt(alpha) / abs(scale_k))
+        return Oracle1dResult("D1-degenerate", True, P=-(r * L) / d2, strategy=strategy,
+                              alpha=alpha, beta=beta, gamma=gamma, Delta=Delta)
 
-    exactly_degenerate = (_rel_close(Q, a2 * R, DEGENERACY_RTOL)
-                          and _rel_close(S, bc * R, DEGENERACY_RTOL))
-    nearly_degenerate = (not exactly_degenerate
-                         and _rel_close(Q, a2 * R, NEAR_DEGENERACY_RTOL)
-                         and _rel_close(S, bc * R, NEAR_DEGENERACY_RTOL))
-    if exactly_degenerate:
-        radius = math.sqrt(float(alpha)) / abs(scale_k)
-        center = float(-bc) / scale_k
-        strategy = StrategySet("interval", center, v_free=True,
-                               center=center, radius=radius)
-        return Oracle1dResult("D1-degenerate", True, P=float(-R), strategy=strategy,
-                              alpha=float(alpha), beta=float(beta),
-                              gamma=float(gamma), Delta=float(Delta))
-
-    report = _classify_d1(A, C, B, Q, S, R)
+    report = _classify_d1(t)
     diagnostics: dict = {"case_report": report}
-    if nearly_degenerate:
+    if t.degenerate(_NEAR_DEGENERACY):
         diagnostics["near_degenerate"] = {
-            "degenerate_P": float(-R),
-            "degenerate_center": float(-bc) / scale_k,
-            "degenerate_radius": math.sqrt(float(alpha)) / abs(scale_k),
+            "degenerate_P": -(r * L) / d2,
+            "degenerate_center": -u / (L * d) / scale_k,
+            "degenerate_radius": math.sqrt(report.alpha) / abs(scale_k),
         }
-    if not (beta > 0 and Delta > 0):
-        return Oracle1dResult("unsolvable", False, alpha=float(alpha),
-                              beta=float(beta), gamma=float(gamma),
-                              Delta=float(Delta), diagnostics=diagnostics)
+    if not report.reformulation_holds:
+        return Oracle1dResult("unsolvable", False, alpha=report.alpha,
+                              beta=report.beta, gamma=report.gamma,
+                              Delta=report.Delta, diagnostics=diagnostics)
 
     with decimal.localcontext() as ctx:
         ctx.prec = _PREC
-        sq_delta = _dec_sqrt(Delta)
-        two_alpha = 2 * _dec(alpha)
-        y2 = (_dec(beta) + sq_delta) / two_alpha
-        y1 = (_dec(beta) - sq_delta) / two_alpha
-        P = y2 - _dec(R)
-        theta_norm = _dec(bc * R - S) / y2 - _dec(bc)
-        rejected = None if y1 <= 0 else _dec(bc * R - S) / y1 - _dec(bc)
+        d4 = d2 * d2
+        sq_delta = _dec(t.Delta, L * L * d4 * d4).sqrt()
+        two_alpha = 2 * _dec(t.alpha, L * L * d2)
+        beta = _dec(t.beta, L * d4)
+        y2 = (beta + sq_delta) / two_alpha
+        y1 = (beta - sq_delta) / two_alpha
+        P = y2 - _dec(r * L, d2)
+        bc, gain = _dec(u, L * d), _dec(t.w, d2 * d)       # B + C and (B + C) R - S
+        theta_norm = gain / y2 - bc
+        rejected = None if y1 <= 0 else gain / y1 - bc
     diagnostics["roots_y"] = (float(y1), float(y2))
     if rejected is not None:
         diagnostics["rejected_theta"] = float(rejected)
     case = report.case or "unsolvable"
     return Oracle1dResult(case, True, P=float(P),
                           strategy=StrategySet("point", float(theta_norm) / scale_k),
-                          alpha=float(alpha), beta=float(beta), gamma=float(gamma),
-                          Delta=float(Delta), diagnostics=diagnostics)
+                          alpha=report.alpha, beta=report.beta, gamma=report.gamma,
+                          Delta=report.Delta, diagnostics=diagnostics)
 
 
 def solve_1d(A: float, C: float, B: float, D: float,
@@ -302,14 +349,14 @@ def solve_1d(A: float, C: float, B: float, D: float,
             "no control authority (B = D = 0); "
             f"[A, C] is {'L2-stable' if stable else 'not L2-stable'}"
         )
-    if not _is_stabilizable_1d(A, C, B, D):
+    L, ints = _integers((A, C, B, D))
+    if not _is_stabilizable_1d(L, *ints):
         return Oracle1dResult("not-stabilizable", False)
-    a, c, b, d = map(Fraction, (A, C, B, D))
-    q, s, r = map(Fraction, (Q, S, R))
+    L, (a, c, b, d, q, s, r) = _integers((A, C, B, D, Q, S, R))
     if D == 0.0:
         # Rescale u -> B u so the control enters the drift with coefficient 1.
-        return _solve_d0(a, c, q, s / b, r / (b * b), scale_k=B)
-    return _solve_d1(a, c, b / d, q, s / d, r / (d * d), scale_k=D)
+        return _solve_d0(L, a, c, b, q, s, r, scale_k=B)
+    return _solve_d1(_Noisy(L, a, c, b, d, q, s, r), scale_k=D)
 
 
 def classify_1d_cases(A: float, C: float, B: float, D: float,
@@ -322,6 +369,5 @@ def classify_1d_cases(A: float, C: float, B: float, D: float,
     A, C, B, D, Q, S, R = map(float, (A, C, B, D, Q, S, R))
     if D == 0.0:
         raise UnsupportedInputError("case classification applies to the D != 0 branch")
-    a, c, b, d = map(Fraction, (A, C, B, D))
-    q, s, r = map(Fraction, (Q, S, R))
-    return _classify_d1(a, c, b / d, q, s / d, r / (d * d))
+    L, ints = _integers((A, C, B, D, Q, S, R))
+    return _classify_d1(_Noisy(L, *ints))

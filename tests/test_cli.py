@@ -662,6 +662,29 @@ def test_simulate_rejects_a_malformed_theta(tmp_path, capsys, theta):
         "error: --theta must be numbers, rows separated by ';' and entries by ','")
 
 
+def test_simulate_takes_a_negative_matrix_gain_in_either_form(tmp_path, capsys):
+    # argparse reads "-1,0;0,-1" after a space as an option unless main folds it in
+    prob = write_problem(tmp_path, n=2, m=2,
+                         A=[[0.0, 1.0], [0.0, 0.0]], C=[[0.5, 0.0], [0.0, 0.0]],
+                         B=[[1.0, 0.0], [0.0, 1.0]], D=[[0.0, 0.0], [0.0, 0.0]],
+                         Q=[[1.0, 0.0], [0.0, 1.0]], S=[[0.0, 0.0], [0.0, 0.0]],
+                         R=[[1.0, 0.0], [0.0, 1.0]], x0=[1.0, 0.0])
+    spaced, joined = str(tmp_path / "spaced.json"), str(tmp_path / "joined.json")
+    assert main(["simulate", prob, "--theta", "-1,0;0,-1", "--simulate", "50",
+                 "--out", spaced]) == 0
+    assert main(["simulate", prob, "--theta=-1,0;0,-1", "--simulate", "50",
+                 "--out", joined]) == 0
+    with open(spaced) as a, open(joined) as b:
+        assert a.read() == b.read()
+    assert read(spaced)["verdict"] == {"stabilizer": True}
+    capsys.readouterr()
+    for argv in (["--theta", "-1,0;0,-1", "--bogus"], ["--theta"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", prob, *argv])
+        assert exc.value.code == 1
+        assert ": error: " in capsys.readouterr().err
+
+
 _COLD_START = """
 import json, sys
 import slq.cli

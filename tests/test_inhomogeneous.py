@@ -16,6 +16,9 @@ from slq.errors import InvalidInputError, UnsupportedInputError, ValueUndefinedE
 from slq.inhomogeneous import forcing_on_steps, step_intervals, vstar_on_steps
 from slq.linalg import fro
 
+from conftest import random_stable_pair
+from test_riccati import _coordinate_change
+
 
 @pytest.fixture(scope="module")
 def scalar_solution():
@@ -235,3 +238,46 @@ def test_eta_is_propagated_once_per_point(scalar_solution, monkeypatch, K):
     calls.clear()
     assemble_value(terms, [1.0])
     assert len(calls) == 8 * K
+
+
+def test_forced_problem_is_invariant_under_non_orthogonal_coordinates():
+    # In coordinates x = Tz the data become [T^-1 A T, T^-1 C T; T^-1 B, T^-1 D],
+    # (T'QT, ST, R) and the forcing (T^-1 b, T^-1 sigma, T'q, rho).  The
+    # solution maps as P -> T'PT and Theta -> Theta T (unique: R > 0 keeps
+    # N(P) > 0), the affine terms as eta(t) -> T'eta(t) with v* unchanged,
+    # and the value as V_z(z) = V(Tz).  Each within 1e-8 relative, as in the
+    # unforced invariance test of the GARE.
+    rng = np.random.default_rng(1905)
+    times = np.array([0.0, 0.3, 0.8, 1.25])
+    for n, m in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (4, 3)]:
+        pair = random_stable_pair(rng, n)
+        sys_x = ControlledSystem(pair.A, pair.C, rng.uniform(-1.0, 1.0, (n, m)),
+                                 rng.uniform(-0.2, 0.2, (n, m)))
+        F = rng.uniform(-1.0, 1.0, (n, n))
+        w_x = CostWeights(F @ F.T + 0.5 * np.eye(n), rng.uniform(-0.1, 0.1, (m, n)),
+                          np.diag(rng.uniform(0.5, 2.0, m)))
+        g_x = InhomogeneityGrid(times, b=rng.uniform(-0.5, 0.5, (3, n)),
+                                sigma=rng.uniform(-0.3, 0.3, (3, n)),
+                                q=rng.uniform(-0.3, 0.3, (3, n)),
+                                rho=rng.uniform(-0.3, 0.3, (3, m)))
+        T = _coordinate_change(rng, n)
+        Ti = np.linalg.inv(T)
+        sys_z = ControlledSystem(Ti @ sys_x.A @ T, Ti @ sys_x.C @ T, Ti @ sys_x.B, Ti @ sys_x.D)
+        w_z = CostWeights(T.T @ w_x.Q @ T, w_x.S @ T, w_x.R)
+        # grid rows are vectors: b_k -> T^-1 b_k is row b_k' T^-T, q_k -> T'q_k is q_k' T
+        g_z = InhomogeneityGrid(times, b=g_x.b @ Ti.T, sigma=g_x.sigma @ Ti.T,
+                                q=g_x.q @ T, rho=g_x.rho)
+        sol_x, sol_z = solve_gare(sys_x, w_x), solve_gare(sys_z, w_z)
+        assert isinstance(sol_x, GareSolution) and isinstance(sol_z, GareSolution)
+        terms_x = solve_eta(sol_x, sys_x, w_x, g_x)
+        terms_z = solve_eta(sol_z, sys_z, w_z, g_z)
+
+        def close(got, want):
+            return fro(np.atleast_1d(got - want)) <= 1e-8 * (1.0 + fro(np.atleast_1d(want)))
+
+        assert close(sol_z.P, T.T @ sol_x.P @ T), (n, m)
+        assert close(sol_z.Theta, sol_x.Theta @ T), (n, m)
+        assert close(terms_z.eta, terms_x.eta @ T), (n, m)       # rows eta(t_k)' T
+        assert close(terms_z.v_star, terms_x.v_star), (n, m)
+        for z in rng.normal(size=(3, n)):
+            assert close(assemble_value(terms_z, z), assemble_value(terms_x, T @ z)), (n, m, z)

@@ -1,3 +1,10 @@
+import dataclasses
+import decimal
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -140,3 +147,164 @@ def test_interval_midpoint_is_member():
     res = solve_1d(-1, 0, 0, 1, -2, 0, 1)
     assert res.strategy.contains(res.strategy.theta)
     assert not res.strategy.contains(res.strategy.center + 2 * res.strategy.radius)
+
+
+# ----------------------------------------------------------------------
+# Recorded outputs: every field of solve_1d and classify_1d_cases, floats as
+# float.hex, exceptions by type and message, on fixed inputs that cover each
+# case label, inputs exactly on a boundary in binary ((B + CD)^2 =
+# (2A + C^2) D^2, Sigma = 0, Delta = 0, Q = (2A + C^2) R), extreme scales,
+# subnormal and signed-zero coefficients, and non-finite inputs.
+
+_RECORDED = json.loads((Path(__file__).parent / "oracle1d_recorded.json").read_text())
+
+
+def _canon(x):
+    if isinstance(x, float):
+        return x.hex()
+    if dataclasses.is_dataclass(x):
+        return {f.name: _canon(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {k: _canon(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [_canon(v) for v in x]
+    assert x is None or isinstance(x, (str, bool)), type(x)
+    return x
+
+
+def _outcome(fn, args):
+    try:
+        return _canon(fn(*args))
+    except Exception as exc:
+        return {"raises": type(exc).__name__, "message": str(exc)}
+
+
+def test_recorded_inputs_cover_every_outcome():
+    labels = {(c["solve_1d"].get("case"), c["solve_1d"].get("solvable")) for c in _RECORDED}
+    assert {("D0-R-negative", False), ("D0-R-zero", True), ("D0-R-zero", False),
+            ("D0-R-positive", True), ("D0-R-positive", False), ("D1-degenerate", True),
+            ("D1-case-ii", True), ("D1-case-iii", True), ("D1-case-iv", True),
+            ("unsolvable", False), ("not-stabilizable", False)} <= labels
+    raised = {c["solve_1d"].get("raises") for c in _RECORDED}
+    assert {"UnsupportedInputError", "ValueError", "OverflowError"} <= raised
+    assert any("near_degenerate" in c["solve_1d"].get("diagnostics", {}) for c in _RECORDED)
+
+
+@pytest.mark.parametrize("case", _RECORDED, ids=[str(i) for i in range(len(_RECORDED))])
+def test_outputs_match_the_recorded_bits(case):
+    args = [float.fromhex(v) for v in case["inputs"]]
+    assert _outcome(solve_1d, args) == case["solve_1d"]
+    assert _outcome(classify_1d_cases, args) == case["classify_1d_cases"]
+
+
+# ----------------------------------------------------------------------
+# Decisions against a direct Fraction evaluation of the classification.
+
+def _close(x: Fraction, y: Fraction, rtol: float) -> bool:
+    return abs(x - y) <= Fraction(rtol) * (1 + abs(x) + abs(y))
+
+
+def _reference(A, C, B, D, Q, S, R) -> dict:
+    """Case, verdict and inequalities in plain Fraction arithmetic; ``reported``
+    lists the values the oracle converts to floats on that branch."""
+    a, c, b, d, q, s, r = map(Fraction, (A, C, B, D, Q, S, R))
+    a2 = 2 * a + c * c
+    if a2 * d * d >= (b + c * d) ** 2:
+        return {"case": "not-stabilizable", "solvable": False, "reported": []}
+    if d == 0:
+        s, r = s / b, r / (b * b)
+        if r < 0:
+            return {"case": "D0-R-negative", "solvable": False, "reported": []}
+        if r == 0:
+            return {"case": "D0-R-zero", "solvable": _close(q, s * a2, 1e-12),
+                    "reported": [s, a2 / 2 + 1, a2 / 2]}
+        sigma = r * a2 * a2 - 4 * s * a2 + 4 * q
+        return {"case": "D0-R-positive", "solvable": sigma > 0,
+                "reported": [sigma, r * sigma]}
+    bc, s, r = b / d + c, s / d, r / (d * d)
+    alpha = bc * bc - a2
+    beta = q - a2 * r + 2 * bc * (bc * r - s)
+    gamma = (bc * r - s) ** 2
+    Delta = beta * beta - 4 * alpha * gamma
+    degenerate = _close(q, a2 * r, 1e-12) and _close(s, bc * r, 1e-12)
+    reformulation = beta > 0 and Delta > 0
+    if a2 == 0:
+        case = "D1-case-iv"
+    else:
+        case = "D1-case-ii" if a2 * s >= bc * q else "D1-case-iii"
+    reported = [alpha, beta, gamma, Delta, a2, r, bc]
+    if a2 == 0:
+        reported.append((4 * bc * s - q) / (4 * bc * bc))
+    return {"case": "D1-degenerate" if degenerate else case if reformulation else "unsolvable",
+            "solvable": degenerate or reformulation, "degenerate": degenerate,
+            "reformulation": reformulation,
+            "classified": case if reformulation and not degenerate else None,
+            "a2": a2, "bc": bc, "reported": reported}
+
+
+def _outcome_or_reason(fn, coeffs, ref):
+    """fn's result, or None where it raises for a reason the reference sees:
+    a reported value beyond the float range, or (2A + C^2)/(B/D + C)^2 below
+    60-digit resolution, where a case threshold divides by bc - sqrt(alpha)
+    or bc + sqrt(alpha) rounded to 0."""
+    try:
+        return fn(*coeffs)
+    except OverflowError:
+        assert max(map(abs, ref["reported"])) > Fraction(sys.float_info.max)
+    except decimal.DecimalException:
+        assert ref["a2"] != 0 and abs(ref["a2"]) < Fraction(1, 10 ** 50) * ref["bc"] ** 2
+    return None
+
+
+def _check_decisions(coeffs):
+    """The oracle's decisions are the reference's."""
+    if coeffs[2] == 0.0 and coeffs[3] == 0.0:
+        with pytest.raises(UnsupportedInputError):
+            solve_1d(*coeffs)
+        return
+    ref = _reference(*coeffs)
+    res = _outcome_or_reason(solve_1d, coeffs, ref)
+    if res is not None:
+        assert (res.case, res.solvable) == (ref["case"], ref["solvable"])
+    if coeffs[3] == 0.0:
+        with pytest.raises(UnsupportedInputError):
+            classify_1d_cases(*coeffs)
+        return
+    if ref["case"] == "not-stabilizable":
+        with pytest.raises(NotStabilizableError):
+            classify_1d_cases(*coeffs)
+        return
+    report = _outcome_or_reason(classify_1d_cases, coeffs, ref)
+    if report is None:
+        return
+    assert report.degenerate == ref["degenerate"]
+    assert report.reformulation_holds == ref["reformulation"]
+    if ref["classified"] is not None:
+        assert report.case == ref["classified"]
+    if res is not None and "case_report" in res.diagnostics:
+        assert res.diagnostics["case_report"] == report
+
+
+def test_decisions_match_a_fraction_reference_on_seeded_draws():
+    rng = np.random.default_rng(1610)
+    for _ in range(300):
+        coeffs = [float(v) for v in rng.uniform(-3.0, 3.0, 7)]
+        if rng.random() < 0.3:
+            coeffs[3] = 0.0
+        if rng.random() < 0.3:                          # small dyadics hit the boundaries
+            coeffs = [float(v) / 4 for v in rng.integers(-8, 9, 7)]
+        _check_decisions(coeffs)
+
+
+def test_decisions_match_a_fraction_reference_on_any_finite_floats():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.one_of(st.integers(-4, 4).map(float),
+                      st.floats(allow_nan=False, allow_infinity=False))
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(st.tuples(*[coeff] * 7))
+    def check(coeffs):
+        _check_decisions(coeffs)
+
+    check()
