@@ -312,8 +312,8 @@ def _solution_block(sol: GareSolution) -> dict:
     diag = {
         k: v
         for k, v in sol.diagnostics.items()
-        if k in ("are_residual", "range_defect", "n_min_eig", "identity_gap",
-                 "settled_at_epsilon", "extrapolation_norm", "epsilon_solves")
+        if k in ("are_residual", "range_defect", "n_min_eig", "settled_at_epsilon",
+                 "extrapolation_norm", "epsilon_solves")
     }
     return {
         "P": sol.P,

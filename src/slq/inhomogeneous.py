@@ -205,7 +205,7 @@ def solve_eta(sol: GareSolution, sys: ControlledSystem, w: CostWeights,
         eta[k] = prop @ eta[k + 1] + integ
 
     N = GareMaps(sys, w).control_part(P)
-    N_dag = control_pseudoinverse(N, cfg.psd_tol)
+    N_dag, _ = control_pseudoinverse(N, cfg.psd_tol)
 
     terms = AffineTerms(
         grid=g,

@@ -20,7 +20,6 @@ __all__ = [
     "fro",
     "is_psd",
     "pinv",
-    "range_defect",
     "symmetrize",
 ]
 
@@ -79,16 +78,6 @@ def pinv(M, rel_tol: float = DEFAULT_RANK_TOL, abs_tol: float = 0.0) -> np.ndarr
     if A.shape[0] == A.shape[1] and fro(A - A.T) <= 1e-14 * (1.0 + fro(A)):
         P = (P + P.T) / 2.0
     return P
-
-
-def range_defect(L, N, rel_tol: float = DEFAULT_RANK_TOL) -> float:
-    """Normalized defect ||N N^+ L - L|| / (1 + ||L||) of the inclusion R(L) <= R(N)."""
-    Lm = as_matrix(L, "L")
-    Nm = as_matrix(N, "N")
-    if Lm.shape[0] != Nm.shape[0]:
-        raise InvalidInputError("L and N must have equal row counts")
-    Nd = pinv(Nm, rel_tol)
-    return fro(Nm @ (Nd @ Lm) - Lm) / (1.0 + fro(Lm))
 
 
 def is_psd(M, tol: float = DEFAULT_PSD_TOL) -> bool:

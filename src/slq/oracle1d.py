@@ -50,8 +50,9 @@ NEAR_DEGENERACY_RTOL = 1e-9
 # quantity is an integer numerator over a known positive denominator, every
 # decision is the sign of an integer polynomial, and only the final square
 # roots are taken, at 60 digits.  A reported float is the numerator divided
-# by its denominator, correctly rounded; a 60-digit Decimal is likewise the
-# correctly rounded quotient, so both depend on the rational value alone.
+# by its denominator, correctly rounded, or +-inf beyond the float range; a
+# 60-digit Decimal is likewise the correctly rounded quotient, so both depend
+# on the rational value alone.
 _PREC = 60
 
 # The tolerances' exact binary values, as (numerator, denominator).
@@ -62,6 +63,14 @@ _NEAR_DEGENERACY = NEAR_DEGENERACY_RTOL.as_integer_ratio()
 def _dec(num: int, den: int) -> decimal.Decimal:
     """num / den (den > 0), correctly rounded in the current decimal context."""
     return decimal.Decimal(num) / decimal.Decimal(den)
+
+
+def _ratio(num: int, den: int) -> float:
+    """num / den (den > 0) correctly rounded, +-inf beyond the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _rel_close(x: int, y: int, den: int, rtol: tuple[int, int]) -> bool:
@@ -176,12 +185,12 @@ def _solve_d0(L, a, c, b, q, s, r, scale_k: float) -> Oracle1dResult:
                                   diagnostics={"detail": "requires Q = S(2A+C^2)"})
         # half = -(2A + C^2)/2 bounds the half-line; its canonical point is half - 1
         strategy = _half_line(-g, -g - 2 * L2, 2 * L2, scale_k)
-        return Oracle1dResult("D0-R-zero", True, P=-s / b, strategy=strategy)
+        return Oracle1dResult("D0-R-zero", True, P=_ratio(-s, b), strategy=strategy)
     b2 = b * b
     # Sigma = R (2A+C^2)^2 - 4 S (2A+C^2) + 4 Q = sigma / (b^2 L^3)
     sigma = r * g * g - 4 * s * g * b * L + 4 * q * b2 * L2
     if sigma <= 0:
-        return Oracle1dResult("D0-R-positive", False, Sigma=sigma / (b2 * L2 * L),
+        return Oracle1dResult("D0-R-positive", False, Sigma=_ratio(sigma, b2 * L2 * L),
                               diagnostics={"detail": "discriminant not positive"})
     with decimal.localcontext() as ctx:
         ctx.prec = _PREC
@@ -192,8 +201,8 @@ def _solve_d0(L, a, c, b, q, s, r, scale_k: float) -> Oracle1dResult:
         rejected = (mid - sq_delta) / 2
     strategy = StrategySet("point", float(theta_norm) / scale_k)
     result = Oracle1dResult("D0-R-positive", True, P=float(P), strategy=strategy,
-                            Sigma=sigma / (b2 * L2 * L),
-                            Delta=r * sigma / (b2 * b2 * L2))
+                            Sigma=_ratio(sigma, b2 * L2 * L),
+                            Delta=_ratio(r * sigma, b2 * b2 * L2))
     result.diagnostics["rejected_root"] = float(rejected)
     return result
 
@@ -201,8 +210,8 @@ def _solve_d0(L, a, c, b, q, s, r, scale_k: float) -> Oracle1dResult:
 def _half_line(bound: int, theta: int, den: int, k: float) -> StrategySet:
     # {theta' < bound/den} maps to {theta < bound/(den k)} for k > 0 and flips for k < 0.
     side = "below" if k > 0 else "above"
-    return StrategySet("half-line", theta / den / k, v_free=True,
-                       bound=bound / den / k, side=side)
+    return StrategySet("half-line", _ratio(theta, den) / k, v_free=True,
+                       bound=_ratio(bound, den) / k, side=side)
 
 
 class _Noisy:
@@ -233,8 +242,8 @@ class _Noisy:
         """alpha, beta, gamma and Delta, each correctly rounded."""
         L2, d2 = self.L * self.L, self.d * self.d
         d4 = d2 * d2
-        return (self.alpha / (L2 * d2), self.beta / (self.L * d4),
-                self.w * self.w / (d4 * d2), self.Delta / (L2 * d4 * d4))
+        return (_ratio(self.alpha, L2 * d2), _ratio(self.beta, self.L * d4),
+                _ratio(self.w * self.w, d4 * d2), _ratio(self.Delta, L2 * d4 * d4))
 
     def degenerate(self, rtol: tuple[int, int]) -> bool:
         """Q = (2A + C^2) R (over L d^2) and S = (B + C) R (over d^3), within rtol."""
@@ -259,8 +268,14 @@ def _classify_d1(t: _Noisy) -> CaseReport:
             sq = _dec(t.alpha, L * L * d2).sqrt()
             bc = _dec(u, L * d)
             S, Q = _dec(s, d), _dec(q, L)
-            den_m = bc - sq
-            den_p = bc + sq
+            # (bc - sq)(bc + sq) = 2A + C^2: the factor that cancels is the
+            # quotient by the one that does not
+            if u > 0:
+                den_p = bc + sq
+                den_m = _dec(g, L * L) / den_p
+            else:
+                den_m = bc - sq
+                den_p = _dec(g, L * L) / den_m
             thr_ii = (2 * den_m * S - Q) / (den_m * den_m)
             thr_iii = (2 * den_p * S - Q) / (den_p * den_p)
             # (2A + C^2) S >= (B + C) Q, both over L^2 d
@@ -270,7 +285,7 @@ def _classify_d1(t: _Noisy) -> CaseReport:
                 case_iii = _dec(r * L, d2) > thr_iii
         else:
             # threshold (4 (B+C) S - Q) / (4 (B+C)^2); R above it, times 4 u^2 d^2 / L
-            thr_iv = L * (4 * u * s - q * d2) / (4 * u * u)
+            thr_iv = _ratio(L * (4 * u * s - q * d2), 4 * u * u)
             case_iv = q > 0 and 4 * r * u * u > d2 * (4 * u * s - q * d2)
 
     reformulation = t.beta > 0 and t.Delta > 0
@@ -281,7 +296,7 @@ def _classify_d1(t: _Noisy) -> CaseReport:
         case = "D1-case-iii"
     elif case_iv:
         case = "D1-case-iv"
-    return CaseReport(*t.floats(), g / (L * L), degenerate, case_ii, case_iii, case_iv,
+    return CaseReport(*t.floats(), _ratio(g, L * L), degenerate, case_ii, case_iii, case_iv,
                       None if thr_ii is None else float(thr_ii),
                       None if thr_iii is None else float(thr_iii),
                       thr_iv, reformulation, case)
@@ -293,18 +308,18 @@ def _solve_d1(t: _Noisy, scale_k: float) -> Oracle1dResult:
     d2 = d * d
     if t.degenerate(_DEGENERACY):
         alpha, beta, gamma, Delta = t.floats()
-        center = -u / (L * d) / scale_k
+        center = _ratio(-u, L * d) / scale_k
         strategy = StrategySet("interval", center, v_free=True, center=center,
                                radius=math.sqrt(alpha) / abs(scale_k))
-        return Oracle1dResult("D1-degenerate", True, P=-(r * L) / d2, strategy=strategy,
+        return Oracle1dResult("D1-degenerate", True, P=_ratio(-r * L, d2), strategy=strategy,
                               alpha=alpha, beta=beta, gamma=gamma, Delta=Delta)
 
     report = _classify_d1(t)
     diagnostics: dict = {"case_report": report}
     if t.degenerate(_NEAR_DEGENERACY):
         diagnostics["near_degenerate"] = {
-            "degenerate_P": -(r * L) / d2,
-            "degenerate_center": -u / (L * d) / scale_k,
+            "degenerate_P": _ratio(-r * L, d2),
+            "degenerate_center": _ratio(-u, L * d) / scale_k,
             "degenerate_radius": math.sqrt(report.alpha) / abs(scale_k),
         }
     if not report.reformulation_holds:

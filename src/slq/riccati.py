@@ -64,7 +64,7 @@ from .errors import (
     NotStabilizableError,
     NotStableError,
 )
-from .linalg import as_matrix, fro, pinv, range_defect, symmetrize
+from .linalg import as_matrix, fro, symmetrize
 from .stability import ControlledSystem, _stable_lyapunov, is_stabilizer, solve_lyapunov
 
 __all__ = [
@@ -133,12 +133,6 @@ class GareMaps:
     def control_part(self, P) -> np.ndarray:
         """R + D'P D  (m x m)."""
         return symmetrize(self.w.R + self.sys.D.T @ P @ self.sys.D)
-
-    def residual(self, P) -> np.ndarray:
-        """Pseudoinverse ARE residual  M(P) - L(P) N(P)^+ L(P)'."""
-        L = self.cross_part(P)
-        N = self.control_part(P)
-        return symmetrize(self.lyapunov_part(P) - L @ pinv(N) @ L.T)
 
 
 @dataclass
@@ -611,40 +605,42 @@ class GareUnsolvable:
     diagnostics: dict
 
 
-def control_pseudoinverse(N, psd_tol: float = 1e-8) -> np.ndarray:
-    """Pseudoinverse of R + D'PD with noise-aware rank detection.
+def control_pseudoinverse(N, psd_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """(N^+, U0): the pseudoinverse of N = R + D'PD and an orthonormal basis
+    U0 of its null space, from one SVD under the package's one rank rule.
 
-    At a degenerate solution N(P) is exactly singular in exact arithmetic but
-    carries O(eps) rounding; eigenvalues within ``psd_tol * (1 + ||N||)`` of
-    zero are treated as zero so the induced feedback family keeps its full
-    null-space freedom (matching the null-basis detection below).
+    Singular values at or below ``max(1e-10 s_max, psd_tol * (1 + ||N||))``
+    count as zero.  At a degenerate solution N(P) is singular in exact
+    arithmetic but carries O(eps) rounding, and the absolute floor keeps the
+    induced feedback family's full null-space freedom.  The GARE residual,
+    the range condition, the feedback family and v* all read the rank of
+    N(P) from here, so an R with eigenvalues below that floor needs a
+    smaller ``psd_tol``.
     """
     Nm = symmetrize(N)
-    return pinv(Nm, abs_tol=psd_tol * (1.0 + fro(Nm)))
-
-
-def _null_basis(N: np.ndarray, tol: float) -> np.ndarray:
-    w, V = np.linalg.eigh(symmetrize(N))
-    mask = np.abs(w) <= tol * (1.0 + fro(N))
-    return V[:, mask]
+    U, s, Vt = np.linalg.svd(Nm, full_matrices=False)
+    kept = s > max(1e-10 * s[0], psd_tol * (1.0 + fro(Nm)))
+    inv = np.zeros_like(s)
+    inv[kept] = 1.0 / s[kept]
+    N_dag = Vt.T @ (inv[:, None] * U.T) if kept.any() else np.zeros_like(Nm)
+    return (N_dag + N_dag.T) / 2.0, Vt[~kept].T
 
 
 def _select_feedback(sys: ControlledSystem, N: np.ndarray, Lt: np.ndarray,
-                     null_tol: float, flow_cfg: FlowConfig):
+                     N_dag: np.ndarray, U0: np.ndarray, flow_cfg: FlowConfig):
     """Pick Theta = -N^+ L' + (I - N^+N) Pi stabilizing, trying Pi = 0 first.
 
-    When N is singular and Pi = 0 fails, the search reduces to stabilizing
-    the system restricted to the control directions in the null space of N
+    ``N_dag`` and ``U0`` are ``control_pseudoinverse(N)``.  When N is
+    singular and Pi = 0 fails, the search reduces to stabilizing the system
+    restricted to the control directions U0 in the null space of N
     (deterministic and complete, since the restricted search is itself the
     full stabilizability test).  Returns (Theta, Pi) or None.
     """
     from .stabilizability import find_stabilizer
 
-    Nd = control_pseudoinverse(N, null_tol)
-    Theta0 = -Nd @ Lt
+    Theta0 = -N_dag @ Lt
     if is_stabilizer(sys, Theta0):
         return Theta0, np.zeros_like(Theta0)
-    U0 = _null_basis(N, null_tol)
     if U0.shape[1] == 0:
         return None
     restricted = ControlledSystem(
@@ -654,7 +650,7 @@ def _select_feedback(sys: ControlledSystem, N: np.ndarray, Lt: np.ndarray,
     if Z is None:
         return None
     Pi = U0 @ Z
-    Theta = Theta0 + (np.eye(sys.m) - Nd @ N) @ Pi
+    Theta = Theta0 + (np.eye(sys.m) - N_dag @ N) @ Pi
     if not is_stabilizer(sys, Theta):
         return None
     return Theta, Pi
@@ -786,23 +782,7 @@ def solve_gare(
                        n_min_eig=check.n_min_eig)
     if check.reason is not None:
         return GareUnsolvable(check.reason, diagnostics)
-    Theta, Pi = check.theta, check.pi
-
-    # Consistency of the reduction: N(P) (Sigma* + Sigma) = -L(P)' must hold
-    # once the range condition does, for any transformed-problem feedback.
-    maps = GareMaps(sys, w)
-    N = maps.control_part(P)
-    Lt = maps.cross_part(P).T
-    Lt_t = GareMaps(tsys, tw).cross_part(P).T
-    Sigma_star = -control_pseudoinverse(N, cfg.psd_tol) @ Lt_t
-    identity_gap = fro(N @ (Sigma_star + Sigma) + Lt) / (1.0 + fro(Lt))
-    diagnostics["identity_gap"] = identity_gap
-    if identity_gap > 1e-6:
-        raise InternalInconsistencyError(
-            f"reduction identity violated (gap {identity_gap:.3e})"
-        )
-
-    return GareSolution(P=P, Theta=Theta, Pi=Pi, diagnostics=diagnostics)
+    return GareSolution(P=P, Theta=check.theta, Pi=check.pi, diagnostics=diagnostics)
 
 
 @dataclass
@@ -829,17 +809,21 @@ def verify_static_stabilizing(
     All four findings (residual, range condition, semidefiniteness of N(P),
     existence of a stabilizing feedback in the induced family) are evaluated
     directly from the inputs, independent of how P was produced; ``reason``
-    names the first that fails, in that order.
+    names the first that fails, in that order.  The residual
+    M(P) - L(P) N(P)^+ L(P)', the range defect ||(I - N N^+) L'|| / (1 + ||L||)
+    and the feedback family all use the one N(P)^+ of
+    ``control_pseudoinverse``, whose rank rule is ``cfg.psd_tol``.
     """
     cfg = cfg or GareConfig()
     Pm = symmetrize(P, "P")
     maps = GareMaps(sys, w)
-    res_norm = fro(maps.residual(Pm))
     N = maps.control_part(Pm)
-    Lt = maps.cross_part(Pm).T
-    rdefect = range_defect(Lt, N)
+    L = maps.cross_part(Pm)
+    N_dag, U0 = control_pseudoinverse(N, cfg.psd_tol)
+    res_norm = fro(symmetrize(maps.lyapunov_part(Pm) - L @ N_dag @ L.T))
+    rdefect = fro(N @ (N_dag @ L.T) - L.T) / (1.0 + fro(L))
     n_min = float(np.linalg.eigvalsh(N)[0])
-    picked = _select_feedback(sys, N, Lt, cfg.psd_tol, cfg.flow)
+    picked = _select_feedback(sys, N, L.T, N_dag, U0, cfg.flow)
     failures = (
         (res_norm > cfg.res_tol * (1.0 + fro(Pm)), "limit fails the ARE residual check"),
         (rdefect > cfg.range_tol, "limit fails the range condition"),

@@ -267,6 +267,7 @@ def test_criterion_04_gare_residuals(rng=np.random.default_rng(1004)):
         Lt = maps.cross_part(P).T
         assert fro(maps.lyapunov_part(P) - Lt.T @ pinv(N) @ Lt) <= 1e-6 * (1 + fro(P))
         assert fro((np.eye(sys_i.m) - N @ pinv(N)) @ Lt) / (1.0 + fro(Lt)) <= 1e-6
+        assert fro(N @ out.Theta + Lt) / (1.0 + fro(Lt)) <= 1e-6
         n_min = float(np.linalg.eigvalsh(N)[0])
         assert n_min >= -1e-8
         assert is_stabilizer(sys_i, out.Theta)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import slq
 import slq.cli
@@ -202,9 +203,9 @@ _SETTLED_KEYS = {"settled_at_epsilon", "extrapolation_norm"}
 # one problem per route; R = 0 makes N(P) singular, so the epsilon path
 # runs, and with Q = 1 it does not settle
 @pytest.mark.parametrize("command, overrides, code, block, diagnostics", [
-    ("solve", {}, 0, "solution", _VERIFIED_KEYS | {"identity_gap", "epsilon_solves"}),
+    ("solve", {}, 0, "solution", _VERIFIED_KEYS | {"epsilon_solves"}),
     ("solve", {"A": [[-1.0]], "Q": [[0.0]], "R": [[0.0]]}, 0, "solution",
-     _VERIFIED_KEYS | _SETTLED_KEYS | {"identity_gap", "epsilon_solves"}),
+     _VERIFIED_KEYS | _SETTLED_KEYS | {"epsilon_solves"}),
     ("solve", {"A": [[-1.0]], "Q": [[-2.0]]}, 3, "unsolvable", {"epsilon_solves"}),
     ("solve", {"A": [[-1.0]], "R": [[0.0]]}, 3, "unsolvable", {"epsilon_solves"}),
     ("solve", {"A": [[1.0]], "B": [[0.0]]}, 2, None, None),
@@ -581,6 +582,25 @@ def test_simulate_zero_state(tmp_path):
     assert read(out)["simulation"]["estimate"] == 0.0
 
 
+def test_solve_reads_the_rank_of_n_from_psd_tol(tmp_path):
+    # R = diag(1, 1e-9): at the default psd_tol its small eigenvalue is
+    # below the rank floor psd_tol (1 + ||N||), so the GARE residual, the
+    # range condition and the feedback family all drop it, and the problem
+    # is called ill-conditioned; at 1e-12 it is inverted, and the gain is
+    # the CARE's -R^-1 B'P
+    A, B, Q, R = np.eye(1), np.ones((1, 2)), np.eye(1), np.diag([1.0, 1e-9])
+    data = {"m": 2, "A": A.tolist(), "B": B.tolist(), "D": [[0.0, 0.0]],
+            "S": [[0.0], [0.0]], "R": R.tolist()}
+    out = str(tmp_path / "r.json")
+    assert main(["solve", write_problem(tmp_path, **data), "--out", out]) == 3
+    assert read(out)["unsolvable"]["reason"].startswith("epsilon path did not settle")
+    prob = write_problem(tmp_path, name="fine.json", solver={"psd_tol": 1e-12}, **data)
+    assert main(["solve", prob, "--out", out]) == 0
+    P = scipy.linalg.solve_continuous_are(A, B, Q, R)
+    want = -np.linalg.solve(R, B.T @ P)
+    assert np.asarray(read(out)["solution"]["Theta"]) == pytest.approx(want, rel=1e-6)
+
+
 def test_oracle_subcommand(tmp_path):
     prob = write_problem(tmp_path)
     out = str(tmp_path / "r.json")
@@ -593,6 +613,15 @@ def test_oracle_subcommand(tmp_path):
 def test_oracle_not_stabilizable_exit(tmp_path):
     prob = write_problem(tmp_path, A=[[1.0]], B=[[0.0]], D=[[0.1]])
     assert main(["oracle1d", prob, "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_oracle_writes_values_beyond_the_float_range_as_null(tmp_path):
+    # D = 2^-1022: alpha = (B/D + C)^2 - (2A + C^2) is about 2e615
+    prob = write_problem(tmp_path, A=[[-1.0]], D=[[2.2250738585072014e-308]])
+    out = str(tmp_path / "r.json")
+    assert main(["oracle1d", prob, "--out", out]) in (0, 3)
+    block = read(out)["oracle_1d"]
+    assert block["alpha"] is block["Delta"] is None
 
 
 def test_asymmetric_q_warning(tmp_path, capsys):

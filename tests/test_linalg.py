@@ -7,7 +7,6 @@ from slq.linalg import (
     fro,
     is_psd,
     pinv,
-    range_defect,
     symmetrize,
 )
 
@@ -85,28 +84,6 @@ def test_pinv_psd_maps_to_psd(rng):
         G = rng.uniform(-1, 1, (n, n))
         M = G @ G.T
         assert is_psd(pinv(M))
-
-
-def test_range_contained_identity():
-    assert range_defect(np.eye(2), np.eye(2)) <= 1e-12
-
-
-def test_range_contained_orthogonal():
-    assert range_defect(np.array([[0.0], [1.0]]), np.diag([1.0, 0.0])) == pytest.approx(0.5)
-
-
-def test_range_contained_solvable_case():
-    # N x = L has the explicit solution x = (3, anything)'
-    N = np.diag([1.0, 0.0])
-    L = np.array([[3.0], [0.0]])
-    assert range_defect(L, N) <= 1e-12
-    X = pinv(N) @ L
-    assert np.allclose(N @ X, L)
-
-
-def test_range_contained_shape_error():
-    with pytest.raises(InvalidInputError):
-        range_defect(np.eye(3), np.eye(2))
 
 
 def test_symmetric_solution_quadratic_identity(rng):

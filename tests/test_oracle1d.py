@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -117,6 +118,32 @@ def test_root_discrimination():
     rejected = res.diagnostics["rejected_theta"]
     assert abs(rejected + 0.0) >= np.sqrt(res.alpha)
     assert abs(res.strategy.theta + 0.0) < np.sqrt(res.alpha)
+
+
+def test_case_threshold_whose_denominator_cancels():
+    # B/D + C = -2.5e150 + 3 and 2A + C^2 = 12, so bc + sqrt(alpha) is about
+    # 12 / (2 bc), far below the 60-digit resolution of bc; it is computed
+    # as (2A + C^2) / (bc - sqrt(alpha)), its exact equal
+    args = (1.5, 3.0, -2.5, 1e-150, -15.00000000015, 3.125, -1.25e-300)
+    _check_decisions(args)
+    report = classify_1d_cases(*args)
+    assert report.case_iii_applies is False and report.case is None
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400              # enough for the cancellation done directly
+        A, C, B, D, Q, S, R = map(decimal.Decimal, args)
+        bc = B / D + C
+        den = bc + (bc * bc - 2 * A - C * C).sqrt()
+        want = (2 * den * S / D - Q) / (den * den)
+    assert report.threshold_iii == pytest.approx(float(want), rel=1e-12)
+    assert solve_1d(*args).diagnostics["case_report"] == report
+
+
+def test_values_beyond_the_float_range_are_infinite():
+    # D = 2^-1022: alpha = (B/D + C)^2 - (2A + C^2) is about 2e615
+    args = (-1.0, 0.0, 1.0, 2.2250738585072014e-308, 1.0, 0.0, 1.0)
+    _check_decisions(args)
+    res = solve_1d(*args)
+    assert res.alpha == res.beta == res.gamma == res.Delta == math.inf
 
 
 def test_scaling_consistency(rng):
@@ -239,33 +266,27 @@ def _reference(A, C, B, D, Q, S, R) -> dict:
             "solvable": degenerate or reformulation, "degenerate": degenerate,
             "reformulation": reformulation,
             "classified": case if reformulation and not degenerate else None,
-            "a2": a2, "bc": bc, "reported": reported}
+            "reported": reported}
 
 
-def _outcome_or_reason(fn, coeffs, ref):
-    """fn's result, or None where it raises for a reason the reference sees:
-    a reported value beyond the float range, or (2A + C^2)/(B/D + C)^2 below
-    60-digit resolution, where a case threshold divides by bc - sqrt(alpha)
-    or bc + sqrt(alpha) rounded to 0."""
-    try:
-        return fn(*coeffs)
-    except OverflowError:
-        assert max(map(abs, ref["reported"])) > Fraction(sys.float_info.max)
-    except decimal.DecimalException:
-        assert ref["a2"] != 0 and abs(ref["a2"]) < Fraction(1, 10 ** 50) * ref["bc"] ** 2
-    return None
+def _float(x: Fraction) -> float:
+    """x correctly rounded, +-inf beyond the float range."""
+    if abs(x) > Fraction(sys.float_info.max):
+        return math.inf if x > 0 else -math.inf
+    return float(x)
 
 
 def _check_decisions(coeffs):
-    """The oracle's decisions are the reference's."""
+    """The oracle's decisions are the reference's, and its alpha, beta,
+    gamma, Delta and 2A + C^2 are the reference's values correctly rounded,
+    +-inf beyond the float range."""
     if coeffs[2] == 0.0 and coeffs[3] == 0.0:
         with pytest.raises(UnsupportedInputError):
             solve_1d(*coeffs)
         return
     ref = _reference(*coeffs)
-    res = _outcome_or_reason(solve_1d, coeffs, ref)
-    if res is not None:
-        assert (res.case, res.solvable) == (ref["case"], ref["solvable"])
+    res = solve_1d(*coeffs)
+    assert (res.case, res.solvable) == (ref["case"], ref["solvable"])
     if coeffs[3] == 0.0:
         with pytest.raises(UnsupportedInputError):
             classify_1d_cases(*coeffs)
@@ -274,14 +295,14 @@ def _check_decisions(coeffs):
         with pytest.raises(NotStabilizableError):
             classify_1d_cases(*coeffs)
         return
-    report = _outcome_or_reason(classify_1d_cases, coeffs, ref)
-    if report is None:
-        return
+    report = classify_1d_cases(*coeffs)
+    assert (report.alpha, report.beta, report.gamma, report.Delta,
+            report.two_a_c2) == tuple(map(_float, ref["reported"][:5]))
     assert report.degenerate == ref["degenerate"]
     assert report.reformulation_holds == ref["reformulation"]
     if ref["classified"] is not None:
         assert report.case == ref["classified"]
-    if res is not None and "case_report" in res.diagnostics:
+    if "case_report" in res.diagnostics:
         assert res.diagnostics["case_report"] == report
 
 

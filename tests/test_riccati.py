@@ -30,7 +30,7 @@ from slq.errors import (
 from slq.linalg import fro
 from slq.oracle1d import solve_1d
 import slq.riccati
-from slq.riccati import _epsilon_path, _newton_limit
+from slq.riccati import _epsilon_path, _newton_limit, control_pseudoinverse
 from slq.stability import solve_lyapunov
 from test_acceptance import criterion_04_battery, criterion_05_draws, criterion_06_instances
 from test_stability import _second_moment_operator
@@ -514,7 +514,9 @@ def test_gare_two_dimensional_residuals():
     out = solve_gare(sys2, w)
     assert isinstance(out, GareSolution)
     maps = GareMaps(sys2, w)
-    assert fro(maps.residual(out.P)) <= 1e-6 * (1 + fro(out.P))
+    L = maps.cross_part(out.P)
+    residual = maps.lyapunov_part(out.P) - L @ np.linalg.solve(maps.control_part(out.P), L.T)
+    assert fro(residual) <= 1e-6 * (1 + fro(out.P))
     assert is_stabilizer(sys2, out.Theta)
 
 
@@ -575,6 +577,34 @@ def test_verify_partially_degenerate_without_freedom():
     assert abs(report.n_min_eig) <= 1e-12
     assert report.range_defect <= 1e-12
     assert report.theta is None and not report.passed
+
+
+# n = 1, m = 2, B = D = 0: N(P) = R and L(P)' = S, whatever the candidate P
+@pytest.mark.parametrize("R, S, defect", [
+    (np.eye(2), [[1.0], [0.0]], 0.0),
+    (np.diag([1.0, 0.0]), [[0.0], [1.0]], 0.5),
+    (np.diag([1.0, 0.0]), [[3.0], [0.0]], 0.0),
+], ids=["identity", "orthogonal", "contained"])
+def test_verify_range_defect(R, S, defect):
+    sys1 = ControlledSystem([[-1.0]], [[0.0]], [[0.0, 0.0]], [[0.0, 0.0]])
+    report = verify_static_stabilizing(sys1, CostWeights([[1.0]], S, R), [[0.5]])
+    assert report.range_defect == pytest.approx(defect, abs=1e-12)
+
+
+def test_control_pseudoinverse_is_one_rank_rule():
+    # an eigenvalue at or below psd_tol (1 + ||N||) is zero for N^+ and U0 alike
+    N = np.diag([1.0, 1e-9])
+    N_dag, U0 = control_pseudoinverse(N)
+    assert np.allclose(N_dag, np.diag([1.0, 0.0]), rtol=0.0, atol=1e-15)
+    assert np.allclose(np.abs(U0), [[0.0], [1.0]])
+    N_dag, U0 = control_pseudoinverse(N, psd_tol=1e-12)
+    assert np.allclose(N_dag, np.diag([1.0, 1e9]), rtol=1e-12) and U0.shape == (2, 0)
+    # below the relative floor 1e-10 s_max, whatever psd_tol says
+    N_dag, U0 = control_pseudoinverse(np.diag([1e6, 1e-5]), psd_tol=1e-14)
+    assert np.allclose(N_dag, np.diag([1e-6, 0.0]), rtol=1e-12) and U0.shape == (2, 1)
+    # zero up to rounding: every direction is null
+    N_dag, U0 = control_pseudoinverse(np.full((2, 2), 1e-17))
+    assert not N_dag.any() and U0.shape == (2, 2)
 
 
 def test_verify_zero_matrix_on_zero_cost():

@@ -134,7 +134,10 @@ def test_residual_is_the_unit_weight_are_residual():
                             [[0.0], [1.0]], [[0.1], [0.0]])
     report = stabilizability_report(sys2)
     assert report.stabilizable
-    want = fro(GareMaps(sys2, unit_weights(2, 1)).residual(report.P))
+    maps = GareMaps(sys2, unit_weights(2, 1))
+    L = maps.cross_part(report.P)
+    want = fro(maps.lyapunov_part(report.P)
+               - L @ np.linalg.solve(maps.control_part(report.P), L.T))
     assert report.residual == pytest.approx(want, rel=1e-3, abs=1e-14 * (1.0 + fro(report.P)))
     assert report.residual <= 1e-10 * (1.0 + fro(report.P))
 
