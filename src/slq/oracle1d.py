@@ -192,13 +192,19 @@ def _solve_d0(L, a, c, b, q, s, r, scale_k: float) -> Oracle1dResult:
     if sigma <= 0:
         return Oracle1dResult("D0-R-positive", False, Sigma=_ratio(sigma, b2 * L2 * L),
                               diagnostics={"detail": "discriminant not positive"})
+    # a sum whose terms would cancel is the exact product of it and its
+    # partner over the partner: the roots (mid +- sqrt(R Sigma)) / 2 multiply
+    # to S^2 - RQ, and -(2A + C^2 +- sqrt(Sigma / R)) / 2 to (S (2A + C^2) - Q) / R
     with decimal.localcontext() as ctx:
         ctx.prec = _PREC
         sq_delta = _dec(r * sigma, b2 * b2 * L2).sqrt()      # sqrt(R Sigma)
         mid = _dec(g * r - 2 * s * b * L, L * b2)            # (2A+C^2) R - 2S
-        P = (mid + sq_delta) / 2
-        theta_norm = -(_dec(g, L2) + _dec(sigma, r * L2 * L2).sqrt()) / 2
-        rejected = (mid - sq_delta) / 2
+        product = _dec(s * s - r * q, b2)                    # S^2 - R Q
+        root = (mid + sq_delta if mid >= 0 else mid - sq_delta) / 2
+        P, rejected = (root, product / root) if mid >= 0 else (product / root, root)
+        rate, sq_rate = _dec(g, L2), _dec(sigma, r * L2 * L2).sqrt()
+        theta_norm = (-(rate + sq_rate) / 2 if g > 0 else
+                      _dec(2 * b * (s * g - q * b * L), r * L2 * L) / (sq_rate - rate))
     strategy = StrategySet("point", float(theta_norm) / scale_k)
     result = Oracle1dResult("D0-R-positive", True, P=float(P), strategy=strategy,
                             Sigma=_ratio(sigma, b2 * L2 * L),
@@ -335,9 +341,17 @@ def _solve_d1(t: _Noisy, scale_k: float) -> Oracle1dResult:
         beta = _dec(t.beta, L * d4)
         y2 = (beta + sq_delta) / two_alpha
         y1 = (beta - sq_delta) / two_alpha
-        P = y2 - _dec(r * L, d2)
         bc, gain = _dec(u, L * d), _dec(t.w, d2 * d)       # B + C and (B + C) R - S
-        theta_norm = gain / y2 - bc
+        # P = y2 - R = (X + sqrt(Delta)) / (2 alpha), X = beta - 2 alpha R over L d^4, and
+        # gain / y2 - bc = (Y - bc sqrt(Delta)) / (beta + sqrt(Delta)), Y = 2 alpha gain -
+        # bc beta over L^2 d^5; where terms cancel, X^2 - Delta and Y^2 - bc^2 Delta are exact
+        x, y = t.beta - 2 * t.alpha * r, 2 * t.alpha * t.w - u * t.beta
+        X, Y, bc_sq = _dec(x, L * d4), _dec(y, L * L * d4 * d), bc * sq_delta
+        P = ((X + sq_delta) / two_alpha if x >= 0 else
+             _dec(x * x - t.Delta, (L * d4) ** 2) / (two_alpha * (X - sq_delta)))
+        theta_norm = (Y - bc_sq if y * u <= 0 else
+                      _dec(y * y - u * u * t.Delta, (L * L * d4 * d) ** 2) / (Y + bc_sq))
+        theta_norm /= beta + sq_delta
         rejected = None if y1 <= 0 else gain / y1 - bc
     diagnostics["roots_y"] = (float(y1), float(y2))
     if rejected is not None:

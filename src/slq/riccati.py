@@ -25,7 +25,8 @@ certified mean-square stabilizing and P becomes its cost, the solution of
 the closed-loop generalized Lyapunov equation.  That is the certified
 Bartels-Stewart fixed point of ``stability``, the package's one generalized
 Lyapunov solver (Hurwitz drift and a contracting noise map), warm-started
-from P; when n = m = 1 it is one float division (``_maps`` picks the float
+from P and settled only as far as the ARE residual at P calls for (inexact
+Newton); when n = m = 1 it is one float division (``_maps`` picks the float
 or the matrix maps).  Its limit is accepted on the flow's own certificate,
 and Newton alone decides: when a stabilizing solution with R + D'PD > 0
 exists, the Lyapunov value G of the stable pair lies above it, so Newton
@@ -359,7 +360,7 @@ def integrate_riccati_flow(
     if G0.shape != (sys.n, sys.n):
         raise InvalidInputError("G must be n x n")
 
-    rhs, _, _, norm, sym, state = _maps(sys, w)
+    rhs, _, _, _, norm, sym, state = _maps(sys, w)
     status, times, vals, dnorm = _adaptive_flow(rhs, sym, norm, state(G0), cfg)
     values = np.asarray(vals, dtype=float).reshape(-1, sys.n, sys.n)
     return RiccatiFlow(
@@ -374,13 +375,20 @@ def integrate_riccati_flow(
 _NEWTON_MAX_STEPS = 60   # Newton steps before the solve counts as failed
 
 
+def _newton_forcing(r: float) -> float:
+    """Relative settling tolerance of a gain's value at relative ARE residual
+    r: ~r^2 keeps Newton quadratic (Feitzinger, Hylla & Sachs 2009)."""
+    return min(1e-3, 0.01 * r * r)
+
+
 def _newton(are, gain_value, norm, P0, stat_tol: float):
     """Newton-Kleinman from P0: P <- the value of the gain -K(P), until the
     ARE residual at P is below ``stat_tol * (1 + ||P||)``.
 
-    ``are`` is ``_matrix_are``/``_scalar_are``; ``gain_value(Theta, P)`` is
-    the cost matrix of the feedback Theta, or None when it cannot certify
-    Theta as mean-square stabilizing.  Returns (P, steps, cause): on failure
+    ``are`` is ``_matrix_are``/``_scalar_are``; ``gain_value(Theta, P, tol)``
+    is the cost matrix of the feedback Theta, settled to ``_newton_forcing``
+    of the relative residual at P, or None when it cannot certify Theta as
+    mean-square stabilizing.  Returns (P, steps, cause): on failure
     P is None and cause says why -- R + D'PD is not positive definite, a gain
     is not certified, a value is not finite, or ``_NEWTON_MAX_STEPS`` steps do
     not converge; on success cause is None.
@@ -396,7 +404,7 @@ def _newton(are, gain_value, norm, P0, stat_tol: float):
             return None, step, "a Newton iterate is not finite"
         if norm(residual) < stat_tol * (1.0 + p_norm):
             return P, step, None
-        P = gain_value(-K, P)
+        P = gain_value(-K, P, _newton_forcing(norm(residual) / (1.0 + p_norm)))
         if P is None:
             return None, step + 1, "a Newton gain is not certified mean-square stabilizing"
     return None, _NEWTON_MAX_STEPS, f"Newton did not converge in {_NEWTON_MAX_STEPS} steps"
@@ -406,15 +414,15 @@ def _matrix_gain_value(sys: ControlledSystem, w: CostWeights):
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     Q, S, R = w.Q, w.S, w.R
 
-    def gain_value(Theta, P):
+    def gain_value(Theta, P, tol):
         cross = S.T @ Theta
         Q_cl = Q + cross + cross.T + Theta.T @ R @ Theta
         try:
-            return _stable_lyapunov(A + B @ Theta, C + D @ Theta, Q_cl, P)
+            return _stable_lyapunov(A + B @ Theta, C + D @ Theta, Q_cl, P, tol)
         except LyapunovUnsolvableError:
             return None
 
-    return gain_value
+    return gain_value, lambda Theta: is_stabilizer(sys, Theta)
 
 
 def _scalar_gain_value(sys: ControlledSystem, w: CostWeights):
@@ -426,26 +434,26 @@ def _scalar_gain_value(sys: ControlledSystem, w: CostWeights):
     s = float(w.S[0, 0])
     r = float(w.R[0, 0])
 
-    def gain_value(theta, p):
+    def gain_value(theta, p, tol=None):     # exact on floats: tol goes unused
         c_cl = c + d * theta
         rate = 2.0 * (a + b * theta) + c_cl * c_cl
         if not rate < 0.0:      # also refuses a NaN
             return None
         return -(q + (2.0 * s + r * theta) * theta) / rate
 
-    return gain_value
+    return gain_value, lambda theta: gain_value(theta, None) is not None
 
 
 def _maps(sys: ControlledSystem, w: CostWeights):
-    """(rhs, are, gain_value, norm, sym, state): the flow's right-hand side
-    (the ARE residual alone), the ARE and gain-value maps, the norm and
-    symmetrization of a flow state, and ``state(X)``, the state of an n x n
-    matrix X -- on floats when n = m = 1, on matrices otherwise.  A float is
-    its own symmetrization."""
+    """(rhs, are, gain_value, certify, norm, sym, state): the flow's
+    right-hand side (the ARE residual alone), the ARE and gain-value maps,
+    the check of a gain alone, the norm and symmetrization of a flow state,
+    and ``state(X)``, the state of an n x n matrix X -- on floats when
+    n = m = 1, on matrices otherwise.  A float is its own symmetrization."""
     if sys.n == 1 and sys.m == 1:
-        return (*_scalar_are(sys, w), _scalar_gain_value(sys, w), abs, float,
+        return (*_scalar_are(sys, w), *_scalar_gain_value(sys, w), abs, float,
                 lambda X: float(X[0, 0]))
-    return (*_matrix_are(sys, w), _matrix_gain_value(sys, w), fro, lambda y: (y + y.T) / 2.0,
+    return (*_matrix_are(sys, w), *_matrix_gain_value(sys, w), fro, lambda y: (y + y.T) / 2.0,
             lambda X: np.asarray(X, dtype=float))
 
 
@@ -457,7 +465,7 @@ def _newton_limit(
     Returns (P, solve): P is the limit or None, and solve is {"steps": k},
     with "failed": the cause when P is None.
     """
-    _, are, gain_value, norm, _, state = _maps(sys, w)
+    _, are, gain_value, _, norm, _, state = _maps(sys, w)
     P, steps, cause = _newton(are, gain_value, norm, state(P0), stat_tol)
     P = None if P is None else np.reshape(P, (sys.n, sys.n))
     return P, {"steps": steps} if cause is None else {"steps": steps, "failed": cause}
@@ -468,14 +476,14 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     until its first certified gain, then Newton-Kleinman.
 
     At accepted steps 0, 1, 2, 4, 8, ... the flow hands its gain -K(Sig) to
-    the certifying gain-value map, and stops at the first gain certified or
-    at its own converged limit.  Both end the same way: Newton-Kleinman from
-    that gain's value, or from the converged limit, which already meets
-    Newton's bound so that Newton takes no step, then one certification of
-    the gain of Newton's limit.  With Q > 0, Newton from a stabilizing gain
-    reaches the unique PSD solution, the flow's limit, so a failure there
-    raises :class:`InternalInconsistencyError`, whose message ends with the
-    cause.  A flow of k steps that certifies no gain makes at most
+    the certifying gain-value map, settled as in ``_newton``, and stops at
+    the first gain certified or at its own converged limit.  Both end the
+    same way: Newton-Kleinman from that gain's value, or from the converged
+    limit, which meets Newton's bound so that Newton takes no step, then one
+    check of the gain of Newton's limit, with no value.  With Q > 0, Newton
+    from a stabilizing gain reaches the unique PSD solution, the flow's
+    limit, so a failure there raises :class:`InternalInconsistencyError`,
+    whose message ends with the cause.  A flow of k steps that certifies no gain makes at most
     floor(log2 k) + 2 certification attempts.
 
     Returns (P, Theta, residual, route).  P is the limit, Theta = -K(P) its
@@ -485,12 +493,13 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     "newton_steps"}: status is 'certified' when a checkpoint stopped the
     flow and the flow's own status otherwise.
     """
-    rhs, are, gain_value, norm, sym, state = _maps(sys, w)
+    rhs, are, gain_value, certify, norm, sym, state = _maps(sys, w)
     start = None                # the value of the first certified gain
 
     def certified(y):
         nonlocal start
-        start = gain_value(-are(y)[1], y)
+        residual, K = are(y)
+        start = gain_value(-K, y, _newton_forcing(norm(residual) / (1.0 + norm(y))))
         return start is not None
 
     status, times, values, _ = _adaptive_flow(rhs, sym, norm, state(np.zeros((sys.n, sys.n))),
@@ -505,7 +514,7 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     P, route["newton_steps"], cause = _newton(are, gain_value, norm, start, cfg.stat_tol)
     if cause is None:
         residual, K = are(P)
-        if gain_value(-K, P) is None:
+        if not certify(-K):
             cause = "the gain of its limit is not certified mean-square stabilizing"
     if cause is not None:
         raise InternalInconsistencyError(

@@ -8,12 +8,12 @@ and [A, C; B, D] the controlled one
 
     dX = (A X + B u) dt + (C X + D u) dW.
 
-Stability is decided constructively, by the one generalized Lyapunov solver
-``solve_lyapunov``.  [A, C] is L2-stable iff A is Hurwitz and the noise map
-X -> Y, with Y A + A'Y = -C'X C, contracts (Damm 2004); the solver checks
-both in real Schur coordinates while it runs the fixed point
-X A + A'X + C'X C + Lambda = 0, and raises for every pair it cannot certify.
-For Lambda = I its solution P > 0 is then a strict Lyapunov certificate.
+Stability is decided constructively.  [A, C] is L2-stable iff A is Hurwitz
+and the noise map X -> Y, with Y A + A'Y = -C'X C, contracts (Damm 2004);
+the one generalized Lyapunov solver ``solve_lyapunov`` certifies both in real
+Schur coordinates before it runs the fixed point X A + A'X + C'X C + Lambda
+= 0, and raises for every pair it cannot certify.  ``is_l2_stable`` runs the
+certificate alone for n >= 2, with no value sweeps.
 """
 
 from __future__ import annotations
@@ -112,41 +112,14 @@ _NOT_HURWITZ = "not mean-square stable: the drift is not Hurwitz"
 _NO_CONTRACTION = "not certified mean-square stable: the noise map does not contract"
 
 
-def _stable_lyapunov(A, C, Lam, X0=None) -> np.ndarray:
-    """Solve X A + A'X + C'X C + Lam = 0 and certify [A, C] mean-square stable.
-
-    Bartels-Stewart: A = Z T Z' is reduced to real Schur form once, and the
-    solve runs in Schur coordinates, where each sweep of the fixed point
-
-        T'X + X T = -(Lam + C'X C)
-
-    is one triangular Sylvester solve.  In LAPACK's standardized real Schur
-    form the diagonal of T holds the real parts of the eigenvalues, so A is
-    Hurwitz iff it is negative.  With C = 0 that settles stability and the
-    solve is one sweep.  Otherwise the noise map, taking X to the solution Y
-    of T'Y + Y T = -C'X C, is completely positive, so its norm is that of its
-    value at I (Russo-Dye), and ||map^k(I)|| <= 1/2 certifies that map^k
-    halves every step, which for Hurwitz A is mean-square stability (Damm
-    2004).  The fixed point runs from X0 (default 0) until the certificate is
-    in and the iterate has settled: the step is below ``_FP_TOL`` relative
-    and, as the steps shrink about geometrically by their ratio r, so is the
-    remaining distance step * r / (1 - r), down to ``_FP_FLOOR`` times that
-    tolerance, which stays above rounding.  Only the certificate has to come
-    within ``_FP_MAX_ITERS`` sweeps; after it, halving every k sweeps brings
-    the step under the floor within a number of sweeps known at that point.
-
-    Raises :class:`LyapunovUnsolvableError`, naming the failed condition, when
-    A is not Hurwitz, the noise map does not contract within
-    ``_FP_MAX_ITERS`` sweeps or ||map^k(I)|| passes 1 / ``_FP_TOL`` (rounding
-    then grows past the settling tolerance), a value is not finite, the
-    Sylvester solve reports near-common eigenvalues, or the iterate does not
-    settle within the sweeps its certificate allows.
-    """
+def _schur_sweep(A):
+    """(Z, sweep) for a Hurwitz A = Z T Z' in LAPACK's real Schur form, whose
+    diagonal holds the real parts of the eigenvalues: sweep(F) solves
+    T'Y + Y T = -F and raises when the solve reports near-common eigenvalues."""
     # SciPy loads on first use: scalar unforced runs never need it
     from scipy.linalg import schur
     from scipy.linalg.lapack import dtrsyl
 
-    n = A.shape[0]
     try:
         T, Z = schur(A, output="real", check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -160,6 +133,54 @@ def _stable_lyapunov(A, C, Lam, X0=None) -> np.ndarray:
             raise LyapunovUnsolvableError("the drift has eigenvalues near the imaginary axis")
         return (Y + Y.T) / (2.0 * scale)
 
+    return Z, sweep
+
+
+def _contraction(sweep, C_s) -> int:
+    """The first k with ||map^k(I)|| <= 1/2, map X -> sweep(C_s'X C_s); one sweep if C_s = 0."""
+    Y = np.eye(C_s.shape[0])
+    for k in range(1, _FP_MAX_ITERS + 1):
+        Y = sweep(C_s.T @ Y @ C_s)
+        y_norm = fro(Y)
+        if not y_norm * _FP_TOL <= 1.0:         # also refuses a NaN
+            raise LyapunovUnsolvableError(f"{_NO_CONTRACTION}: ||map^{k}(I)|| = {y_norm:.3g}")
+        if y_norm <= 0.5:
+            return k
+    raise LyapunovUnsolvableError(f"{_NO_CONTRACTION} within {_FP_MAX_ITERS} sweeps")
+
+
+def _stable_lyapunov(A, C, Lam, X0=None, tol: float = _FP_TOL) -> np.ndarray:
+    """Solve X A + A'X + C'X C + Lam = 0 and certify [A, C] mean-square stable.
+
+    Bartels-Stewart: A = Z T Z' is reduced to real Schur form once, and the
+    solve runs in Schur coordinates, where each sweep of the fixed point
+
+        T'X + X T = -(Lam + C'X C)
+
+    is one triangular Sylvester solve (``_schur_sweep``, which also tests
+    that A is Hurwitz).  With C = 0 that settles stability and the solve is
+    one sweep.  Otherwise the noise map, taking X to the solution Y of
+    T'Y + Y T = -C'X C, is completely positive, so its norm is that of its
+    value at I (Russo-Dye), and ||map^k(I)|| <= 1/2 certifies that map^k
+    halves every step, which for Hurwitz A is mean-square stability (Damm
+    2004).  Once that certificate is in (``_contraction``), the fixed point
+    runs from X0 (default 0) for at least those k sweeps and until it has
+    settled: the step is below ``tol`` relative, never below ``_FP_TOL``,
+    and, as the steps shrink about geometrically by their ratio r, so is the
+    remaining distance step * r / (1 - r), down to ``_FP_FLOOR`` times that
+    tolerance, which stays above rounding.  Halving every k sweeps brings the
+    step under the floor within a number of sweeps known at sweep k.
+
+    Raises :class:`LyapunovUnsolvableError`, naming the failed condition, when
+    A is not Hurwitz, the noise map does not contract within
+    ``_FP_MAX_ITERS`` sweeps or ||map^k(I)|| passes 1 / ``_FP_TOL`` (rounding
+    then grows past the settling tolerance), a value is not finite, the
+    Sylvester solve reports near-common eigenvalues, or the iterate does not
+    settle within the sweeps its certificate allows.
+    """
+    n = A.shape[0]
+    Z, sweep = _schur_sweep(A)
+
     def back(X):
         X = Z @ X @ Z.T
         return (X + X.T) / 2.0
@@ -168,11 +189,10 @@ def _stable_lyapunov(A, C, Lam, X0=None) -> np.ndarray:
     if not C.any():
         return back(sweep(Lam_s))
     C_s = Z.T @ C @ Z
+    certified = _contraction(sweep, C_s)
+    tol = max(tol, _FP_TOL)
     X = np.zeros((n, n)) if X0 is None else Z.T @ X0 @ Z
-    Y = np.eye(n)               # map^k(I), until the certificate is in
-    deadline = _FP_MAX_ITERS
-    k = 0
-    step = 0.0
+    deadline, k, step = certified, 0, 0.0
     while k < deadline:
         k += 1
         X_new = sweep(Lam_s + C_s.T @ X @ C_s)
@@ -181,24 +201,17 @@ def _stable_lyapunov(A, C, Lam, X0=None) -> np.ndarray:
             raise LyapunovUnsolvableError("the Lyapunov fixed point is not finite")
         prev_step, step = step, fro(X_new - X)
         X = X_new
-        if Y is not None:
-            Y = sweep(C_s.T @ Y @ C_s)
-            y_norm = fro(Y)
-            if y_norm * _FP_TOL > 1.0:
-                raise LyapunovUnsolvableError(f"{_NO_CONTRACTION}: ||map^{k}(I)|| = {y_norm:.3g}")
-            if y_norm > 0.5:
-                continue
-            Y = None
+        if k < certified:
+            continue
+        if k == certified:
             # the spectral norm of every k-th step halves (||.||_F <= sqrt(n) ||.||_2);
             # one extra period is slack for rounding
-            halvings = np.log2(max(1.0, np.sqrt(n) * step / (_FP_FLOOR * _FP_TOL)))
+            halvings = np.log2(max(1.0, np.sqrt(n) * step / (_FP_FLOOR * tol)))
             deadline = k * (2 + int(np.ceil(halvings)))
-        tol = _FP_TOL * (1.0 + x_norm)
+        settle = tol * (1.0 + x_norm)
         r = step / prev_step if prev_step > 0.0 else 0.0
-        if step <= tol and (step * r <= tol * (1.0 - r) or step <= _FP_FLOOR * tol):
+        if step <= settle and (step * r <= settle * (1.0 - r) or step <= _FP_FLOOR * settle):
             return back(X)
-    if Y is not None:
-        raise LyapunovUnsolvableError(f"{_NO_CONTRACTION} within {_FP_MAX_ITERS} sweeps")
     raise LyapunovUnsolvableError(f"the Lyapunov fixed point did not settle in {deadline} sweeps")
 
 
@@ -229,13 +242,17 @@ def is_l2_stable(sys: SystemPair) -> bool:
     """Decide L2-stability of [A, C] via the Lyapunov certificate.
 
     True iff ``solve_lyapunov(sys, I)`` certifies the pair: Hurwitz drift
-    and a contracting noise map; the solution P is then positive definite
-    and P A + A'P + C'P C = -I < 0 is a strict certificate.  Pairs it cannot
-    certify, the marginal ones (2A + C^2 = 0 in the scalar case) included,
-    classify as unstable.
+    and a contracting noise map, whose solution P > 0 is then a strict
+    certificate; for n >= 2 the certificate runs alone, with no value
+    sweeps.  Pairs it cannot certify, the marginal ones (2A + C^2 = 0 in
+    the scalar case) included, classify as unstable.
     """
     try:
-        solve_lyapunov(sys, np.eye(sys.n))
+        if sys.n == 1:
+            solve_lyapunov(sys, np.eye(1))
+        else:
+            Z, sweep = _schur_sweep(sys.A)
+            _contraction(sweep, Z.T @ sys.C @ Z)
     except LyapunovUnsolvableError:
         return False
     return True

@@ -36,3 +36,26 @@ def scalar_stabilizable(sys):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+def _scaled(rng, shape, norm2):
+    M = rng.standard_normal(shape)
+    return norm2 * M / np.linalg.norm(M, 2)
+
+
+def ladder_plain_problem(n, m, seed=2016):
+    """A generic stochastic problem as the benchmark's matrix ladder builds
+    its 'plain' kind: A = At - B K0 and C = Ct - D K0 with ||At + I||_2 = 0.5
+    and ||Ct||_2 = 0.6, so K0 stabilizes it, and [[Q, S'], [S, R]] > 0.
+    Returns the problem-file document."""
+    rng = np.random.default_rng([seed, n, m])
+    B = rng.standard_normal((n, m)) / np.sqrt(n)
+    D = _scaled(rng, (n, m), 0.3)
+    At = -np.eye(n) + _scaled(rng, (n, n), 0.5)
+    Ct = _scaled(rng, (n, n), 0.6)
+    K0 = _scaled(rng, (m, n), 0.5)
+    M = rng.standard_normal((n + m, n + m))
+    W = M @ M.T / (n + m) + 0.5 * np.eye(n + m)
+    mats = {"A": At - B @ K0, "C": Ct - D @ K0, "B": B, "D": D,
+            "Q": W[:n, :n], "S": W[n:, :n], "R": W[n:, n:]}
+    return {"n": n, "m": m, **{k: v.tolist() for k, v in mats.items()}, "x0": [1.0] * n}

@@ -16,6 +16,7 @@ import slq.montecarlo
 import slq.riccati
 import slq.stability
 import slq.stabilizability
+from conftest import ladder_plain_problem
 from slq.cli import main
 
 
@@ -146,6 +147,26 @@ def test_solve_lyapunov_budget(tmp_path, monkeypatch):
     assert main(["solve", prob, "--out", out]) == 0
     assert read(out)["verdict"] == {"stabilizable": True, "solvable": True}
     assert 1 <= len(calls) <= 3
+
+
+def test_inexact_newton_cuts_the_sylvester_sweeps(tmp_path, monkeypatch):
+    # the stabilizer checks only certify, and Newton-Kleinman settles each
+    # value to 0.01 r^2 relative: one n = 8, m = 4 solve made 133 triangular
+    # Sylvester solves when every check and value ran the fixed point to 1e-13
+    sylvester = []
+    original = scipy.linalg.lapack.dtrsyl
+
+    def counting(*args, **kwargs):
+        sylvester.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", counting)
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps(ladder_plain_problem(8, 4)))
+    out = str(tmp_path / "r.json")
+    assert main(["solve", str(prob), "--out", out]) == 0
+    assert read(out)["verdict"] == {"stabilizable": True, "solvable": True}
+    assert len(sylvester) <= 0.6 * 133
 
 
 @pytest.mark.parametrize("a, code", [(1.0, 2), (-1.0, 0)])

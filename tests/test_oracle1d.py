@@ -22,6 +22,17 @@ def test_regular_control_weight_case():
     assert res.strategy.theta == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("D", [1e-20, 1e-30, 1e-100, 2.0 ** -1022])
+def test_a_small_noise_coefficient_keeps_p_and_theta(D):
+    # R / D^2 dwarfs P: the stabilizing root y2 of the reduced quadratic is
+    # R / D^2 + P, and y2 - R / D^2 used to cancel all 60 digits.  As D -> 0
+    # the problem tends to 2AP + Q - P^2 / R = 0 with gain -P
+    res = solve_1d(-1, 0, 1, D, 1, 0, 1)
+    assert res.solvable
+    assert res.P == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-15)
+    assert res.strategy.theta == pytest.approx(1.0 - math.sqrt(2.0), rel=1e-14)
+
+
 def test_degenerate_noisy_case():
     res = solve_1d(-1, 0, 0, 1, -2, 0, 1)
     assert res.case == "D1-degenerate" and res.solvable

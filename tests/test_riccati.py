@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_scalar_system, scalar_stabilizable
+from conftest import ladder_plain_problem, random_scalar_system, scalar_stabilizable
 from slq import (
     ControlledSystem,
     CostWeights,
@@ -622,3 +622,30 @@ def test_verify_pipeline_output(rng):
         out = solve_gare(sys1, w)
         if isinstance(out, GareSolution):
             assert verify_static_stabilizing(sys1, w, out.P).passed
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_inexact_newton_keeps_the_steps_and_limit_of_the_exact_one(monkeypatch, n):
+    # Newton-Kleinman settles each gain's value only to 0.01 r^2 relative,
+    # r the relative ARE residual; with every value settled to rounding
+    # instead, the stabilizability decision and the GARE take the same
+    # steps and reach the same P
+    doc = ladder_plain_problem(n, n // 2)
+    sys_n = ControlledSystem(doc["A"], doc["C"], doc["B"], doc["D"])
+    w_n = CostWeights(doc["Q"], doc["S"], doc["R"])
+
+    def outcome():
+        report = stabilizability_report(sys_n)
+        sol = solve_gare(sys_n, w_n)
+        assert isinstance(sol, GareSolution)
+        steps = [entry["steps"] for entry in sol.diagnostics["epsilon_solves"]]
+        return (report.flow_status, report.flow_steps, report.newton_steps, steps), \
+            report.P, sol.P
+
+    inexact = outcome()
+    monkeypatch.setattr(slq.riccati, "_newton_forcing", lambda r: 0.0)
+    exact = outcome()
+    assert inexact[0] == exact[0]
+    assert inexact[0][2] >= 2 and sum(inexact[0][3]) >= 2
+    for P_inexact, P_exact in zip(inexact[1:], exact[1:]):
+        assert fro(P_inexact - P_exact) <= 1e-12 * fro(P_exact)

@@ -227,3 +227,77 @@ def test_system_validation():
         SystemPair(np.eye(2), np.eye(3))
     with pytest.raises(InvalidInputError):
         ControlledSystem(np.eye(2), np.eye(2), np.ones((2, 1)), np.ones((1, 1)))
+
+
+def _value_solve_certifies(pair):
+    try:
+        solve_lyapunov(pair, np.eye(pair.n))
+    except LyapunovUnsolvableError:
+        return False
+    return True
+
+
+def _pair_at_noise_radius(rng, n, radius):
+    """[A, C] with a Hurwitz drift whose noise map X -> Y, Y A + A'Y = -C'X C,
+    has spectral radius ``radius``: the radius scales with the square of C."""
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    A -= (np.max(np.linalg.eigvals(A).real) + rng.uniform(0.2, 1.0)) * np.eye(n)
+    C = rng.uniform(-1.0, 1.0, (n, n))
+    eye = np.eye(n)
+    noise_map = -np.linalg.solve(np.kron(eye, A.T) + np.kron(A.T, eye), np.kron(C.T, C.T))
+    rho = np.max(np.abs(np.linalg.eigvals(noise_map)))
+    return SystemPair(A, C * np.sqrt(radius / rho))
+
+
+def _near_marginal_drifts():
+    # the 8 x 8 draws of test_near_marginal_pairs_are_decided_without_raising
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        A = rng.uniform(-1.0, 1.0, (8, 8))
+        A -= (np.max(np.linalg.eigvals(A).real) + rng.uniform(1e-16, 1e-14)) * np.eye(8)
+        yield A
+
+
+def test_certificate_alone_gives_the_verdict_of_the_value_solve(rng):
+    # for n >= 2 is_l2_stable runs the Hurwitz test and the contraction of
+    # the noise map without solving for a value; the verdict must be that of
+    # a successful solve_lyapunov(pair, I)
+    pairs = [random_stable_pair(rng, n) for n in range(2, 9) for _ in range(3)]
+    for _ in range(40):                     # the spectral-oracle draws
+        n = int(rng.integers(2, 5))
+        A = rng.uniform(-1.2, 0.8, (n, n)) - rng.uniform(0.0, 1.0) * np.eye(n)
+        pairs.append(SystemPair(A, rng.uniform(-0.8, 0.8, (n, n))))
+    by_radius = {radius: [_pair_at_noise_radius(rng, n, radius) for n in (2, 3, 4, 6)
+                          for _ in range(3)]
+                 for radius in (0.5, 0.9, 1.1)}
+    pairs += [pair for group in by_radius.values() for pair in group]
+    pairs += [SystemPair(A, np.zeros((8, 8))) for A in _near_marginal_drifts()]
+    verdicts = [is_l2_stable(pair) for pair in pairs]
+    assert verdicts == [_value_solve_certifies(pair) for pair in pairs]
+    assert all(is_l2_stable(pair) for pair in by_radius[0.5] + by_radius[0.9])
+    assert not any(is_l2_stable(pair) for pair in by_radius[1.1])
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_certificate_keeps_the_sylvester_test_of_a_noiseless_drift(monkeypatch):
+    # with C = 0 the certificate still makes one Sylvester sweep, whose
+    # solve refuses a drift within rounding of the imaginary axis
+    refused = []
+    for A in _near_marginal_drifts():
+        pair = SystemPair(A, np.zeros((8, 8)))
+        try:
+            solve_lyapunov(pair, np.eye(8))
+        except LyapunovUnsolvableError as exc:
+            assert "near the imaginary axis" in str(exc)
+            refused.append(pair)
+    assert len(refused) == 1
+    sylvester = []
+    original = scipy.linalg.lapack.dtrsyl
+
+    def counting(*args, **kwargs):
+        sylvester.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", counting)
+    assert not is_l2_stable(refused[0])
+    assert len(sylvester) == 1

@@ -56,6 +56,15 @@ def _load(root: Path):
     return slq.cli.main, workloads.WORKLOADS
 
 
+def _solve(main, problem, problem_path: Path, report: Path) -> int:
+    """Exit code of `slq solve` on ``problem`` with its flags, report to ``report``."""
+    problem_path.write_text(json.dumps(problem.doc), encoding="utf-8")
+    # the warning of an unsymmetric weight goes to stderr, and no report goes
+    # to stdout when --out is given
+    with contextlib.redirect_stderr(io.StringIO()):
+        return main(["solve", str(problem_path), *problem.flags, "--out", str(report)])
+
+
 def digest(root: Path, seeds, keep: Path | None) -> None:
     main, workloads = _load(root)
     with tempfile.TemporaryDirectory() as tmp:
@@ -67,12 +76,7 @@ def digest(root: Path, seeds, keep: Path | None) -> None:
                     if keep is not None:
                         report = keep / name / str(seed) / f"{i:03d}.json"
                         report.parent.mkdir(parents=True, exist_ok=True)
-                    problem_path.write_text(json.dumps(problem.doc), encoding="utf-8")
-                    # the warning of an unsymmetric weight goes to stderr, and
-                    # no report goes to stdout when --out is given
-                    with contextlib.redirect_stderr(io.StringIO()):
-                        code = main(["solve", str(problem_path), *problem.flags,
-                                     "--out", str(report)])
+                    code = _solve(main, problem, problem_path, report)
                     sha = hashlib.sha256(report.read_bytes()).hexdigest()
                     print(f"{name}/{seed}/{i:03d} {code} {sha}", flush=True)
 
