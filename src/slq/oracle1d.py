@@ -205,7 +205,8 @@ def _solve_d0(L, a, c, b, q, s, r, scale_k: float) -> Oracle1dResult:
         rate, sq_rate = _dec(g, L2), _dec(sigma, r * L2 * L2).sqrt()
         theta_norm = (-(rate + sq_rate) / 2 if g > 0 else
                       _dec(2 * b * (s * g - q * b * L), r * L2 * L) / (sq_rate - rate))
-    strategy = StrategySet("point", float(theta_norm) / scale_k)
+        theta = float(theta_norm / decimal.Decimal(scale_k))
+    strategy = StrategySet("point", theta)
     result = Oracle1dResult("D0-R-positive", True, P=float(P), strategy=strategy,
                             Sigma=_ratio(sigma, b2 * L2 * L),
                             Delta=_ratio(r * sigma, b2 * b2 * L2))
@@ -351,14 +352,14 @@ def _solve_d1(t: _Noisy, scale_k: float) -> Oracle1dResult:
              _dec(x * x - t.Delta, (L * d4) ** 2) / (two_alpha * (X - sq_delta)))
         theta_norm = (Y - bc_sq if y * u <= 0 else
                       _dec(y * y - u * u * t.Delta, (L * L * d4 * d) ** 2) / (Y + bc_sq))
-        theta_norm /= beta + sq_delta
+        theta = float(theta_norm / ((beta + sq_delta) * decimal.Decimal(scale_k)))
         rejected = None if y1 <= 0 else gain / y1 - bc
     diagnostics["roots_y"] = (float(y1), float(y2))
     if rejected is not None:
         diagnostics["rejected_theta"] = float(rejected)
     case = report.case or "unsolvable"
     return Oracle1dResult(case, True, P=float(P),
-                          strategy=StrategySet("point", float(theta_norm) / scale_k),
+                          strategy=StrategySet("point", theta),
                           alpha=report.alpha, beta=report.beta, gamma=report.gamma,
                           Delta=report.Delta, diagnostics=diagnostics)
 

@@ -16,7 +16,8 @@ and R + D'PD was factored at it.  The first evaluation, at Sig(0) = G, is the
 check of the terminal value.  Where no stabilizer is known yet -- the
 stabilizability decision -- the flow runs until its first certified gain or
 its converged limit, and Newton-Kleinman finishes from there
-(``_stabilizing_limit``).
+(``_stabilizing_limit``); for n = m = 1 a closed-form gain takes the flow's
+place.
 
 Where a stabilizing gain is known -- the strictly convex problems over a
 certified stable pair -- the ARE is solved by Newton-Kleinman (Kleinman
@@ -471,29 +472,58 @@ def _newton_limit(
     return P, {"steps": steps} if cause is None else {"steps": steps, "failed": cause}
 
 
-def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
-    """The ARE solution that the flow from 0 reaches when Q > 0: the flow
-    until its first certified gain, then Newton-Kleinman.
+def _least_cost_scalar_gain(sys: ControlledSystem) -> float:
+    """For n = m = 1, the gain t of least unit-weight cost (1 + t^2) / -rate(t)
+    among those of negative closed-loop rate
 
-    At accepted steps 0, 1, 2, 4, 8, ... the flow hands its gain -K(Sig) to
-    the certifying gain-value map, settled as in ``_newton``, and stops at
-    the first gain certified or at its own converged limit.  Both end the
-    same way: Newton-Kleinman from that gain's value, or from the converged
-    limit, which meets Newton's bound so that Newton takes no step, then one
-    check of the gain of Newton's limit, with no value.  With Q > 0, Newton
-    from a stabilizing gain reaches the unique PSD solution, the flow's
-    limit, so a failure there raises :class:`InternalInconsistencyError`,
-    whose message ends with the cause.  A flow of k steps that certifies no gain makes at most
-    floor(log2 k) + 2 certification attempts.
+        rate(t) = 2(A + B t) + (C + D t)^2 = alpha + 2 beta t + delta t^2.
+
+    The cost grows without bound toward the ends of the interval where
+    rate < 0, so it has a minimum there when that interval is not empty, at
+    the root of beta t^2 + (alpha - delta) t - beta = 0 with beta t <= 0
+    (t -> -t lowers the rate of a gain with beta t > 0).  So its rate is
+    negative exactly when some gain's is, and it is the gain of the
+    unit-weight ARE solution, its cost.  Each branch adds terms of one sign,
+    halved so that the sum stays in range.
+    """
+    a, b, c, d = (float(M[0, 0]) for M in (sys.A, sys.B, sys.C, sys.D))
+    beta, h = b + c * d, a + (c * c - d * d) / 2.0       # h = (alpha - delta) / 2
+    s = math.hypot(h, beta)
+    if h < 0.0:
+        return -beta / (s - h)
+    return 0.0 if beta == 0.0 else -(h + s) / beta
+
+
+def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
+    """The ARE solution that the flow from 0 reaches when Q > 0: a certified
+    gain, then Newton-Kleinman from its value.
+
+    For n = m = 1, where w must be the unit weights, no flow runs: the one
+    gain checked is ``_least_cost_scalar_gain``, and when it is refused no
+    gain is stabilizing (status 'refuted').  Otherwise, at accepted steps
+    0, 1, 2, 4, 8, ... the flow hands its gain -K(Sig) to the certifying
+    gain-value map, settled as in ``_newton``, and stops at the first gain
+    certified or at its own converged limit.  All end the same way:
+    Newton-Kleinman from that gain's value, or from the converged limit,
+    which meets Newton's bound so that Newton takes no step, then one check
+    of the gain of Newton's limit, with no value.  With Q > 0, Newton from a
+    stabilizing gain reaches the unique PSD solution, the flow's limit, so a
+    failure there raises :class:`InternalInconsistencyError`, whose message
+    ends with the cause.  For n = m = 1 the gain-value map is exact on
+    floats, so a failure is a rounding-level tie between stabilizable and
+    not, and ends with status 'unsettled' instead.  A flow of k steps that
+    certifies no gain makes at most floor(log2 k) + 2 certification attempts.
 
     Returns (P, Theta, residual, route).  P is the limit, Theta = -K(P) its
     certified gain and residual the norm of the ARE residual at P, below
-    ``cfg.stat_tol * (1 + ||P||)``; all three are None when the flow
-    diverges or hits its horizon cap.  route is {"status", "flow_steps",
-    "newton_steps"}: status is 'certified' when a checkpoint stopped the
-    flow and the flow's own status otherwise.
+    ``cfg.stat_tol * (1 + ||P||)``; all three are None when the system is
+    classified not stabilizable.  route is {"status", "flow_steps",
+    "newton_steps"}: status is 'certified' when a checked gain was
+    certified, 'refuted' or 'unsettled' as above, and the flow's own status
+    otherwise.
     """
     rhs, are, gain_value, certify, norm, sym, state = _maps(sys, w)
+    scalar = sys.n == sys.m == 1
     start = None                # the value of the first certified gain
 
     def certified(y):
@@ -502,9 +532,14 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
         start = gain_value(-K, y, _newton_forcing(norm(residual) / (1.0 + norm(y))))
         return start is not None
 
-    status, times, values, _ = _adaptive_flow(rhs, sym, norm, state(np.zeros((sys.n, sys.n))),
-                                              cfg, stop=certified)
-    route = {"status": status, "flow_steps": len(times) - 1, "newton_steps": 0}
+    if scalar:
+        start = gain_value(_least_cost_scalar_gain(sys), None)
+        status, steps = ("refuted" if start is None else "stopped"), 0
+    else:
+        status, times, values, _ = _adaptive_flow(rhs, sym, norm, state(np.zeros((sys.n, sys.n))),
+                                                  cfg, stop=certified)
+        steps = len(times) - 1
+    route = {"status": status, "flow_steps": steps, "newton_steps": 0}
     if status == "stopped":
         route["status"] = "certified"
     elif status == "converged":
@@ -516,6 +551,9 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
         residual, K = are(P)
         if not certify(-K):
             cause = "the gain of its limit is not certified mean-square stabilizing"
+    if cause is not None and scalar:
+        route["status"] = "unsettled"
+        return None, None, None, route
     if cause is not None:
         raise InternalInconsistencyError(
             f"Newton-Kleinman from the unit-weight flow failed: {cause}")

@@ -14,19 +14,21 @@ semidefinite order) exactly when the system is stabilizable and blows up
 otherwise.  The flow runs until its first certified gain: at accepted steps
 0, 1, 2, 4, 8, ... its gain is checked by the certifying gain-value map that
 Newton-Kleinman uses, and the first gain certified proves stabilizability.
-From that gain's value, or from the flow's limit if it converges first,
-Newton-Kleinman finishes the solve; since Q = I > 0, the solution it
-reaches is the unique positive one, the flow's limit.
+For n = m = 1 no flow runs: the one gain checked has a closed form, and
+when it is refused no gain is stabilizing.  From that gain's value, or from
+the flow's limit if it converges first, Newton-Kleinman finishes the solve;
+since Q = I > 0, the solution it reaches is the unique positive one, the
+flow's limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import InternalInconsistencyError, UnsupportedInputError
-from .linalg import is_psd
 from .riccati import CostWeights, FlowConfig, _stabilizing_limit
 from .stability import ControlledSystem
 
@@ -45,7 +47,8 @@ class StabilizabilityReport:
     stabilizable: bool
     gamma: np.ndarray | None       # a stabilizer when one exists
     P: np.ndarray | None           # positive solution of the unit-weight ARE
-    flow_status: str               # 'certified' | 'converged' | 'diverged' | 'max-horizon'
+    flow_status: str               # 'certified' | 'converged' | 'diverged' | 'max-horizon';
+                                   # 'certified' | 'refuted' | 'unsettled' when n = m = 1
     residual: float | None         # ARE residual at P
     flow_steps: int                # accepted steps of the unit-weight flow
     newton_steps: int              # Newton-Kleinman steps after the first certified gain
@@ -72,6 +75,12 @@ def stabilizability_report(
     'max-horizon' only when none was by the cap; the system is then
     classified not stabilizable, which can misclassify a marginally
     stabilizable one (hence the status is surfaced here).
+
+    For n = m = 1 no flow runs: one closed-form gain is checked, whose
+    closed-loop rate is negative exactly when some gain's is.  Certified
+    ('certified'), Newton finishes from its value; refused, the system is
+    not stabilizable ('refuted'), and so it is when Newton then fails, as
+    only a rounding-level tie brings about ('unsettled').
     """
     cfg = cfg or FlowConfig()
     n, m = sys.n, sys.m
@@ -98,18 +107,32 @@ def find_stabilizer(sys: ControlledSystem, cfg: FlowConfig | None = None) -> np.
 
 
 def check_sa_condition(sys: ControlledSystem) -> bool:
-    """Necessary condition for scalar-state non-stabilizability.
+    """The block criterion of non-stabilizability, exact for n = 1.
 
-    For n = 1, a system that is not L2-stabilizable must have
+    For n = 1 the closed-loop rate of a gain t (1 x m) is
+    (2A + C^2) + 2 (B + CD) t' + t D'D t', and no gain makes it negative, so
+    that [A, C; B, D] is not L2-stabilizable, exactly when
 
-        [[2A + C^2, B + CD], [B' + CD', D'D]]  positive semidefinite,
+        [[2A + C^2, B + CD], [B' + CD', D'D]]  is positive semidefinite
 
-    so a negative answer certifies stabilizability.  Used as a cross-check
-    on the flow-based verdict.
+    (Ait Rami & Zhou, IEEE TAC 45, 2000).  The block is formed and tested on
+    the exact binary values of the entries, in Fractions, so rounding decides
+    nothing: wherever it cannot tip the float decision of
+    ``stabilizability_report``, the two agree.
     """
     if sys.n != 1:
         raise UnsupportedInputError("the block criterion is defined for n = 1 only")
-    a = 2.0 * sys.A[0, 0] + sys.C[0, 0] ** 2
-    row = sys.B[0:1, :] + sys.C[0, 0] * sys.D[0:1, :]
-    block = np.block([[np.array([[a]]), row], [row.T, sys.D.T @ sys.D]])
-    return is_psd(block)
+    A, C = Fraction(sys.A[0, 0]), Fraction(sys.C[0, 0])
+    D = [Fraction(v) for v in sys.D[0]]
+    row = [Fraction(b) + C * d for b, d in zip(sys.B[0], D)]
+    block = [[2 * A + C * C, *row]] + [[r, *(di * dj for dj in D)] for r, di in zip(row, D)]
+    # a symmetric M is PSD iff its largest diagonal entry p is positive and
+    # the Schur complement of p is PSD, or p = 0 and M = 0
+    while block:
+        k = max(range(len(block)), key=lambda i: block[i][i])
+        p = block[k][k]
+        if p <= 0:
+            return p == 0 and not any(any(line) for line in block)
+        block = [[block[i][j] - block[i][k] * block[k][j] / p
+                  for j in range(len(block)) if j != k] for i in range(len(block)) if i != k]
+    return True

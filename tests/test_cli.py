@@ -294,11 +294,22 @@ def test_forced_solve_reads_the_range_tolerance(tmp_path):
     assert doc["inhomogeneous"]["range_ok"] is True
 
 
+def _two_state(**overrides):
+    """The default problem, with the overrides, as two decoupled copies: each
+    1 x 1 matrix [[v]] becomes v I, and x0 is (1, 1)."""
+    doc = {"n": 2, "m": 2, "A": [[0.0]], "C": [[0.0]], "B": [[1.0]], "D": [[0.0]],
+           "Q": [[1.0]], "S": [[0.0]], "R": [[1.0]], **overrides}
+    doc = {k: (np.eye(2) * v[0][0]).tolist() if isinstance(v, list) else v
+           for k, v in doc.items()}
+    return {**doc, "x0": [1.0, 1.0]}
+
+
 @pytest.mark.parametrize("overrides, code", [({}, 0), ({"A": [[-1.0]], "Q": [[-2.0]]}, 3)],
                          ids=["solvable", "unsolvable"])
 def test_solve_runs_one_riccati_flow(tmp_path, monkeypatch, overrides, code):
     # the stabilizability decision is the only flow of a solve: Newton alone
-    # decides the GARE's strictly convex problems, also where they fail
+    # decides the GARE's strictly convex problems, also where they fail.  For
+    # n = m = 1 the decision runs none either
     calls = []
     original = slq.riccati._adaptive_flow
 
@@ -309,23 +320,49 @@ def test_solve_runs_one_riccati_flow(tmp_path, monkeypatch, overrides, code):
     monkeypatch.setattr(slq.riccati, "_adaptive_flow", counting)
     prob = write_problem(tmp_path, **overrides)
     assert main(["solve", prob, "--out", str(tmp_path / "r.json")]) == code
+    assert calls == []
+    prob = write_problem(tmp_path, "two.json", **_two_state(**overrides))
+    assert main(["solve", prob, "--out", str(tmp_path / "r.json")]) == code
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("a, flow_steps", [(-1.0, 0), (0.0, 1)])
 def test_check_reports_the_stabilizability_route(tmp_path, a, flow_steps):
-    # an open-loop stable pair certifies the gain 0 at step 0 of the flow;
-    # dX = u dt first certifies a gain at step 1; Newton finishes both
-    prob = write_problem(tmp_path, A=[[a]])
-    out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
-    assert main(["check", prob, "--out", out1]) == 0
-    assert main(["check", prob, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    block = read(out1)["stabilizability"]
-    assert (block["flow_status"], block["flow_steps"]) == ("certified", flow_steps)
-    assert block["newton_steps"] >= 1
-    # 2aP + 1 - P^2 = 0 at the positive root P, and the gain is -P
-    assert block["gamma"][0][0] == pytest.approx(-(a + np.sqrt(a * a + 1.0)), abs=1e-10)
+    # the scalar decision runs no flow: its one gain is certified, and its
+    # value is the solution, where Newton takes no step.  The decoupled
+    # 2-state copy runs the flow: the open-loop stable pair certifies the
+    # gain 0 at step 0, dX = u dt first certifies a gain at step 1, and
+    # Newton finishes both
+    for doc, steps, newton in (({"A": [[a]]}, 0, False), (_two_state(A=[[a]]), flow_steps, True)):
+        prob = write_problem(tmp_path, **doc)
+        out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
+        assert main(["check", prob, "--out", out1]) == 0
+        assert main(["check", prob, "--out", out2]) == 0
+        assert open(out1, "rb").read() == open(out2, "rb").read()
+        block = read(out1)["stabilizability"]
+        assert (block["flow_status"], block["flow_steps"]) == ("certified", steps)
+        assert (block["newton_steps"] > 0) == newton
+        # 2aP + 1 - P^2 = 0 at the positive root P, and the gain is -P
+        gamma = np.asarray(block["gamma"])
+        assert np.allclose(gamma, -(a + np.sqrt(a * a + 1.0)) * np.eye(len(gamma)),
+                           rtol=0.0, atol=1e-10)
+
+
+def test_check_decides_a_slowly_contracting_scalar_pair(tmp_path):
+    # (B + CD)^2 - (2A + C^2) D^2 is 2e-5 of either term.  The flow from 0
+    # hit its horizon cap after 61 steps here, and the pair counted as not
+    # stabilizable; the closed-form gain is certified, at a closed-loop rate
+    # of -5e-5, and P is the oracle's
+    coeffs = {"A": [[-0.1529816865847594]], "C": [[0.575312559975854]],
+              "B": [[-0.11699009605063626]], "D": [[0.2805686566564809]]}
+    prob = write_problem(tmp_path, **coeffs)
+    assert main(["check", prob, "--out", str(tmp_path / "r.json")]) == 0
+    assert read(tmp_path / "r.json")["stabilizability"]["flow_status"] == "certified"
+    A, C, B, D = (v[0][0] for v in coeffs.values())
+    report = slq.stabilizability_report(slq.ControlledSystem([[A]], [[C]], [[B]], [[D]]))
+    oracle = slq.solve_1d(A, C, B, D, 1.0, 0.0, 1.0)
+    assert oracle.case == "D1-case-iii"
+    assert report.P[0, 0] == pytest.approx(oracle.P, rel=1e-9)
 
 
 def test_solve_byte_identical_reports(tmp_path):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -198,32 +200,97 @@ def _route_systems():
 @pytest.mark.parametrize("index", [0, 1], ids=["n1", "n3"])
 def test_converged_flow_takes_the_same_finish(monkeypatch, index):
     # without checkpoints the flow runs to its own limit, and the one finish
-    # from there gives the P and Gamma of the certified route
+    # from there gives the P and Gamma of the certified route.  For n = m = 1
+    # that route runs no flow: its P and Gamma are the converged limit of the
+    # flow from 0 and the gain there
     sys_i = _route_systems()[index]
     base = stabilizability_report(sys_i)
-    assert base.flow_status == "certified" and base.flow_steps > 0
-    original = slq.riccati._adaptive_flow
-    monkeypatch.setattr(slq.riccati, "_adaptive_flow",
-                        lambda *args, stop=None: original(*args))
-    report = stabilizability_report(sys_i)
-    assert report.stabilizable and report.flow_status == "converged"
-    assert report.flow_steps > base.flow_steps
+    assert base.flow_status == "certified" and (base.flow_steps > 0) == (sys_i.n > 1)
+    if sys_i.n == 1:
+        flow = integrate_riccati_flow(sys_i, unit_weights(1, 1), np.zeros((1, 1)))
+        assert flow.status == "converged"
+        P = flow.values[-1]
+        maps = GareMaps(sys_i, unit_weights(1, 1))
+        gamma = -np.linalg.solve(maps.control_part(P), maps.cross_part(P).T)
+    else:
+        original = slq.riccati._adaptive_flow
+        monkeypatch.setattr(slq.riccati, "_adaptive_flow",
+                            lambda *args, stop=None: original(*args))
+        report = stabilizability_report(sys_i)
+        assert report.stabilizable and report.flow_status == "converged"
+        assert report.flow_steps > base.flow_steps
+        assert report.residual <= 1e-10 * (1.0 + fro(report.P))
+        P, gamma = report.P, report.gamma
     scale = 1.0 + fro(base.P)
-    assert fro(report.P - base.P) <= 1e-8 * scale
-    assert fro(report.gamma - base.gamma) <= 1e-8 * scale
-    assert report.residual <= 1e-10 * (1.0 + fro(report.P))
-    assert is_stabilizer(sys_i, report.gamma)
+    assert fro(P - base.P) <= 1e-8 * scale
+    assert fro(gamma - base.gamma) <= 1e-8 * scale
+    assert is_stabilizer(sys_i, gamma)
+
+
+def _failing_newton(are, gain_value, norm, P0, stat_tol):
+    return None, 2, "a Newton iterate is not finite"
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["n1", "n3"])
 def test_newton_failure_after_a_certified_gain_raises(monkeypatch, index):
     # Newton from a certified gain of the unit-weight ARE cannot fail; if it
-    # does, the decision raises and names Newton's cause
-    monkeypatch.setattr(slq.riccati, "_newton",
-                        lambda are, gain_value, norm, P0, stat_tol:
-                        (None, 2, "a Newton iterate is not finite"))
+    # does after the flow, the decision raises and names Newton's cause.  The
+    # n = 1 system has m = 2 inputs, so that its decision runs the flow
+    sys_i = _route_systems()[index]
+    if sys_i.n == 1:
+        sys_i = ControlledSystem(sys_i.A, sys_i.C, [[1.0, 0.0]], [[0.2, 0.1]])
+    monkeypatch.setattr(slq.riccati, "_newton", _failing_newton)
     with pytest.raises(InternalInconsistencyError, match="a Newton iterate is not finite$"):
-        stabilizability_report(_route_systems()[index])
+        stabilizability_report(sys_i)
+
+
+def test_a_scalar_newton_failure_is_unsettled(monkeypatch):
+    # for n = m = 1 the gain-value map is exact on floats, so Newton fails
+    # from a certified gain only at a rounding-level tie, and the system
+    # counts as not stabilizable, with status 'unsettled'.  In the tie below
+    # (B + CD)^2 - (2A + C^2) D^2 is 1.6e-14 of either term and P is about
+    # 2e15: Newton takes no step, but the gain of its limit is not certified
+    tie = ControlledSystem([[-1.8968702030094473]], [[-1.9509949850522033]],
+                           [[-2.9311397206217285]], [[-1.594256083815981]])
+    report = stabilizability_report(tie)
+    assert not report.stabilizable and report.flow_status == "unsettled"
+    assert (report.flow_steps, report.newton_steps, report.P, report.gamma) == (0, 0, None, None)
+    # a Newton failure of any other cause ends the same way
+    monkeypatch.setattr(slq.riccati, "_newton", _failing_newton)
+    report = stabilizability_report(_route_systems()[0])
+    assert not report.stabilizable
+    assert (report.flow_status, report.newton_steps) == ("unsettled", 2)
+
+
+def _rate_gap(A, C, B, D) -> Fraction:
+    """((B + CD)^2 - (2A + C^2) D^2) / max((B + CD)^2, |2A + C^2| D^2), exactly:
+    positive iff some gain has a negative closed-loop rate, and relative to
+    the larger of its two terms."""
+    A, C, B, D = map(Fraction, (A, C, B, D))
+    beta2, alpha_delta = (B + C * D) ** 2, (2 * A + C * C) * D * D
+    return (beta2 - alpha_delta) / max(beta2, abs(alpha_delta))
+
+
+def test_near_marginal_scalar_pairs_get_the_exact_verdict():
+    # (B + CD)^2 - (2A + C^2) D^2 pushed to a log-uniform |g| in [1e-14, 1e-2]
+    # of its terms by the choice of A.  Nothing raises, and wherever rounding
+    # cannot tip it (|g| >= 1e-9) the verdict is the sign of g, which
+    # check_sa_condition decides exactly
+    rng = np.random.default_rng(2300)
+    decided = 0
+    for _ in range(500):
+        C, B, D = rng.uniform(-3.0, 3.0, 3)
+        g = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14.0, -2.0)
+        alpha = (B + C * D) ** 2 * (1.0 - g) / (D * D)
+        A = (alpha - C * C) / 2.0
+        sys1 = ControlledSystem([[A]], [[C]], [[B]], [[D]])
+        report = stabilizability_report(sys1)
+        gap = _rate_gap(A, C, B, D)
+        if abs(gap) >= Fraction(1, 10 ** 9):
+            decided += 1
+            assert report.stabilizable == (gap > 0) == (not check_sa_condition(sys1)), \
+                (A, C, B, D)
+    assert decided >= 250
 
 
 def _orthogonal(rng, k):
@@ -354,34 +421,30 @@ def test_a_certified_limit_that_is_not_positive_definite_raises(monkeypatch):
 # floats the flow is IEEE arithmetic alone, so its steps and values hold on
 # every platform.  Per system (A, C, B, D): integrate_riccati_flow's status,
 # accepted steps, and last time and value (float.hex); then the report's
-# status, flow and Newton steps and P.  The third report runs without
-# checkpoints, so that its flow converges.
+# status, flow and Newton steps and P.  The decision runs no flow for
+# n = m = 1: its one gain is refused, or certified with a value at which
+# Newton takes no step.
 _SCALAR_FLOW_BITS = [
-    ((1.0, 0.5, 0.2, 1.0), True,
+    ((1.0, 0.5, 0.2, 1.0),
      ("diverged", 247, "0x1.56ef736594494p+3", "0x1.966ad3dc9d180p+26"),
-     ("diverged", 247, 0, None)),
-    ((0.5, 0.3, 1.0, 0.2), True,
+     ("refuted", 0, 0, None)),
+    ((0.5, 0.3, 1.0, 0.2),
      ("converged", 74, "0x1.8a66f9a68229cp+3", "0x1.9e50755b535c4p+0"),
-     ("certified", 16, 4, "0x1.9e50755b701b4p+0")),
-    ((-0.3, 0.8, 0.6, -0.4), False,
+     ("certified", 0, 0, "0x1.9e50755b6fdbdp+0")),
+    ((-0.3, 0.8, 0.6, -0.4),
      ("converged", 77, "0x1.35c054e8e619bp+6", "0x1.576d8cd192229p+2"),
-     ("converged", 77, 0, "0x1.576d8cd192229p+2")),
+     ("certified", 0, 0, "0x1.576d8cd24641ep+2")),
 ]
 
 
-@pytest.mark.parametrize("coeffs, checkpoints, flow_bits, report_bits", _SCALAR_FLOW_BITS,
+@pytest.mark.parametrize("coeffs, flow_bits, report_bits", _SCALAR_FLOW_BITS,
                          ids=["diverged", "certified", "converged"])
-def test_scalar_flow_keeps_its_steps_and_bits(monkeypatch, coeffs, checkpoints,
-                                              flow_bits, report_bits):
+def test_scalar_flow_keeps_its_steps_and_bits(coeffs, flow_bits, report_bits):
     a, c, b, d = coeffs
     sys1 = ControlledSystem([[a]], [[c]], [[b]], [[d]])
     flow = integrate_riccati_flow(sys1, unit_weights(1, 1), [[0.0]])
     assert (flow.status, len(flow.times) - 1, float(flow.times[-1]).hex(),
             float(flow.values[-1, 0, 0]).hex()) == flow_bits
-    if not checkpoints:
-        original = slq.riccati._adaptive_flow
-        monkeypatch.setattr(slq.riccati, "_adaptive_flow",
-                            lambda *args, stop=None: original(*args))
     report = stabilizability_report(sys1)
     P = None if report.P is None else float(report.P[0, 0]).hex()
     assert (report.flow_status, report.flow_steps, report.newton_steps, P) == report_bits
