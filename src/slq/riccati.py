@@ -16,8 +16,8 @@ and R + D'PD was factored at it.  The first evaluation, at Sig(0) = G, is the
 check of the terminal value.  Where no stabilizer is known yet -- the
 stabilizability decision -- the flow runs until its first certified gain or
 its converged limit, and Newton-Kleinman finishes from there
-(``_stabilizing_limit``); for n = m = 1 a closed-form gain takes the flow's
-place.
+(``_stabilizing_limit``); for n = m = 1 a closed-form gain and its value
+take the place of both.
 
 Where a stabilizing gain is known -- the strictly convex problems over a
 certified stable pair -- the ARE is solved by Newton-Kleinman (Kleinman
@@ -473,18 +473,14 @@ def _newton_limit(
 
 
 def _least_cost_scalar_gain(sys: ControlledSystem) -> float:
-    """For n = m = 1, the gain t of least unit-weight cost (1 + t^2) / -rate(t)
-    among those of negative closed-loop rate
-
-        rate(t) = 2(A + B t) + (C + D t)^2 = alpha + 2 beta t + delta t^2.
-
-    The cost grows without bound toward the ends of the interval where
-    rate < 0, so it has a minimum there when that interval is not empty, at
-    the root of beta t^2 + (alpha - delta) t - beta = 0 with beta t <= 0
-    (t -> -t lowers the rate of a gain with beta t > 0).  So its rate is
-    negative exactly when some gain's is, and it is the gain of the
-    unit-weight ARE solution, its cost.  Each branch adds terms of one sign,
-    halved so that the sum stays in range.
+    """For n = m = 1, the gain t of least unit-weight cost (1 + t^2) / -rate(t),
+    rate(t) = 2(A + B t) + (C + D t)^2 = alpha + 2 beta t + delta t^2, among
+    those of negative rate: the root of beta t^2 + (alpha - delta) t - beta
+    with beta t <= 0.  The cost grows without bound toward the ends of the
+    interval of negative rate, so the minimum exists when the interval is
+    not empty: its rate is negative exactly when some gain's is, and its
+    cost is the unit-weight ARE solution.  Each branch adds terms of one
+    sign, halved so that the sum stays in range.
     """
     a, b, c, d = (float(M[0, 0]) for M in (sys.A, sys.B, sys.C, sys.D))
     beta, h = b + c * d, a + (c * c - d * d) / 2.0       # h = (alpha - delta) / 2
@@ -495,24 +491,24 @@ def _least_cost_scalar_gain(sys: ControlledSystem) -> float:
 
 
 def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
-    """The ARE solution that the flow from 0 reaches when Q > 0: a certified
-    gain, then Newton-Kleinman from its value.
+    """The ARE solution that the flow from 0 reaches when Q > 0: the flow
+    until its first certified gain, then Newton-Kleinman.
 
-    For n = m = 1, where w must be the unit weights, no flow runs: the one
-    gain checked is ``_least_cost_scalar_gain``, and when it is refused no
-    gain is stabilizing (status 'refuted').  Otherwise, at accepted steps
-    0, 1, 2, 4, 8, ... the flow hands its gain -K(Sig) to the certifying
-    gain-value map, settled as in ``_newton``, and stops at the first gain
-    certified or at its own converged limit.  All end the same way:
-    Newton-Kleinman from that gain's value, or from the converged limit,
-    which meets Newton's bound so that Newton takes no step, then one check
-    of the gain of Newton's limit, with no value.  With Q > 0, Newton from a
-    stabilizing gain reaches the unique PSD solution, the flow's limit, so a
-    failure there raises :class:`InternalInconsistencyError`, whose message
-    ends with the cause.  For n = m = 1 the gain-value map is exact on
-    floats, so a failure is a rounding-level tie between stabilizable and
-    not, and ends with status 'unsettled' instead.  A flow of k steps that
-    certifies no gain makes at most floor(log2 k) + 2 certification attempts.
+    At accepted steps 0, 1, 2, 4, 8, ... the flow hands its gain -K(Sig) to
+    the certifying gain-value map, settled as in ``_newton``, and stops at
+    the first gain certified or at its own converged limit.  Both end the
+    same way: Newton-Kleinman from that gain's value, or from the converged
+    limit, which meets Newton's bound so that Newton takes no step, then one
+    check of the gain of Newton's limit, with no value.  With Q > 0, Newton
+    from a stabilizing gain reaches the unique PSD solution, the flow's
+    limit, so a failure there raises :class:`InternalInconsistencyError`,
+    whose message ends with the cause.  A flow of k steps that certifies no gain makes at most
+    floor(log2 k) + 2 certification attempts.
+
+    For n = m = 1 (unit weights) neither runs: Theta is
+    ``_least_cost_scalar_gain`` and P its value, with no bound on the
+    residual.  A refused gain means that none is stabilizing ('refuted'), a
+    value that overflows that every stabilizer's does ('unsettled').
 
     Returns (P, Theta, residual, route).  P is the limit, Theta = -K(P) its
     certified gain and residual the norm of the ARE residual at P, below
@@ -523,7 +519,14 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     otherwise.
     """
     rhs, are, gain_value, certify, norm, sym, state = _maps(sys, w)
-    scalar = sys.n == sys.m == 1
+    if sys.n == sys.m == 1:
+        theta = _least_cost_scalar_gain(sys)
+        P = gain_value(theta, None)
+        route = {"status": "certified", "flow_steps": 0, "newton_steps": 0}
+        if P is None or not math.isfinite(P):
+            route["status"] = "refuted" if P is None else "unsettled"
+            return None, None, None, route
+        return np.array([[P]]), np.array([[theta]]), abs(are(P)[0]), route
     start = None                # the value of the first certified gain
 
     def certified(y):
@@ -532,14 +535,9 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
         start = gain_value(-K, y, _newton_forcing(norm(residual) / (1.0 + norm(y))))
         return start is not None
 
-    if scalar:
-        start = gain_value(_least_cost_scalar_gain(sys), None)
-        status, steps = ("refuted" if start is None else "stopped"), 0
-    else:
-        status, times, values, _ = _adaptive_flow(rhs, sym, norm, state(np.zeros((sys.n, sys.n))),
-                                                  cfg, stop=certified)
-        steps = len(times) - 1
-    route = {"status": status, "flow_steps": steps, "newton_steps": 0}
+    status, times, values, _ = _adaptive_flow(rhs, sym, norm, state(np.zeros((sys.n, sys.n))),
+                                              cfg, stop=certified)
+    route = {"status": status, "flow_steps": len(times) - 1, "newton_steps": 0}
     if status == "stopped":
         route["status"] = "certified"
     elif status == "converged":
@@ -551,9 +549,6 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
         residual, K = are(P)
         if not certify(-K):
             cause = "the gain of its limit is not certified mean-square stabilizing"
-    if cause is not None and scalar:
-        route["status"] = "unsettled"
-        return None, None, None, route
     if cause is not None:
         raise InternalInconsistencyError(
             f"Newton-Kleinman from the unit-weight flow failed: {cause}")

@@ -14,17 +14,16 @@ semidefinite order) exactly when the system is stabilizable and blows up
 otherwise.  The flow runs until its first certified gain: at accepted steps
 0, 1, 2, 4, 8, ... its gain is checked by the certifying gain-value map that
 Newton-Kleinman uses, and the first gain certified proves stabilizability.
-For n = m = 1 no flow runs: the one gain checked has a closed form, and
-when it is refused no gain is stabilizing.  From that gain's value, or from
-the flow's limit if it converges first, Newton-Kleinman finishes the solve;
-since Q = I > 0, the solution it reaches is the unique positive one, the
-flow's limit.
+From that gain's value, or from the flow's limit if it converges first,
+Newton-Kleinman finishes the solve; since Q = I > 0, the solution it
+reaches is the unique positive one, the flow's limit.  For n = m = 1
+neither runs: the gain of the solution has a closed form, and when it is
+refused no gain is stabilizing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -76,11 +75,10 @@ def stabilizability_report(
     classified not stabilizable, which can misclassify a marginally
     stabilizable one (hence the status is surfaced here).
 
-    For n = m = 1 no flow runs: one closed-form gain is checked, whose
-    closed-loop rate is negative exactly when some gain's is.  Certified
-    ('certified'), Newton finishes from its value; refused, the system is
-    not stabilizable ('refuted'), and so it is when Newton then fails, as
-    only a rounding-level tie brings about ('unsettled').
+    For n = m = 1 neither runs: one closed-form gain is checked, whose rate
+    is negative exactly when some gain's is.  Certified, it is gamma and its
+    value P, whose residual has no bound; refused ('refuted') or with a value
+    that overflows ('unsettled'), the system is classified not stabilizable.
     """
     cfg = cfg or FlowConfig()
     n, m = sys.n, sys.m
@@ -115,11 +113,11 @@ def check_sa_condition(sys: ControlledSystem) -> bool:
 
         [[2A + C^2, B + CD], [B' + CD', D'D]]  is positive semidefinite
 
-    (Ait Rami & Zhou, IEEE TAC 45, 2000).  The block is formed and tested on
-    the exact binary values of the entries, in Fractions, so rounding decides
-    nothing: wherever it cannot tip the float decision of
-    ``stabilizability_report``, the two agree.
+    (Ait Rami & Zhou, IEEE TAC 45, 2000).  It is tested exactly, in
+    Fractions of the entries' binary values.
     """
+    from fractions import Fraction      # off the import path of the CLI
+
     if sys.n != 1:
         raise UnsupportedInputError("the block criterion is defined for n = 1 only")
     A, C = Fraction(sys.A[0, 0]), Fraction(sys.C[0, 0])

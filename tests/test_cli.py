@@ -329,7 +329,7 @@ def test_solve_runs_one_riccati_flow(tmp_path, monkeypatch, overrides, code):
 @pytest.mark.parametrize("a, flow_steps", [(-1.0, 0), (0.0, 1)])
 def test_check_reports_the_stabilizability_route(tmp_path, a, flow_steps):
     # the scalar decision runs no flow: its one gain is certified, and its
-    # value is the solution, where Newton takes no step.  The decoupled
+    # value is the solution, with no Newton step.  The decoupled
     # 2-state copy runs the flow: the open-loop stable pair certifies the
     # gain 0 at step 0, dX = u dt first certifies a gain at step 1, and
     # Newton finishes both

@@ -21,6 +21,7 @@ from slq import (
     stabilizability_report,
 )
 from slq.errors import InternalInconsistencyError, UnsupportedInputError
+from slq.oracle1d import solve_1d
 from slq.linalg import fro, is_psd
 
 
@@ -244,22 +245,37 @@ def test_newton_failure_after_a_certified_gain_raises(monkeypatch, index):
         stabilizability_report(sys_i)
 
 
-def test_a_scalar_newton_failure_is_unsettled(monkeypatch):
-    # for n = m = 1 the gain-value map is exact on floats, so Newton fails
-    # from a certified gain only at a rounding-level tie, and the system
-    # counts as not stabilizable, with status 'unsettled'.  In the tie below
-    # (B + CD)^2 - (2A + C^2) D^2 is 1.6e-14 of either term and P is about
-    # 2e15: Newton takes no step, but the gain of its limit is not certified
+def test_a_scalar_decision_takes_its_gain_and_value_without_newton(monkeypatch):
+    # for n = m = 1 a certified gain proves stabilizability, and its value is
+    # the solution: no Newton runs, so no Newton failure can refuse it.  The
+    # first system is a rounding-level tie, (B + CD)^2 - (2A + C^2) D^2 1.6e-14
+    # of either term and P about 2e15, where Newton from the gain's value used
+    # to fail; the second has large coefficients, where the residual's
+    # rounding floor is above Newton's bound and 60 steps did not converge
+    monkeypatch.setattr(slq.riccati, "_newton", _failing_newton)
     tie = ControlledSystem([[-1.8968702030094473]], [[-1.9509949850522033]],
                            [[-2.9311397206217285]], [[-1.594256083815981]])
     report = stabilizability_report(tie)
-    assert not report.stabilizable and report.flow_status == "unsettled"
-    assert (report.flow_steps, report.newton_steps, report.P, report.gamma) == (0, 0, None, None)
-    # a Newton failure of any other cause ends the same way
-    monkeypatch.setattr(slq.riccati, "_newton", _failing_newton)
-    report = stabilizability_report(_route_systems()[0])
+    assert _rate_gap(*(float(M[0, 0]) for M in (tie.A, tie.C, tie.B, tie.D))) > 0
+    assert report.stabilizable and report.flow_status == "certified"
+    assert report.P[0, 0] > 1e15 and is_stabilizer(tie, report.gamma)
+    coeffs = (20915856.75265949, -167373.1832113623, -97084.00354199595, 0.0)
+    large = ControlledSystem(*([[v]] for v in coeffs))
+    report = stabilizability_report(large)
+    assert (report.flow_status, report.flow_steps, report.newton_steps) == ("certified", 0, 0)
+    exact = solve_1d(coeffs[0], coeffs[1], coeffs[2], coeffs[3], 1.0, 0.0, 1.0)
+    assert abs(report.P[0, 0] - exact.P) <= 1e-14 * exact.P
+    assert abs(report.gamma[0, 0] - exact.strategy.theta) <= 1e-14 * abs(exact.strategy.theta)
+
+
+def test_a_scalar_value_that_overflows_is_unsettled():
+    # 2A = -1e-320 is the rate of the least-cost gain 0, so every
+    # stabilizer's unit-weight cost overflows; the system is classified not
+    # stabilizable, where Newton from the infinite value used to raise
+    report = stabilizability_report(ControlledSystem([[-5e-321]], [[0.0]], [[0.0]], [[0.0]]))
     assert not report.stabilizable
-    assert (report.flow_status, report.newton_steps) == ("unsettled", 2)
+    assert (report.flow_status, report.P, report.gamma, report.residual) == \
+        ("unsettled", None, None, None)
 
 
 def _rate_gap(A, C, B, D) -> Fraction:
@@ -421,9 +437,9 @@ def test_a_certified_limit_that_is_not_positive_definite_raises(monkeypatch):
 # floats the flow is IEEE arithmetic alone, so its steps and values hold on
 # every platform.  Per system (A, C, B, D): integrate_riccati_flow's status,
 # accepted steps, and last time and value (float.hex); then the report's
-# status, flow and Newton steps and P.  The decision runs no flow for
-# n = m = 1: its one gain is refused, or certified with a value at which
-# Newton takes no step.
+# status, flow and Newton steps and P.  The decision runs neither the flow
+# nor Newton for n = m = 1: its one gain is refused, or certified, and then
+# its value is P.
 _SCALAR_FLOW_BITS = [
     ((1.0, 0.5, 0.2, 1.0),
      ("diverged", 247, "0x1.56ef736594494p+3", "0x1.966ad3dc9d180p+26"),
