@@ -17,7 +17,8 @@ class LyapunovUnsolvableError(SlqError):
     """The Lyapunov solver could not certify the pair mean-square stable.
 
     The message names the failed condition: a drift that is not Hurwitz, a
-    noise map that does not contract, or a fixed point that does not settle.
+    noise map that does not contract (no iterate meets Lyapunov's inequality),
+    or a fixed point that does not settle.
     """
 
 

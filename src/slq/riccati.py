@@ -23,9 +23,9 @@ Where a stabilizing gain is known -- the strictly convex problems over a
 certified stable pair -- the ARE is solved by Newton-Kleinman (Kleinman
 1968; Damm & Hinrichsen 2001): from P, the gain Theta = -N(P)^{-1} L(P)' is
 certified mean-square stabilizing and P becomes its cost, the solution of
-the closed-loop generalized Lyapunov equation.  That is the certified
-Bartels-Stewart fixed point of ``stability``, the package's one generalized
-Lyapunov solver (Hurwitz drift and a contracting noise map), warm-started
+the closed-loop generalized Lyapunov equation.  That is the Bartels-Stewart
+fixed point of ``stability``, the package's one generalized Lyapunov solver,
+certified by Lyapunov's inequality at one of its own iterates, warm-started
 from P and settled only as far as the ARE residual at P calls for (inexact
 Newton); when n = m = 1 it is one float division (``_maps`` picks the float
 or the matrix maps).  Its limit is accepted on the flow's own certificate,
@@ -282,10 +282,8 @@ def _adaptive_flow(rhs, sym, norm, y0, cfg: FlowConfig, stop=None):
 
 
 def _matrix_are(sys: ControlledSystem, w: CostWeights):
-    """Return ``(residual, are)``: ``are(Sig) -> (residual, K)`` gives the ARE
-    residual at Sig and K = (R + D'Sig D)^{-1} L(Sig)', whose negative is the
-    gain of Sig, and ``residual(Sig)`` the residual alone, the flow's
-    right-hand side.
+    """Return ``are``: ``are(Sig) -> (residual, K)`` gives the ARE residual at
+    Sig and K = (R + D'Sig D)^{-1} L(Sig)', whose negative is the gain of Sig.
 
     One Cholesky factor of R + D'Sig D is both the positivity test (raising
     :class:`_PositivityLost`) and the solver.
@@ -305,7 +303,7 @@ def _matrix_are(sys: ControlledSystem, w: CostWeights):
         K, _ = dpotrs(factor, L.T, lower=1)
         return Sig @ A + A.T @ Sig + C.T @ Sig @ C + Q - L @ K, K
 
-    return (lambda Sig: are(Sig)[0]), are
+    return are
 
 
 # n = m = 1 keeps its own maps on Python floats.  Through _matrix_are and
@@ -314,8 +312,7 @@ def _matrix_are(sys: ControlledSystem, w: CostWeights):
 # 20 ms instead of 2.1 ms, seed 61, in-process through slq.cli.main with
 # one BLAS thread on a 2-core x86_64 VM).
 def _scalar_are(sys: ControlledSystem, w: CostWeights):
-    """``_matrix_are`` for n = m = 1, on floats.  The flow's right-hand side
-    is its own closure: it makes most of the evaluations of a solve."""
+    """``_matrix_are`` for n = m = 1, on floats."""
     a = float(sys.A[0, 0])
     b = float(sys.B[0, 0])
     c = float(sys.C[0, 0])
@@ -325,13 +322,6 @@ def _scalar_are(sys: ControlledSystem, w: CostWeights):
     r = float(w.R[0, 0])
     two_a_c2 = 2.0 * a + c * c
 
-    def residual(sig):
-        n_val = r + d * d * sig
-        if n_val <= 0.0:
-            raise _PositivityLost
-        l_val = sig * b + c * sig * d + s
-        return two_a_c2 * sig + q - l_val * (l_val / n_val)
-
     def are(sig):
         n_val = r + d * d * sig
         if n_val <= 0.0:
@@ -340,7 +330,7 @@ def _scalar_are(sys: ControlledSystem, w: CostWeights):
         k = l_val / n_val
         return two_a_c2 * sig + q - l_val * k, k
 
-    return residual, are
+    return are
 
 
 def integrate_riccati_flow(
@@ -361,7 +351,7 @@ def integrate_riccati_flow(
     if G0.shape != (sys.n, sys.n):
         raise InvalidInputError("G must be n x n")
 
-    rhs, _, _, _, norm, sym, state = _maps(sys, w)
+    rhs, _, _, norm, sym, state = _maps(sys, w)
     status, times, vals, dnorm = _adaptive_flow(rhs, sym, norm, state(G0), cfg)
     values = np.asarray(vals, dtype=float).reshape(-1, sys.n, sys.n)
     return RiccatiFlow(
@@ -423,7 +413,7 @@ def _matrix_gain_value(sys: ControlledSystem, w: CostWeights):
         except LyapunovUnsolvableError:
             return None
 
-    return gain_value, lambda Theta: is_stabilizer(sys, Theta)
+    return gain_value
 
 
 def _scalar_gain_value(sys: ControlledSystem, w: CostWeights):
@@ -442,20 +432,22 @@ def _scalar_gain_value(sys: ControlledSystem, w: CostWeights):
             return None
         return -(q + (2.0 * s + r * theta) * theta) / rate
 
-    return gain_value, lambda theta: gain_value(theta, None) is not None
+    return gain_value
 
 
 def _maps(sys: ControlledSystem, w: CostWeights):
-    """(rhs, are, gain_value, certify, norm, sym, state): the flow's
-    right-hand side (the ARE residual alone), the ARE and gain-value maps,
-    the check of a gain alone, the norm and symmetrization of a flow state,
-    and ``state(X)``, the state of an n x n matrix X -- on floats when
-    n = m = 1, on matrices otherwise.  A float is its own symmetrization."""
+    """(rhs, are, gain_value, norm, sym, state): the flow's right-hand side
+    (the ARE residual alone), the ARE and gain-value maps, the norm and
+    symmetrization of a flow state, and ``state(X)``, the state of an n x n
+    matrix X -- on floats when n = m = 1, on matrices otherwise.  A float is
+    its own symmetrization."""
     if sys.n == 1 and sys.m == 1:
-        return (*_scalar_are(sys, w), *_scalar_gain_value(sys, w), abs, float,
-                lambda X: float(X[0, 0]))
-    return (*_matrix_are(sys, w), *_matrix_gain_value(sys, w), fro, lambda y: (y + y.T) / 2.0,
-            lambda X: np.asarray(X, dtype=float))
+        are, *rest = (_scalar_are(sys, w), _scalar_gain_value(sys, w), abs, float,
+                      lambda X: float(X[0, 0]))
+    else:
+        are, *rest = (_matrix_are(sys, w), _matrix_gain_value(sys, w), fro,
+                      lambda y: (y + y.T) / 2.0, lambda X: np.asarray(X, dtype=float))
+    return (lambda y: are(y)[0]), are, *rest
 
 
 def _newton_limit(
@@ -466,7 +458,7 @@ def _newton_limit(
     Returns (P, solve): P is the limit or None, and solve is {"steps": k},
     with "failed": the cause when P is None.
     """
-    _, are, gain_value, _, norm, _, state = _maps(sys, w)
+    _, are, gain_value, norm, _, state = _maps(sys, w)
     P, steps, cause = _newton(are, gain_value, norm, state(P0), stat_tol)
     P = None if P is None else np.reshape(P, (sys.n, sys.n))
     return P, {"steps": steps} if cause is None else {"steps": steps, "failed": cause}
@@ -518,7 +510,7 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     certified, 'refuted' or 'unsettled' as above, and the flow's own status
     otherwise.
     """
-    rhs, are, gain_value, certify, norm, sym, state = _maps(sys, w)
+    rhs, are, gain_value, norm, sym, state = _maps(sys, w)
     if sys.n == sys.m == 1:
         theta = _least_cost_scalar_gain(sys)
         P = gain_value(theta, None)
@@ -547,7 +539,7 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     P, route["newton_steps"], cause = _newton(are, gain_value, norm, start, cfg.stat_tol)
     if cause is None:
         residual, K = are(P)
-        if not certify(-K):
+        if not is_stabilizer(sys, -K):
             cause = "the gain of its limit is not certified mean-square stabilizing"
     if cause is not None:
         raise InternalInconsistencyError(

@@ -8,12 +8,12 @@ and [A, C; B, D] the controlled one
 
     dX = (A X + B u) dt + (C X + D u) dW.
 
-Stability is decided constructively.  [A, C] is L2-stable iff A is Hurwitz
-and the noise map X -> Y, with Y A + A'Y = -C'X C, contracts (Damm 2004);
-the one generalized Lyapunov solver ``solve_lyapunov`` certifies both in real
-Schur coordinates before it runs the fixed point X A + A'X + C'X C + Lambda
-= 0, and raises for every pair it cannot certify.  ``is_l2_stable`` runs the
-certificate alone for n >= 2, with no value sweeps.
+Stability is decided constructively.  [A, C] is L2-stable iff some X > 0
+has X A + A'X + C'X C < 0 (Damm 2004); the one generalized Lyapunov solver
+``solve_lyapunov`` runs the fixed point X A + A'X + C'X C + Lambda = 0 in
+real Schur coordinates, reads that inequality off its iterates, and raises
+for every pair it cannot certify.  ``is_l2_stable`` runs the fixed point on
+I only to its certificate for n >= 2.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class ControlledSystem:
         return SystemPair(self.A + self.B @ Th, self.C + self.D @ Th)
 
 
-_FP_MAX_ITERS = 200      # fixed-point sweeps allowed to reach the certificate
+_FP_MAX_ITERS = 200      # sweeps to reach the certificate, and to settle before it sets a deadline
 _FP_TOL = 1e-13          # relative settling of the fixed point
 _FP_FLOOR = 0.01         # the settling rule never asks for a step below _FP_FLOOR * _FP_TOL
 
@@ -113,8 +113,8 @@ _NO_CONTRACTION = "not certified mean-square stable: the noise map does not cont
 
 
 def _schur_sweep(A):
-    """(Z, sweep) for a Hurwitz A = Z T Z' in LAPACK's real Schur form, whose
-    diagonal holds the real parts of the eigenvalues: sweep(F) solves
+    """(Z, T, sweep) for a Hurwitz A = Z T Z' in LAPACK's real Schur form,
+    whose diagonal holds the real parts of the eigenvalues: sweep(F) solves
     T'Y + Y T = -F and raises when the solve reports near-common eigenvalues."""
     # SciPy loads on first use: scalar unforced runs never need it
     from scipy.linalg import schur
@@ -133,23 +133,68 @@ def _schur_sweep(A):
             raise LyapunovUnsolvableError("the drift has eigenvalues near the imaginary axis")
         return (Y + Y.T) / (2.0 * scale)
 
-    return Z, sweep
+    return Z, T, sweep
 
 
-def _contraction(sweep, C_s) -> int:
-    """The first k with ||map^k(I)|| <= 1/2, map X -> sweep(C_s'X C_s); one sweep if C_s = 0."""
-    Y = np.eye(C_s.shape[0])
-    for k in range(1, _FP_MAX_ITERS + 1):
-        Y = sweep(C_s.T @ Y @ C_s)
-        y_norm = fro(Y)
-        if not y_norm * _FP_TOL <= 1.0:         # also refuses a NaN
-            raise LyapunovUnsolvableError(f"{_NO_CONTRACTION}: ||map^{k}(I)|| = {y_norm:.3g}")
-        if y_norm <= 0.5:
-            return k
-    raise LyapunovUnsolvableError(f"{_NO_CONTRACTION} within {_FP_MAX_ITERS} sweeps")
+def _fixed_point(sweep, T, C_s, Lam_s, X, tol):
+    """Run X <- sweep(Lam_s + C_s'X C_s) from X until it settles to ``tol``;
+    returns (X, (X_c, G_c)), the last iterate and the certificate.
+
+    Sweep k leaves G_k = Lam_s - C_s'(X_k - X_{k-1}) C_s = -(X_k T + T'X_k +
+    C_s'X_k C_s).  The first G_k and X_k that both have Cholesky factors, G_k
+    less a rounding allowance for the sweep and the products on its
+    diagonal, meet Lyapunov's strict inequality, which holds iff the pair is
+    mean-square stable (Damm 2004).  Where the iterates pass ||Lam_s|| /
+    ``_FP_TOL`` or ``_FP_MAX_ITERS`` sweeps uncertified (one sweep when Lam_s
+    is not positive definite), the run on Lam_s = I from 0 with ``tol`` None
+    certifies the pair instead: it stops at its certificate, and refuses at
+    those limits.
+    """
+    from scipy.linalg.lapack import dpotrf
+
+    n = X.shape[0]
+    lam_norm, t_norm, c_norm2 = fro(Lam_s), fro(T), fro(C_s) ** 2
+    limit = _FP_MAX_ITERS if tol is None or dpotrf(Lam_s)[1] == 0 else 1
+    CXC = C_s.T @ X @ C_s
+    cert, start, k, step, deadline = None, 0, 0, 0.0, np.inf
+    while True:
+        k += 1
+        X_prev, X = X, sweep(Lam_s + CXC)
+        CXC_prev, CXC = CXC, C_s.T @ X @ C_s
+        x_norm = fro(X)
+        prev_step, step = step, fro(X - X_prev)
+        if cert is None:
+            G = Lam_s - CXC + CXC_prev
+            G.flat[::n + 1] -= (4.0 * n * np.finfo(float).eps
+                                * (2.0 * (t_norm + c_norm2) * x_norm + c_norm2 * step + lam_norm))
+            if dpotrf(G)[1] == 0 and dpotrf(X)[1] == 0:
+                cert, start = (X, G), k
+                if tol is None:
+                    return X, cert
+            elif x_norm * _FP_TOL <= lam_norm and k < limit:       # false for a NaN
+                continue
+            elif tol is None:
+                raise LyapunovUnsolvableError(
+                    f"{_NO_CONTRACTION}: no certificate in {k} sweeps, ||X|| = {x_norm:.3g}")
+            else:
+                cert, start = _fixed_point(sweep, T, C_s, np.eye(n), np.zeros((n, n)), None)[1], k
+        if not np.isfinite(x_norm):
+            raise LyapunovUnsolvableError("the Lyapunov fixed point is not finite")
+        settle = max(tol, _FP_TOL) * (1.0 + x_norm)
+        r = step / prev_step if prev_step > 0.0 else 0.0
+        if step <= settle and (step * r <= settle * (1.0 - r) or step <= _FP_FLOOR * settle):
+            return X, cert
+        if k == start + _FP_MAX_ITERS:
+            # map(X_c) = X_c - sweep(G_c) <= q X_c, as sweep(G_c) >= lambda_min(G_c) / (2 ||T||) I,
+            # and a step E, within +-||E|| / lambda_min(X_c) X_c, shrinks by q per sweep
+            g_min, x_eig = np.linalg.eigvalsh(cert[1])[0], np.linalg.eigvalsh(cert[0])
+            gap = np.sqrt(n) * x_eig[-1] / x_eig[0] * step / (_FP_FLOOR * settle)
+            deadline = k + np.log(gap) / -np.log1p(-g_min / (2.0 * t_norm * x_eig[-1]))
+        if not k < deadline:
+            raise LyapunovUnsolvableError(f"the Lyapunov fixed point did not settle in {k} sweeps")
 
 
-def _stable_lyapunov(A, C, Lam, X0=None, tol: float = _FP_TOL) -> np.ndarray:
+def _stable_lyapunov(A, C, Lam, X0=None, tol: float | None = _FP_TOL) -> np.ndarray:
     """Solve X A + A'X + C'X C + Lam = 0 and certify [A, C] mean-square stable.
 
     Bartels-Stewart: A = Z T Z' is reduced to real Schur form once, and the
@@ -159,27 +204,22 @@ def _stable_lyapunov(A, C, Lam, X0=None, tol: float = _FP_TOL) -> np.ndarray:
 
     is one triangular Sylvester solve (``_schur_sweep``, which also tests
     that A is Hurwitz).  With C = 0 that settles stability and the solve is
-    one sweep.  Otherwise the noise map, taking X to the solution Y of
-    T'Y + Y T = -C'X C, is completely positive, so its norm is that of its
-    value at I (Russo-Dye), and ||map^k(I)|| <= 1/2 certifies that map^k
-    halves every step, which for Hurwitz A is mean-square stability (Damm
-    2004).  Once that certificate is in (``_contraction``), the fixed point
-    runs from X0 (default 0) for at least those k sweeps and until it has
+    one sweep.  Otherwise the fixed point runs from X0 (default 0) and
+    certifies the pair from its own iterates (``_fixed_point``); with
+    ``tol`` None it stops there.  From the certifying sweep on it stops once
     settled: the step is below ``tol`` relative, never below ``_FP_TOL``,
     and, as the steps shrink about geometrically by their ratio r, so is the
     remaining distance step * r / (1 - r), down to ``_FP_FLOOR`` times that
-    tolerance, which stays above rounding.  Halving every k sweeps brings the
-    step under the floor within a number of sweeps known at sweep k.
+    tolerance, which stays above rounding.  After ``_FP_MAX_ITERS`` sweeps
+    unsettled, the certificate bounds the sweeps left until the step passes
+    under that floor.
 
     Raises :class:`LyapunovUnsolvableError`, naming the failed condition, when
-    A is not Hurwitz, the noise map does not contract within
-    ``_FP_MAX_ITERS`` sweeps or ||map^k(I)|| passes 1 / ``_FP_TOL`` (rounding
-    then grows past the settling tolerance), a value is not finite, the
-    Sylvester solve reports near-common eigenvalues, or the iterate does not
-    settle within the sweeps its certificate allows.
+    A is not Hurwitz, the noise map does not contract (no certificate), a
+    value is not finite, the Sylvester solve reports near-common
+    eigenvalues, or the iterate does not settle within those sweeps.
     """
-    n = A.shape[0]
-    Z, sweep = _schur_sweep(A)
+    Z, T, sweep = _schur_sweep(A)
 
     def back(X):
         X = Z @ X @ Z.T
@@ -188,31 +228,8 @@ def _stable_lyapunov(A, C, Lam, X0=None, tol: float = _FP_TOL) -> np.ndarray:
     Lam_s = Z.T @ Lam @ Z
     if not C.any():
         return back(sweep(Lam_s))
-    C_s = Z.T @ C @ Z
-    certified = _contraction(sweep, C_s)
-    tol = max(tol, _FP_TOL)
-    X = np.zeros((n, n)) if X0 is None else Z.T @ X0 @ Z
-    deadline, k, step = certified, 0, 0.0
-    while k < deadline:
-        k += 1
-        X_new = sweep(Lam_s + C_s.T @ X @ C_s)
-        x_norm = fro(X_new)
-        if not np.isfinite(x_norm):
-            raise LyapunovUnsolvableError("the Lyapunov fixed point is not finite")
-        prev_step, step = step, fro(X_new - X)
-        X = X_new
-        if k < certified:
-            continue
-        if k == certified:
-            # the spectral norm of every k-th step halves (||.||_F <= sqrt(n) ||.||_2);
-            # one extra period is slack for rounding
-            halvings = np.log2(max(1.0, np.sqrt(n) * step / (_FP_FLOOR * tol)))
-            deadline = k * (2 + int(np.ceil(halvings)))
-        settle = tol * (1.0 + x_norm)
-        r = step / prev_step if prev_step > 0.0 else 0.0
-        if step <= settle and (step * r <= settle * (1.0 - r) or step <= _FP_FLOOR * settle):
-            return back(X)
-    raise LyapunovUnsolvableError(f"the Lyapunov fixed point did not settle in {deadline} sweeps")
+    X = np.zeros_like(Lam_s) if X0 is None else Z.T @ X0 @ Z
+    return back(_fixed_point(sweep, T, Z.T @ C @ Z, Lam_s, X, tol)[0])
 
 
 def solve_lyapunov(sys: SystemPair, Lambda) -> np.ndarray:
@@ -220,8 +237,8 @@ def solve_lyapunov(sys: SystemPair, Lambda) -> np.ndarray:
 
     The solution is returned only for a pair certified mean-square stable:
     for n = 1 it is -Lambda / (2A + C^2) when 2A + C^2 < 0, otherwise the
-    Bartels-Stewart fixed point of :func:`_stable_lyapunov`, whose
-    certificate is a Hurwitz drift and a contracting noise map.  Raises
+    Bartels-Stewart fixed point of :func:`_stable_lyapunov`, certified by a
+    Hurwitz drift and Lyapunov's inequality at an iterate.  Raises
     :class:`LyapunovUnsolvableError`, naming the condition that failed, for
     every pair it cannot certify, the marginal ones included.
     """
@@ -242,17 +259,16 @@ def is_l2_stable(sys: SystemPair) -> bool:
     """Decide L2-stability of [A, C] via the Lyapunov certificate.
 
     True iff ``solve_lyapunov(sys, I)`` certifies the pair: Hurwitz drift
-    and a contracting noise map, whose solution P > 0 is then a strict
-    certificate; for n >= 2 the certificate runs alone, with no value
-    sweeps.  Pairs it cannot certify, the marginal ones (2A + C^2 = 0 in
-    the scalar case) included, classify as unstable.
+    and an iterate X > 0 with X A + A'X + C'X C < 0; for n >= 2 the fixed
+    point stops at that certificate and settles no value.  Pairs it cannot
+    certify, the marginal ones (2A + C^2 = 0 in the scalar case) included,
+    classify as unstable.
     """
     try:
         if sys.n == 1:
             solve_lyapunov(sys, np.eye(1))
         else:
-            Z, sweep = _schur_sweep(sys.A)
-            _contraction(sweep, Z.T @ sys.C @ Z)
+            _stable_lyapunov(sys.A, sys.C, np.eye(sys.n), tol=None)
     except LyapunovUnsolvableError:
         return False
     return True

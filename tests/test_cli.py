@@ -365,6 +365,29 @@ def test_check_decides_a_slowly_contracting_scalar_pair(tmp_path):
     assert report.P[0, 0] == pytest.approx(oracle.P, rel=1e-9)
 
 
+def test_check_and_solve_decide_a_slowly_contracting_matrix_system(tmp_path):
+    # the 2 x 2 system of test_a_slowly_contracting_stabilizable_system_is_decided,
+    # with indefinite weights: at the gain of the limit the noise map has
+    # spectral radius 0.99787, so the gain must be certified long before
+    # its value settles.  The solution decouples, block by block, into the
+    # oracle's
+    coeffs = {"A": (-1.9574274652675498, -1.0), "C": (2.001084531891264, 0.0),
+              "B": (1.9064999054518736, 1.0), "D": (-1.126848813914599, 0.0),
+              "Q": (1.296235504881066, 1.0), "S": (1.0254891189720547, 0.0),
+              "R": (-1.4047770759179612, 1.0)}
+    prob = write_problem(tmp_path, n=2, m=2, x0=[1.0, 1.0],
+                         **{k: np.diag(v).tolist() for k, v in coeffs.items()})
+    assert main(["check", prob, "--out", str(tmp_path / "r.json")]) == 0
+    doc = read(tmp_path / "r.json")
+    assert doc["verdict"]["stabilizable"] is True
+    assert doc["stabilizability"]["flow_status"] == "certified"
+    assert main(["solve", prob, "--out", str(tmp_path / "s.json")]) == 0
+    P = np.asarray(read(tmp_path / "s.json")["solution"]["P"])
+    for i in range(2):
+        oracle = slq.solve_1d(*(v[i] for v in coeffs.values()))
+        assert P[i, i] == pytest.approx(oracle.P, rel=1e-9)
+
+
 def test_solve_byte_identical_reports(tmp_path):
     prob = write_problem(tmp_path, inhomogeneity={
         "grid": [0.0, 0.5],

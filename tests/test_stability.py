@@ -100,19 +100,8 @@ def test_lyapunov_matches_kronecker_oracle(rng):
             assert fro(P - P_ref) <= 1e-12 * fro(P_ref)
 
 
-def test_lyapunov_settles_after_an_early_certificate(monkeypatch):
-    # In the basis Q, A is upper triangular and C diagonal, so the noise map
-    # has the eigenvalues c_i c_j / (|a_i| + |a_j|), the largest
-    # c_1^2 / (2 |a_1|) = 0.95.  ||map^k(I)|| drops to 1/2 at sweep 16, but
-    # the fixed point from 0 settles only after about 580 sweeps, far past
-    # the 200 the certificate may take.  A sweep makes at most two Sylvester
-    # solves.
-    Q, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(3, 3)))
-    T = np.diag([-1.0, -1.5, -2.0]) + np.triu(np.full((3, 3), 0.3), 1)
-    A = Q @ T @ Q.T
-    C = Q @ np.diag([np.sqrt(1.9), np.sqrt(0.9), np.sqrt(0.8)]) @ Q.T
-    pair = SystemPair(A, C)
-    Lam = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, -0.3], [0.0, -0.3, 0.5]])
+def _counting_sylvester(monkeypatch):
+    """The list that gets one entry per call of LAPACK's dtrsyl."""
     sylvester = []
     original = scipy.linalg.lapack.dtrsyl
 
@@ -121,12 +110,44 @@ def test_lyapunov_settles_after_an_early_certificate(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", counting)
+    return sylvester
+
+
+def test_lyapunov_settles_after_an_early_certificate(monkeypatch):
+    # In the basis Q, A is upper triangular and C diagonal, so the noise map
+    # has the eigenvalues c_i c_j / (|a_i| + |a_j|), the largest
+    # c_1^2 / (2 |a_1|) = 0.95.  The first iterate already meets Lyapunov's
+    # inequality, but the fixed point from 0 settles only after about 580
+    # sweeps, far past the 200 after which the certificate sets the
+    # deadline.  A sweep makes one Sylvester solve.
+    Q, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(3, 3)))
+    T = np.diag([-1.0, -1.5, -2.0]) + np.triu(np.full((3, 3), 0.3), 1)
+    A = Q @ T @ Q.T
+    C = Q @ np.diag([np.sqrt(1.9), np.sqrt(0.9), np.sqrt(0.8)]) @ Q.T
+    pair = SystemPair(A, C)
+    Lam = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, -0.3], [0.0, -0.3, 0.5]])
+    sylvester = _counting_sylvester(monkeypatch)
     assert is_l2_stable(pair)
     sylvester.clear()
     P = solve_lyapunov(pair, Lam)
     assert len(sylvester) > 2 * slq.stability._FP_MAX_ITERS
     P_ref = _kronecker_solution(pair, Lam)
     assert fro(P - P_ref) <= 1e-12 * fro(P_ref)
+
+
+def test_slow_noise_map_is_certified_at_once_and_settles_by_its_certificate(monkeypatch):
+    # noise-map radius c_1^2 / (2 |a_1|) = 0.999: ||map^k(I)|| stays above
+    # 1/2 for about 690 sweeps, but the first iterate meets Lyapunov's
+    # inequality.  The value solve settles after about 26 000 sweeps, long
+    # after the 200 at which the certificate sets its deadline
+    Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((2, 2)))
+    pair = SystemPair(Q @ np.diag([-1.0, -2.0]) @ Q.T,
+                      Q @ np.diag([np.sqrt(1.998), 0.0]) @ Q.T)
+    sylvester = _counting_sylvester(monkeypatch)
+    assert is_l2_stable(pair)
+    assert len(sylvester) <= 2
+    P_ref = _kronecker_solution(pair, np.eye(2))
+    assert fro(solve_lyapunov(pair, np.eye(2)) - P_ref) <= 1e-9 * fro(P_ref)
 
 
 def test_lyapunov_without_noise_matches_scipy(rng):
@@ -259,9 +280,9 @@ def _near_marginal_drifts():
 
 
 def test_certificate_alone_gives_the_verdict_of_the_value_solve(rng):
-    # for n >= 2 is_l2_stable runs the Hurwitz test and the contraction of
-    # the noise map without solving for a value; the verdict must be that of
-    # a successful solve_lyapunov(pair, I)
+    # for n >= 2 is_l2_stable runs the Hurwitz test and the fixed point on I
+    # only until an iterate meets Lyapunov's inequality, without settling a
+    # value; the verdict must be that of a successful solve_lyapunov(pair, I)
     pairs = [random_stable_pair(rng, n) for n in range(2, 9) for _ in range(3)]
     for _ in range(40):                     # the spectral-oracle draws
         n = int(rng.integers(2, 5))
@@ -279,6 +300,33 @@ def test_certificate_alone_gives_the_verdict_of_the_value_solve(rng):
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def test_a_pair_certified_on_i_is_solved_for_every_positive_weight(rng, monkeypatch):
+    # near radius 1 the iterates of Lambda = I + Theta'Theta may reach no
+    # certificate within _FP_MAX_ITERS sweeps where those of I do; the
+    # solve then certifies on I and goes on, so that its verdict does not
+    # depend on Lambda
+    runs_on_i = []
+    fixed_point = slq.stability._fixed_point
+
+    def recording(sweep, T, C_s, Lam_s, X, tol):
+        runs_on_i.append(tol is None)
+        return fixed_point(sweep, T, C_s, Lam_s, X, tol)
+
+    monkeypatch.setattr(slq.stability, "_fixed_point", recording)
+    certified = fell_back = 0
+    for radius in (0.99, 0.995):
+        for n in (2, 3, 4, 6):
+            for _ in range(4):
+                pair = _pair_at_noise_radius(rng, n, radius)
+                Theta = rng.standard_normal((n, n))
+                if is_l2_stable(pair):
+                    certified += 1
+                    runs_on_i.clear()
+                    solve_lyapunov(pair, np.eye(n) + Theta.T @ Theta)
+                    fell_back += any(runs_on_i)
+    assert certified >= 16 and fell_back >= 4
+
+
 def test_certificate_keeps_the_sylvester_test_of_a_noiseless_drift(monkeypatch):
     # with C = 0 the certificate still makes one Sylvester sweep, whose
     # solve refuses a drift within rounding of the imaginary axis
@@ -291,13 +339,6 @@ def test_certificate_keeps_the_sylvester_test_of_a_noiseless_drift(monkeypatch):
             assert "near the imaginary axis" in str(exc)
             refused.append(pair)
     assert len(refused) == 1
-    sylvester = []
-    original = scipy.linalg.lapack.dtrsyl
-
-    def counting(*args, **kwargs):
-        sylvester.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", counting)
+    sylvester = _counting_sylvester(monkeypatch)
     assert not is_l2_stable(refused[0])
     assert len(sylvester) == 1

@@ -402,23 +402,19 @@ def test_near_marginal_pairs_are_decided_without_raising():
     assert stabilizable >= 15
 
 
-@pytest.mark.xfail(strict=True, raises=InternalInconsistencyError,
-                   reason="the certificate needs more sweeps than _FP_MAX_ITERS allows")
 def test_a_slowly_contracting_stabilizable_system_is_decided():
-    # diagonal, so it decides block by block, and its first block alone is
-    # certified stabilizable (16 flow steps, 2 Newton steps).  At the gain of
-    # the limit that block's noise map has spectral radius 0.99787, and
-    # ||map^k(I)|| does not reach 1/2 within 200 sweeps, so the gain of the
-    # limit is refused
-    sys2 = ControlledSystem(np.diag([-1.9574274652675498, -1.0]),
-                            np.diag([2.001084531891264, 0.0]),
-                            np.diag([1.9064999054518736, 1.0]),
-                            np.diag([-1.126848813914599, 0.0]))
-    block = ControlledSystem([[-1.9574274652675498]], [[2.001084531891264]],
-                             [[1.9064999054518736]], [[-1.126848813914599]])
-    assert stabilizability_report(block).stabilizable
+    # diagonal, so it decides block by block.  At the gain of the limit the
+    # first block's noise map has spectral radius 0.99787: ||map^k(I)||
+    # needs more than 200 sweeps to reach 1/2, but an early iterate of the
+    # gain's value solve meets Lyapunov's inequality
+    A, C, B, D = ([-1.9574274652675498, -1.0], [2.001084531891264, 0.0],
+                  [1.9064999054518736, 1.0], [-1.126848813914599, 0.0])
+    sys2 = ControlledSystem(*(np.diag(v) for v in (A, C, B, D)))
     report = stabilizability_report(sys2)
     assert report.stabilizable and is_stabilizer(sys2, report.gamma)
+    for i in range(2):
+        oracle = solve_1d(A[i], C[i], B[i], D[i], 1.0, 0.0, 1.0)
+        assert report.P[i, i] == pytest.approx(oracle.P, rel=1e-9)
 
 
 def test_a_certified_limit_that_is_not_positive_definite_raises(monkeypatch):

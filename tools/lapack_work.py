@@ -1,19 +1,22 @@
-"""Real Schur forms and triangular Sylvester sweeps per benchmark problem.
+"""Real Schur forms, Sylvester sweeps and factorizations per benchmark problem.
 
     python3 tools/lapack_work.py --seeds 61 [--workloads matrix-ladder] [--root CHECKOUT]
 
 Solves every problem of the benchmark workloads in-process, as
 `tools/report_digest.py` does (the same checkout rule, the workload's own
 flags, one BLAS thread, nothing written under `bench/`), and counts the
-calls of `scipy.linalg.schur` with `output="real"` and of LAPACK's `dtrsyl`,
-the triangular Sylvester solve that makes one Bartels-Stewart sweep.  Prints
+calls of `scipy.linalg.schur` with `output="real"`, of LAPACK's `dtrsyl`,
+the triangular Sylvester solve that makes one Bartels-Stewart sweep, of
+LAPACK's `dpotrf`, the Cholesky factorization that tests the Riccati
+equation's R + D'PD and the Lyapunov certificate, and of
+`numpy.linalg.eigvalsh`.  Prints
 
-    matrix-ladder/61/003 0 schur 12 dtrsyl 85
+    matrix-ladder/61/003 0 schur 12 dtrsyl 12 dpotrf 13 eigvalsh 1
 
 per problem (workload, seed, index, exit code, counts), then one line per
 workload and seed, the work of one benchmark cycle:
 
-    matrix-ladder/61 cycle schur 96 dtrsyl 670
+    matrix-ladder/61 cycle schur 96 dtrsyl 321 dpotrf 288 eigvalsh 9
 
 The counts do not depend on timing or load, so two checkouts compare by
 them where timings are too noisy to tell:
@@ -43,16 +46,24 @@ def _counting(module, name: str, counts: dict, key: str, counted=lambda kwargs: 
     setattr(module, name, wrapper)
 
 
+def _line(counts: dict) -> str:
+    return " ".join(f"{key} {value}" for key, value in counts.items())
+
+
 def count(root: Path, seeds, names) -> None:
     main, workloads = _load(root)
+    import numpy.linalg
     import scipy.linalg
     import scipy.linalg.lapack
 
-    counts = {"schur": 0, "dtrsyl": 0}
-    # the solver imports both on each call, so the wrappers see every call
+    counts = {"schur": 0, "dtrsyl": 0, "dpotrf": 0, "eigvalsh": 0}
+    # the solver imports the SciPy routines on each call and looks eigvalsh
+    # up on each call, so the wrappers see every call
     _counting(scipy.linalg, "schur", counts, "schur",
               lambda kwargs: kwargs.get("output") == "real")
-    _counting(scipy.linalg.lapack, "dtrsyl", counts, "dtrsyl")
+    for name in ("dtrsyl", "dpotrf"):
+        _counting(scipy.linalg.lapack, name, counts, name)
+    _counting(numpy.linalg, "eigvalsh", counts, "eigvalsh")
     with tempfile.TemporaryDirectory() as tmp:
         problem_path, report = Path(tmp) / "problem.json", Path(tmp) / "report.json"
         for name in names:
@@ -63,10 +74,8 @@ def count(root: Path, seeds, names) -> None:
                     code = _solve(main, problem, problem_path, report)
                     for key in cycle:
                         cycle[key] += counts[key]
-                    print(f"{name}/{seed}/{i:03d} {code} "
-                          f"schur {counts['schur']} dtrsyl {counts['dtrsyl']}", flush=True)
-                print(f"{name}/{seed} cycle schur {cycle['schur']} dtrsyl {cycle['dtrsyl']}",
-                      flush=True)
+                    print(f"{name}/{seed}/{i:03d} {code} {_line(counts)}", flush=True)
+                print(f"{name}/{seed} cycle {_line(cycle)}", flush=True)
 
 
 def main(argv=None) -> int:
