@@ -141,20 +141,22 @@ def _fixed_point(sweep, T, C_s, Lam_s, X, tol):
     returns (X, (X_c, G_c)), the last iterate and the certificate.
 
     Sweep k leaves G_k = Lam_s - C_s'(X_k - X_{k-1}) C_s = -(X_k T + T'X_k +
-    C_s'X_k C_s).  The first G_k and X_k that both have Cholesky factors, G_k
-    less a rounding allowance for the sweep and the products on its
-    diagonal, meet Lyapunov's strict inequality, which holds iff the pair is
-    mean-square stable (Damm 2004).  Where the iterates pass ||Lam_s|| /
-    ``_FP_TOL`` or ``_FP_MAX_ITERS`` sweeps uncertified (one sweep when Lam_s
-    is not positive definite), the run on Lam_s = I from 0 with ``tol`` None
-    certifies the pair instead: it stops at its certificate, and refuses at
-    those limits.
+    C_s'X_k C_s).  The first G_k, less a rounding allowance on its diagonal,
+    and X_k that both have Cholesky factors meet Lyapunov's strict
+    inequality, which holds iff the pair is mean-square stable (Damm 2004).
+    Where the iterates pass ||Lam_s|| / ``_FP_TOL`` or ``_FP_MAX_ITERS``
+    sweeps uncertified (one sweep when Lam_s is not positive definite), the
+    run on I from 0 with ``tol`` None, which stops at its certificate,
+    certifies the pair instead.  That run refuses at those limits, as does a
+    run from 0 on a positive multiple of I, which it would repeat to scale.
     """
     from scipy.linalg.lapack import dpotrf
 
-    n = X.shape[0]
+    n, eps = X.shape[0], np.finfo(float).eps
     lam_norm, t_norm, c_norm2 = fro(Lam_s), fro(T), fro(C_s) ** 2
     limit = _FP_MAX_ITERS if tol is None or dpotrf(Lam_s)[1] == 0 else 1
+    alone = tol is None or limit > 1 and not X.any() and (
+        fro(Lam_s - np.trace(Lam_s) / n * np.eye(n)) <= 4.0 * n * eps * lam_norm)
     CXC = C_s.T @ X @ C_s
     cert, start, k, step, deadline = None, 0, 0, 0.0, np.inf
     while True:
@@ -165,15 +167,15 @@ def _fixed_point(sweep, T, C_s, Lam_s, X, tol):
         prev_step, step = step, fro(X - X_prev)
         if cert is None:
             G = Lam_s - CXC + CXC_prev
-            G.flat[::n + 1] -= (4.0 * n * np.finfo(float).eps
-                                * (2.0 * (t_norm + c_norm2) * x_norm + c_norm2 * step + lam_norm))
+            G.flat[::n + 1] -= 4.0 * n * eps * (
+                2.0 * (t_norm + c_norm2) * x_norm + c_norm2 * step + lam_norm)
             if dpotrf(G)[1] == 0 and dpotrf(X)[1] == 0:
                 cert, start = (X, G), k
                 if tol is None:
                     return X, cert
             elif x_norm * _FP_TOL <= lam_norm and k < limit:       # false for a NaN
                 continue
-            elif tol is None:
+            elif alone:
                 raise LyapunovUnsolvableError(
                     f"{_NO_CONTRACTION}: no certificate in {k} sweeps, ||X|| = {x_norm:.3g}")
             else:
@@ -188,8 +190,9 @@ def _fixed_point(sweep, T, C_s, Lam_s, X, tol):
             # map(X_c) = X_c - sweep(G_c) <= q X_c, as sweep(G_c) >= lambda_min(G_c) / (2 ||T||) I,
             # and a step E, within +-||E|| / lambda_min(X_c) X_c, shrinks by q per sweep
             g_min, x_eig = np.linalg.eigvalsh(cert[1])[0], np.linalg.eigvalsh(cert[0])
-            gap = np.sqrt(n) * x_eig[-1] / x_eig[0] * step / (_FP_FLOOR * settle)
-            deadline = k + np.log(gap) / -np.log1p(-g_min / (2.0 * t_norm * x_eig[-1]))
+            rate = np.clip(g_min / (2.0 * t_norm * x_eig[-1]), eps, 0.5)    # 1 - q, off 0 and 1
+            gap = np.sqrt(n) / max(x_eig[0] / x_eig[-1], eps) * step / (_FP_FLOOR * settle)
+            deadline = min(start + _FP_MAX_ITERS ** 2, k + np.log(gap) / -np.log1p(-rate))
         if not k < deadline:
             raise LyapunovUnsolvableError(f"the Lyapunov fixed point did not settle in {k} sweeps")
 
@@ -212,24 +215,22 @@ def _stable_lyapunov(A, C, Lam, X0=None, tol: float | None = _FP_TOL) -> np.ndar
     remaining distance step * r / (1 - r), down to ``_FP_FLOOR`` times that
     tolerance, which stays above rounding.  After ``_FP_MAX_ITERS`` sweeps
     unsettled, the certificate bounds the sweeps left until the step passes
-    under that floor.
+    under that floor, and never past ``_FP_MAX_ITERS`` squared.
 
     Raises :class:`LyapunovUnsolvableError`, naming the failed condition, when
-    A is not Hurwitz, the noise map does not contract (no certificate), a
-    value is not finite, the Sylvester solve reports near-common
-    eigenvalues, or the iterate does not settle within those sweeps.
+    A is not Hurwitz, no iterate is certified, a value is not finite, the
+    Sylvester solve reports near-common eigenvalues, or the iterate does not
+    settle within those sweeps.
     """
     Z, T, sweep = _schur_sweep(A)
-
-    def back(X):
-        X = Z @ X @ Z.T
-        return (X + X.T) / 2.0
-
     Lam_s = Z.T @ Lam @ Z
     if not C.any():
-        return back(sweep(Lam_s))
-    X = np.zeros_like(Lam_s) if X0 is None else Z.T @ X0 @ Z
-    return back(_fixed_point(sweep, T, Z.T @ C @ Z, Lam_s, X, tol)[0])
+        X = sweep(Lam_s)
+    else:
+        X = np.zeros_like(Lam_s) if X0 is None else Z.T @ X0 @ Z
+        X = _fixed_point(sweep, T, Z.T @ C @ Z, Lam_s, X, tol)[0]
+    X = Z @ X @ Z.T
+    return (X + X.T) / 2.0
 
 
 def solve_lyapunov(sys: SystemPair, Lambda) -> np.ndarray:

@@ -135,19 +135,75 @@ def test_lyapunov_settles_after_an_early_certificate(monkeypatch):
     assert fro(P - P_ref) <= 1e-12 * fro(P_ref)
 
 
+def _single_mode_pair(radius):
+    """A = Q diag(-1, -2) Q' and C = Q diag(c, 0) Q', whose noise map has the
+    one nonzero eigenvalue c^2 / 2 = radius."""
+    Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((2, 2)))
+    return SystemPair(Q @ np.diag([-1.0, -2.0]) @ Q.T,
+                      Q @ np.diag([np.sqrt(2.0 * radius), 0.0]) @ Q.T)
+
+
 def test_slow_noise_map_is_certified_at_once_and_settles_by_its_certificate(monkeypatch):
     # noise-map radius c_1^2 / (2 |a_1|) = 0.999: ||map^k(I)|| stays above
     # 1/2 for about 690 sweeps, but the first iterate meets Lyapunov's
     # inequality.  The value solve settles after about 26 000 sweeps, long
     # after the 200 at which the certificate sets its deadline
-    Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((2, 2)))
-    pair = SystemPair(Q @ np.diag([-1.0, -2.0]) @ Q.T,
-                      Q @ np.diag([np.sqrt(1.998), 0.0]) @ Q.T)
+    pair = _single_mode_pair(0.999)
     sylvester = _counting_sylvester(monkeypatch)
     assert is_l2_stable(pair)
     assert len(sylvester) <= 2
     P_ref = _kronecker_solution(pair, np.eye(2))
     assert fro(solve_lyapunov(pair, np.eye(2)) - P_ref) <= 1e-9 * fro(P_ref)
+
+
+def test_a_near_marginal_pair_is_refused_within_a_bounded_number_of_sweeps(monkeypatch):
+    # radius 1 - 1e-8: the first iterate is certified, but the steps shrink
+    # by about 1 - 1e-8 a sweep, so settling would take some 1e9 sweeps; the
+    # certificate's deadline stops at _FP_MAX_ITERS squared
+    pair = _single_mode_pair(1.0 - 1e-8)
+    sylvester = _counting_sylvester(monkeypatch)
+    assert is_l2_stable(pair)
+    assert len(sylvester) <= 2
+    sylvester.clear()
+    with pytest.raises(LyapunovUnsolvableError, match="did not settle"):
+        solve_lyapunov(pair, np.eye(2))
+    assert len(sylvester) <= slq.stability._FP_MAX_ITERS ** 2 + 1
+
+
+def test_a_rounded_certificate_eigenvalue_only_lengthens_the_deadline(monkeypatch):
+    # G_c passed its Cholesky test, but an eigenvalue solve may still put
+    # lambda_min(G_c) just below 0; the deadline then runs to its cap and
+    # the radius-0.999 solve still settles, as without the rounding
+    pair = _single_mode_pair(0.999)
+    eigvalsh = np.linalg.eigvalsh
+    seen = []
+
+    def rounded(M):
+        w = eigvalsh(M)
+        seen.append(1)
+        if len(seen) == 1:
+            w[0] = -1e-18
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", rounded)
+    P_ref = _kronecker_solution(pair, np.eye(2))
+    assert fro(solve_lyapunov(pair, np.eye(2)) - P_ref) <= 1e-9 * fro(P_ref)
+    assert len(seen) == 2
+
+
+def test_a_refusal_on_a_multiple_of_i_makes_no_second_run(monkeypatch):
+    # radius 1.01: no iterate is certified.  From 0 on 3 I the run on I
+    # would repeat the value's own iterates to scale, so the refusal makes
+    # the sweeps of one run only; another weight takes the run on I as well
+    pair = _single_mode_pair(1.01)
+    sylvester = _counting_sylvester(monkeypatch)
+    with pytest.raises(LyapunovUnsolvableError, match="does not contract"):
+        solve_lyapunov(pair, 3.0 * np.eye(2))
+    assert len(sylvester) <= slq.stability._FP_MAX_ITERS
+    sylvester.clear()
+    with pytest.raises(LyapunovUnsolvableError, match="does not contract"):
+        solve_lyapunov(pair, np.diag([1.0, 2.0]))
+    assert len(sylvester) > slq.stability._FP_MAX_ITERS
 
 
 def test_lyapunov_without_noise_matches_scipy(rng):

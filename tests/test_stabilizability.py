@@ -410,6 +410,7 @@ def test_a_slowly_contracting_stabilizable_system_is_decided():
     A, C, B, D = ([-1.9574274652675498, -1.0], [2.001084531891264, 0.0],
                   [1.9064999054518736, 1.0], [-1.126848813914599, 0.0])
     sys2 = ControlledSystem(*(np.diag(v) for v in (A, C, B, D)))
+    assert stabilizability_report(ControlledSystem(*([[v[0]]] for v in (A, C, B, D)))).stabilizable
     report = stabilizability_report(sys2)
     assert report.stabilizable and is_stabilizer(sys2, report.gamma)
     for i in range(2):
