@@ -491,10 +491,15 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     the first gain certified or at its own converged limit.  Both end the
     same way: Newton-Kleinman from that gain's value, or from the converged
     limit, which meets Newton's bound so that Newton takes no step, then one
-    check of the gain of Newton's limit, with no value.  With Q > 0, Newton
-    from a stabilizing gain reaches the unique PSD solution, the flow's
-    limit, so a failure there raises :class:`InternalInconsistencyError`,
-    whose message ends with the cause.  A flow of k steps that certifies no gain makes at most
+    check of the gain Gamma = -K(P) of Newton's limit P, with P as its
+    Lyapunov witness: with unit weights the closed loop maps P to
+    -(I + Gamma'Gamma) plus the ARE residual, below ``stat_tol`` relative,
+    so P certifies its gain with two Cholesky factors and no Schur form, and
+    the check falls back to the certificate's fixed point only where
+    rounding defeats that.  With Q > 0, Newton from a stabilizing gain
+    reaches the unique PSD solution, the flow's limit, so a failure there
+    raises :class:`InternalInconsistencyError`, whose message ends with the
+    cause.  A flow of k steps that certifies no gain makes at most
     floor(log2 k) + 2 certification attempts.
 
     For n = m = 1 (unit weights) neither runs: Theta is
@@ -539,7 +544,7 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     P, route["newton_steps"], cause = _newton(are, gain_value, norm, start, cfg.stat_tol)
     if cause is None:
         residual, K = are(P)
-        if not is_stabilizer(sys, -K):
+        if not is_stabilizer(sys, -K, P):
             cause = "the gain of its limit is not certified mean-square stabilizing"
     if cause is not None:
         raise InternalInconsistencyError(
@@ -661,19 +666,25 @@ def control_pseudoinverse(N, psd_tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
 
 
 def _select_feedback(sys: ControlledSystem, N: np.ndarray, Lt: np.ndarray,
-                     N_dag: np.ndarray, U0: np.ndarray, flow_cfg: FlowConfig):
+                     N_dag: np.ndarray, U0: np.ndarray, flow_cfg: FlowConfig,
+                     witness: np.ndarray):
     """Pick Theta = -N^+ L' + (I - N^+N) Pi stabilizing, trying Pi = 0 first.
 
-    ``N_dag`` and ``U0`` are ``control_pseudoinverse(N)``.  When N is
-    singular and Pi = 0 fails, the search reduces to stabilizing the system
-    restricted to the control directions U0 in the null space of N
-    (deterministic and complete, since the restricted search is itself the
-    full stabilizability test).  Returns (Theta, Pi) or None.
+    ``N_dag`` and ``U0`` are ``control_pseudoinverse(N)``, and ``witness``
+    is the candidate P, tried as the Lyapunov witness of Pi = 0 (see
+    ``is_l2_stable``): with weights [[Q, S'], [S, R]] > 0 the closed loop
+    maps P to minus its positive definite cost weight plus the GARE
+    residual, so P certifies the gain without a Schur form; otherwise the
+    check runs as without it.  When N is singular and Pi = 0 fails, the
+    search reduces to stabilizing the system restricted to the control
+    directions U0 in the null space of N (deterministic and complete, since
+    the restricted search is itself the full stabilizability test).
+    Returns (Theta, Pi) or None.
     """
     from .stabilizability import find_stabilizer
 
     Theta0 = -N_dag @ Lt
-    if is_stabilizer(sys, Theta0):
+    if is_stabilizer(sys, Theta0, witness):
         return Theta0, np.zeros_like(Theta0)
     if U0.shape[1] == 0:
         return None
@@ -846,7 +857,10 @@ def verify_static_stabilizing(
     names the first that fails, in that order.  The residual
     M(P) - L(P) N(P)^+ L(P)', the range defect ||(I - N N^+) L'|| / (1 + ||L||)
     and the feedback family all use the one N(P)^+ of
-    ``control_pseudoinverse``, whose rank rule is ``cfg.psd_tol``.
+    ``control_pseudoinverse``, whose rank rule is ``cfg.psd_tol``.  The
+    symmetrized P is offered as the Lyapunov witness of the feedback
+    Theta_0 = -N^+ L', which a witness can only certify, never refuse, so
+    the findings still depend on the inputs alone.
     """
     cfg = cfg or GareConfig()
     Pm = symmetrize(P, "P")
@@ -857,7 +871,7 @@ def verify_static_stabilizing(
     res_norm = fro(symmetrize(maps.lyapunov_part(Pm) - L @ N_dag @ L.T))
     rdefect = fro(N @ (N_dag @ L.T) - L.T) / (1.0 + fro(L))
     n_min = float(np.linalg.eigvalsh(N)[0])
-    picked = _select_feedback(sys, N, L.T, N_dag, U0, cfg.flow)
+    picked = _select_feedback(sys, N, L.T, N_dag, U0, cfg.flow, Pm)
     failures = (
         (res_norm > cfg.res_tol * (1.0 + fro(Pm)), "limit fails the ARE residual check"),
         (rdefect > cfg.range_tol, "limit fails the range condition"),

@@ -13,7 +13,9 @@ has X A + A'X + C'X C < 0 (Damm 2004); the one generalized Lyapunov solver
 ``solve_lyapunov`` runs the fixed point X A + A'X + C'X C + Lambda = 0 in
 real Schur coordinates, reads that inequality off its iterates, and raises
 for every pair it cannot certify.  ``is_l2_stable`` runs the fixed point on
-I only to its certificate for n >= 2.
+I only to its certificate for n >= 2, and first tries a witness X when the
+caller has one -- a Riccati solution is its own gain's -- which certifies
+the pair with two Cholesky factors and no Schur form.
 """
 
 from __future__ import annotations
@@ -111,19 +113,31 @@ _FP_FLOOR = 0.01         # the settling rule never asks for a step below _FP_FLO
 _NOT_HURWITZ = "not mean-square stable: the drift is not Hurwitz"
 _NO_CONTRACTION = "not certified mean-square stable: the noise map does not contract"
 
+_GEES_LWORK: dict[int, int] = {}    # dgees's optimal workspace by order, which alone sets it
+
+
+def _unsorted(*_):
+    """dgees's eigenvalue selector, never called: the Schur form is not reordered."""
+
 
 def _schur_sweep(A):
     """(Z, T, sweep) for a Hurwitz A = Z T Z' in LAPACK's real Schur form,
     whose diagonal holds the real parts of the eigenvalues: sweep(F) solves
-    T'Y + Y T = -F and raises when the solve reports near-common eigenvalues."""
-    # SciPy loads on first use: scalar unforced runs never need it
-    from scipy.linalg import schur
-    from scipy.linalg.lapack import dtrsyl
+    T'Y + Y T = -F and raises when the solve reports near-common eigenvalues.
 
-    try:
-        T, Z = schur(A, output="real", check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise LyapunovUnsolvableError("no real Schur form of the drift") from exc
+    ``dgees`` is called as ``scipy.linalg.schur`` calls it, with the
+    workspace it queries, so T and Z are schur's to the bit; the query is
+    made once per order."""
+    # SciPy loads on first use: scalar unforced runs never need it
+    from scipy.linalg.lapack import dgees, dtrsyl
+
+    n = A.shape[0]
+    lwork = _GEES_LWORK.get(n)
+    if lwork is None:
+        lwork = _GEES_LWORK[n] = int(dgees(_unsorted, A, lwork=-1)[-2][0])
+    T, _, _, _, Z, _, info = dgees(_unsorted, A, lwork=lwork)
+    if info != 0:
+        raise LyapunovUnsolvableError("no real Schur form of the drift")
     if not np.all(np.diag(T) < 0.0):
         raise LyapunovUnsolvableError(_NOT_HURWITZ)
 
@@ -256,7 +270,24 @@ def solve_lyapunov(sys: SystemPair, Lambda) -> np.ndarray:
     return _stable_lyapunov(sys.A, sys.C, Lam)
 
 
-def is_l2_stable(sys: SystemPair) -> bool:
+def _witnessed(A, C, X) -> bool:
+    """True when X proves [A, C] mean-square stable: X and
+    -(X A + A'X + C'X C), less the rounding allowance of ``_fixed_point``'s
+    certificate on its diagonal (with ||A|| for ||T|| and no sweep terms),
+    both have Cholesky factors.  Lyapunov's strict inequality then holds,
+    and X A + A'X < -C'X C <= 0 with X > 0 makes A Hurwitz as well."""
+    from scipy.linalg.lapack import dpotrf
+
+    n, eps = X.shape[0], np.finfo(float).eps
+    if dpotrf(X)[1] != 0:
+        return False
+    XA = X @ A
+    G = -(XA + XA.T + C.T @ X @ C)
+    G.flat[::n + 1] -= 8.0 * n * eps * (fro(A) + fro(C) ** 2) * fro(X)
+    return bool(np.isfinite(G).all()) and dpotrf(G)[1] == 0
+
+
+def is_l2_stable(sys: SystemPair, witness=None) -> bool:
     """Decide L2-stability of [A, C] via the Lyapunov certificate.
 
     True iff ``solve_lyapunov(sys, I)`` certifies the pair: Hurwitz drift
@@ -264,17 +295,32 @@ def is_l2_stable(sys: SystemPair) -> bool:
     point stops at that certificate and settles no value.  Pairs it cannot
     certify, the marginal ones (2A + C^2 = 0 in the scalar case) included,
     classify as unstable.
+
+    For n >= 2 a ``witness`` X, when given, is tried first: if X and
+    -(X A + A'X + C'X C), less a rounding allowance, have Cholesky factors,
+    X itself is the certificate and neither a Schur form nor a sweep is
+    made.  A witness that fails costs at most those two factors, and the
+    check runs as without it, so a witness can only turn a refusal into a
+    certification, never the reverse.  For n = 1 it is ignored.
     """
+    n = sys.n
+    if n > 1 and witness is not None:
+        witness = symmetrize(witness, "witness")
+        if witness.shape != (n, n):
+            raise InvalidInputError("witness must be n x n")
+        if _witnessed(sys.A, sys.C, witness):
+            return True
     try:
-        if sys.n == 1:
+        if n == 1:
             solve_lyapunov(sys, np.eye(1))
         else:
-            _stable_lyapunov(sys.A, sys.C, np.eye(sys.n), tol=None)
+            _stable_lyapunov(sys.A, sys.C, np.eye(n), tol=None)
     except LyapunovUnsolvableError:
         return False
     return True
 
 
-def is_stabilizer(sys: ControlledSystem, Theta) -> bool:
-    """True iff the constant feedback Theta makes [A + B Theta, C + D Theta] L2-stable."""
-    return is_l2_stable(sys.closed_loop(Theta))
+def is_stabilizer(sys: ControlledSystem, Theta, witness=None) -> bool:
+    """True iff the constant feedback Theta makes [A + B Theta, C + D Theta]
+    L2-stable; ``witness`` is the closed loop's, as for :func:`is_l2_stable`."""
+    return is_l2_stable(sys.closed_loop(Theta), witness)

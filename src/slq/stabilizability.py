@@ -60,14 +60,14 @@ def stabilizability_report(
 
     The unit-weight flow from 0 runs until a checkpoint certifies its gain
     (status 'certified') or it converges ('converged'); Newton-Kleinman
-    finishes from there and the gain of its limit P is certified once, by
-    the same map.  'diverged' or 'max-horizon' classify the system as not
-    stabilizable.  ``residual`` is the norm of the unit-weight ARE residual
-    at P, below ``cfg.stat_tol * (1 + ||P||)``, or None when the system is
-    classified not stabilizable.  With no control authority (B = D = 0) the
-    same route decides stability: every checked gain is 0, the ARE is the
-    Lyapunov equation P A + A'P + C'P C + I = 0, and a pair that is not
-    stable makes the flow diverge or hit its horizon cap.
+    finishes from there and the gain of its limit P is certified once, with
+    P as its Lyapunov witness.  'diverged' or 'max-horizon' classify the
+    system as not stabilizable.  ``residual`` is the norm of the unit-weight
+    ARE residual at P, below ``cfg.stat_tol * (1 + ||P||)``, or None when
+    the system is classified not stabilizable.  With no control authority
+    (B = D = 0) the same route decides stability: every checked gain is 0,
+    the ARE is the Lyapunov equation P A + A'P + C'P C + I = 0, and a pair
+    that is not stable makes the flow diverge or hit its horizon cap.
 
     A flow that would settle only after the horizon cap is still found
     stabilizable once one of its checked gains is certified.  A flow ends

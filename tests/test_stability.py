@@ -100,17 +100,17 @@ def test_lyapunov_matches_kronecker_oracle(rng):
             assert fro(P - P_ref) <= 1e-12 * fro(P_ref)
 
 
-def _counting_sylvester(monkeypatch):
-    """The list that gets one entry per call of LAPACK's dtrsyl."""
-    sylvester = []
-    original = scipy.linalg.lapack.dtrsyl
+def _counting_lapack(monkeypatch, name):
+    """The list that gets the keyword arguments of each call of LAPACK's ``name``."""
+    calls = []
+    original = getattr(scipy.linalg.lapack, name)
 
     def counting(*args, **kwargs):
-        sylvester.append(1)
+        calls.append(kwargs)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", counting)
-    return sylvester
+    monkeypatch.setattr(scipy.linalg.lapack, name, counting)
+    return calls
 
 
 def test_lyapunov_settles_after_an_early_certificate(monkeypatch):
@@ -126,7 +126,7 @@ def test_lyapunov_settles_after_an_early_certificate(monkeypatch):
     C = Q @ np.diag([np.sqrt(1.9), np.sqrt(0.9), np.sqrt(0.8)]) @ Q.T
     pair = SystemPair(A, C)
     Lam = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, -0.3], [0.0, -0.3, 0.5]])
-    sylvester = _counting_sylvester(monkeypatch)
+    sylvester = _counting_lapack(monkeypatch, "dtrsyl")
     assert is_l2_stable(pair)
     sylvester.clear()
     P = solve_lyapunov(pair, Lam)
@@ -149,7 +149,7 @@ def test_slow_noise_map_is_certified_at_once_and_settles_by_its_certificate(monk
     # inequality.  The value solve settles after about 26 000 sweeps, long
     # after the 200 at which the certificate sets its deadline
     pair = _single_mode_pair(0.999)
-    sylvester = _counting_sylvester(monkeypatch)
+    sylvester = _counting_lapack(monkeypatch, "dtrsyl")
     assert is_l2_stable(pair)
     assert len(sylvester) <= 2
     P_ref = _kronecker_solution(pair, np.eye(2))
@@ -161,7 +161,7 @@ def test_a_near_marginal_pair_is_refused_within_a_bounded_number_of_sweeps(monke
     # by about 1 - 1e-8 a sweep, so settling would take some 1e9 sweeps; the
     # certificate's deadline stops at _FP_MAX_ITERS squared
     pair = _single_mode_pair(1.0 - 1e-8)
-    sylvester = _counting_sylvester(monkeypatch)
+    sylvester = _counting_lapack(monkeypatch, "dtrsyl")
     assert is_l2_stable(pair)
     assert len(sylvester) <= 2
     sylvester.clear()
@@ -196,7 +196,7 @@ def test_a_refusal_on_a_multiple_of_i_makes_no_second_run(monkeypatch):
     # would repeat the value's own iterates to scale, so the refusal makes
     # the sweeps of one run only; another weight takes the run on I as well
     pair = _single_mode_pair(1.01)
-    sylvester = _counting_sylvester(monkeypatch)
+    sylvester = _counting_lapack(monkeypatch, "dtrsyl")
     with pytest.raises(LyapunovUnsolvableError, match="does not contract"):
         solve_lyapunov(pair, 3.0 * np.eye(2))
     assert len(sylvester) <= slq.stability._FP_MAX_ITERS
@@ -395,6 +395,109 @@ def test_certificate_keeps_the_sylvester_test_of_a_noiseless_drift(monkeypatch):
             assert "near the imaginary axis" in str(exc)
             refused.append(pair)
     assert len(refused) == 1
-    sylvester = _counting_sylvester(monkeypatch)
+    sylvester = _counting_lapack(monkeypatch, "dtrsyl")
     assert not is_l2_stable(refused[0])
     assert len(sylvester) == 1
+
+
+def _drift(rng, n, lead):
+    """A random n x n drift whose rightmost eigenvalue has real part ``lead``."""
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    return A - (np.max(np.linalg.eigvals(A).real) - lead) * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+def test_the_schur_form_from_lapack_is_scipys_to_the_bit(rng, n):
+    A = _drift(rng, n, -0.1)
+    Z, T, _ = slq.stability._schur_sweep(A)
+    T_ref, Z_ref = scipy.linalg.schur(A, output="real", check_finite=False)
+    assert np.array_equal(T, T_ref) and np.array_equal(Z, Z_ref)
+
+
+def test_the_schur_form_from_lapack_still_refuses_a_drift_that_is_not_hurwitz(rng):
+    for lead in (1e-9, 0.1):
+        with pytest.raises(LyapunovUnsolvableError, match=slq.stability._NOT_HURWITZ):
+            slq.stability._schur_sweep(_drift(rng, 4, lead))
+
+
+def test_the_schur_workspace_is_queried_once_per_order(rng, monkeypatch):
+    monkeypatch.setattr(slq.stability, "_GEES_LWORK", {})
+    schur = _counting_lapack(monkeypatch, "dgees")
+    for n in (2, 3, 2, 3, 3):
+        slq.stability._schur_sweep(_drift(rng, n, -0.5))
+    queries = [kwargs["lwork"] == -1 for kwargs in schur]
+    assert sum(queries) == 2 and len(queries) == 7
+
+
+def _positive_definite(rng, n):
+    M = rng.standard_normal((n, n))
+    return M @ M.T + 0.1 * np.eye(n)
+
+
+def test_no_witness_certifies_a_pair_that_is_not_stable(rng):
+    # X > 0 with X A + A'X + C'X C < 0 exists only for a stable pair, so no
+    # witness may pass on one that is not: random, huge (1e300 overflows
+    # the check), or the Lambda = I value of a nearby stable pair
+    cases = []
+    for radius in (1.01, 1.1):
+        for n in (2, 3, 4, 6):
+            for _ in range(3):
+                pair = _pair_at_noise_radius(rng, n, radius)
+                cases.append((pair, SystemPair(pair.A, pair.C * np.sqrt(0.98 / radius))))
+    for lead in (1e-12, 0.01, 0.5):
+        for n in (2, 3, 4, 6):
+            A, C = _drift(rng, n, lead), 0.01 * rng.uniform(-1.0, 1.0, (n, n))
+            stable = A - (2.0 * lead + 0.05) * np.eye(n)
+            cases += [(SystemPair(A, C), SystemPair(stable, C)),
+                      (SystemPair(A, 0.0 * C), SystemPair(stable, 0.0 * C))]
+    for pair, near in cases:
+        assert not is_l2_stable(pair)
+        X = _positive_definite(rng, pair.n)
+        for witness in (X, 1e150 * X, 1e300 * X, solve_lyapunov(near, np.eye(pair.n))):
+            with np.errstate(over="ignore"):
+                assert not is_l2_stable(pair, witness=witness)
+    for n in (2, 3, 4, 6):
+        # the drift -S, S Hurwitz, with Y S + S'Y = -I: X = -Y meets
+        # X A + A'X = -I, and only X > 0 fails
+        S, zero = _drift(rng, n, -0.2), np.zeros((n, n))
+        Y = solve_lyapunov(SystemPair(S, zero), np.eye(n))
+        assert not is_l2_stable(SystemPair(-S, zero), witness=-Y)
+
+
+def test_a_witness_that_passes_makes_no_schur_form_and_no_sweep(rng, monkeypatch):
+    pairs = [_pair_at_noise_radius(rng, n, 0.5) for n in (2, 3, 4, 6, 8)]
+    pairs.append(SystemPair(_drift(rng, 5, -0.3), np.zeros((5, 5))))
+    witnesses = [solve_lyapunov(pair, np.eye(pair.n)) for pair in pairs]
+    schur = _counting_lapack(monkeypatch, "dgees")
+    sylvester = _counting_lapack(monkeypatch, "dtrsyl")
+    assert all(is_l2_stable(pair, witness=X) for pair, X in zip(pairs, witnesses))
+    assert schur == [] and sylvester == []
+
+
+def test_a_witness_that_fails_leaves_the_verdict_to_the_fixed_point(rng, monkeypatch):
+    # an indefinite X, or an X > 0 stretched along v, where X A + A'X has
+    # the eigenvalue v'A'v + ||A'v|| ||v|| 1e6 > 0, cannot pass; the pair is
+    # then certified as without a witness
+    schur = _counting_lapack(monkeypatch, "dgees")
+    for n in (2, 3, 4, 6):
+        pair = _pair_at_noise_radius(rng, n, 0.9)
+        v = rng.standard_normal(n)
+        stretched = np.eye(n) + 1e6 * np.outer(v, v) / (v @ v)
+        indefinite = np.diag(np.r_[1.0, -np.ones(n - 1)])
+        for witness in (stretched, indefinite):
+            assert not slq.stability._witnessed(pair.A, pair.C, witness)
+            schur.clear()
+            assert is_l2_stable(pair, witness=witness)
+            assert len([kwargs for kwargs in schur if kwargs["lwork"] != -1]) == 1
+    with pytest.raises(InvalidInputError):
+        is_l2_stable(pair, witness=np.eye(n + 1))
+
+
+def test_a_scalar_witness_is_ignored(monkeypatch):
+    cholesky = _counting_lapack(monkeypatch, "dpotrf")
+    assert not is_l2_stable(scalar_pair(-0.5, 1.0), witness=[[1.0]])
+    assert is_l2_stable(scalar_pair(-1.0, 0.0), witness=[[-1.0]])
+    assert is_l2_stable(scalar_pair(-1.0, 0.5), witness=np.ones((2, 2)))
+    assert not is_stabilizer(ControlledSystem([[0.0]], [[0.0]], [[1.0]], [[0.0]]), [[0.0]],
+                             witness=[[1.0]])
+    assert cholesky == []

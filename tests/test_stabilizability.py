@@ -3,10 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_scalar_system, random_stable_pair, scalar_stabilizable
+from conftest import (
+    ladder_plain_problem,
+    random_scalar_system,
+    random_stable_pair,
+    scalar_stabilizable,
+)
 from test_acceptance import criterion_04_battery, criterion_06_instances
 from test_riccati import _coordinate_change
-from test_stability import _second_moment_operator
+from test_stability import _counting_lapack, _second_moment_operator
 
 import slq.riccati
 import slq.stabilizability
@@ -18,7 +23,9 @@ from slq import (
     find_stabilizer,
     integrate_riccati_flow,
     is_stabilizer,
+    solve_gare,
     stabilizability_report,
+    verify_static_stabilizing,
 )
 from slq.errors import InternalInconsistencyError, UnsupportedInputError
 from slq.oracle1d import solve_1d
@@ -461,3 +468,23 @@ def test_scalar_flow_keeps_its_steps_and_bits(coeffs, flow_bits, report_bits):
     report = stabilizability_report(sys1)
     P = None if report.P is None else float(report.P[0, 0]).hex()
     assert (report.flow_status, report.flow_steps, report.newton_steps, P) == report_bits
+
+
+def test_a_newton_limit_and_a_verified_p_witness_their_gains_without_a_schur_form(monkeypatch):
+    # the 4 x 4 system of the benchmark's matrix ladder, stabilizable with
+    # convex weights: the flow's first checkpoint certifies its gain and
+    # each Newton step its own, one Schur form each; the limit P certifies
+    # its gain as the Lyapunov witness, and the verifier's P the feedback
+    # -N^+ L', with none
+    doc = ladder_plain_problem(4, 2)
+    sys4 = ControlledSystem(*(np.array(doc[key]) for key in "ACBD"))
+    w = CostWeights(*(np.array(doc[key]) for key in "QSR"))
+    schur = _counting_lapack(monkeypatch, "dgees")
+    report = stabilizability_report(sys4)
+    forms = [kwargs for kwargs in schur if kwargs["lwork"] != -1]
+    assert report.stabilizable and report.flow_steps == 0 and report.newton_steps > 0
+    assert len(forms) == 1 + report.newton_steps
+    P = solve_gare(sys4, w).P
+    schur.clear()
+    assert verify_static_stabilizing(sys4, w, P).passed
+    assert schur == []

@@ -5,18 +5,20 @@
 Solves every problem of the benchmark workloads in-process, as
 `tools/report_digest.py` does (the same checkout rule, the workload's own
 flags, one BLAS thread, nothing written under `bench/`), and counts the
-calls of `scipy.linalg.schur` with `output="real"`, of LAPACK's `dtrsyl`,
-the triangular Sylvester solve that makes one Bartels-Stewart sweep, of
-LAPACK's `dpotrf`, the Cholesky factorization that tests the Riccati
-equation's R + D'PD and the Lyapunov certificate, and of
-`numpy.linalg.eigvalsh`.  Prints
+real Schur forms -- the calls of `scipy.linalg.schur` with
+`output="real"` and of LAPACK's `dgees` other than its workspace query
+(`lwork=-1`), so that checkouts taking them either way compare -- the
+calls of LAPACK's `dtrsyl`, the triangular Sylvester solve that makes one
+Bartels-Stewart sweep, of LAPACK's `dpotrf`, the Cholesky factorization
+that tests the Riccati equation's R + D'PD and the Lyapunov certificate,
+and of `numpy.linalg.eigvalsh`.  Prints
 
-    matrix-ladder/61/003 0 schur 12 dtrsyl 12 dpotrf 13 eigvalsh 1
+    matrix-ladder/61/003 0 schur 10 dtrsyl 10 dpotrf 17 eigvalsh 1
 
 per problem (workload, seed, index, exit code, counts), then one line per
 workload and seed, the work of one benchmark cycle:
 
-    matrix-ladder/61 cycle schur 96 dtrsyl 321 dpotrf 288 eigvalsh 9
+    matrix-ladder/61 cycle schur 78 dtrsyl 303 dpotrf 300 eigvalsh 9
 
 The counts do not depend on timing or load, so two checkouts compare by
 them where timings are too noisy to tell:
@@ -58,9 +60,12 @@ def count(root: Path, seeds, names) -> None:
 
     counts = {"schur": 0, "dtrsyl": 0, "dpotrf": 0, "eigvalsh": 0}
     # the solver imports the SciPy routines on each call and looks eigvalsh
-    # up on each call, so the wrappers see every call
+    # up on each call, so the wrappers see every call; scipy.linalg.schur
+    # takes its dgees from elsewhere, so no Schur form counts twice
     _counting(scipy.linalg, "schur", counts, "schur",
               lambda kwargs: kwargs.get("output") == "real")
+    _counting(scipy.linalg.lapack, "dgees", counts, "schur",
+              lambda kwargs: kwargs.get("lwork") != -1)
     for name in ("dtrsyl", "dpotrf"):
         _counting(scipy.linalg.lapack, name, counts, name)
     _counting(numpy.linalg, "eigvalsh", counts, "eigvalsh")
