@@ -408,6 +408,83 @@ def test_solve_writes_the_same_bytes_to_stdout_and_out(tmp_path, capsys):
     assert printed.encode() == out.read_bytes()
 
 
+@pytest.fixture
+def oracle_report(tmp_path, capsys):
+    """A scalar problem and the bytes `solve --oracle` prints for it."""
+    prob = write_problem(tmp_path, C=[[0.4]])
+    assert main(["solve", prob, "--oracle"]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert len(printed) > 100
+    return prob, printed
+
+
+@pytest.mark.parametrize("old", [b"x" * 100_000 + b"\n", b"{}\n"], ids=["longer", "shorter"])
+def test_out_over_an_existing_file_holds_exactly_the_printed_bytes(tmp_path, oracle_report, old):
+    prob, printed = oracle_report
+    out = tmp_path / "r.json"
+    out.write_bytes(old)
+    assert main(["solve", prob, "--oracle", "--out", str(out)]) == 0
+    assert out.read_bytes() == printed
+
+
+def test_out_creates_a_file_with_the_mode_of_open(tmp_path, oracle_report):
+    prob, _ = oracle_report
+    reference = tmp_path / "reference"
+    open(reference, "w").close()
+    out = tmp_path / "r.json"
+    assert main(["solve", prob, "--oracle", "--out", str(out)]) == 0
+    assert out.stat().st_mode == reference.stat().st_mode
+
+
+def test_out_writes_to_a_device(oracle_report, capsys):
+    prob, _ = oracle_report
+    assert main(["solve", prob, "--oracle", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_out_writes_exactly_the_printed_bytes_to_a_fifo(tmp_path, oracle_report):
+    prob, printed = oracle_report
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)   # so the writer's open returns at once
+    try:
+        assert main(["solve", prob, "--oracle", "--out", str(fifo)]) == 0
+        os.set_blocking(reader, True)
+        received = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+    finally:
+        os.close(reader)
+    assert received == printed
+
+
+@pytest.mark.parametrize("target", ["{dir}", ""], ids=["directory", "empty-path"])
+def test_out_that_cannot_be_written_exits_1(tmp_path, oracle_report, capsys, target):
+    prob, _ = oracle_report
+    assert main(["solve", prob, "--oracle", "--out", target.format(dir=tmp_path)]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: ")
+
+
+def test_out_overwrites_in_place(tmp_path, oracle_report, monkeypatch):
+    # truncating to zero first made ext4 start writeback on every rewrite
+    prob, _ = oracle_report
+    out = tmp_path / "r.json"
+    out.write_bytes(b"x" * 4096)
+    opened = []
+    os_open = os.open
+
+    def recording(path, flags, *args, **kwargs):
+        opened.append((str(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    assert main(["solve", prob, "--oracle", "--out", str(out)]) == 0
+    writes = [flags for path, flags in opened if path == str(out)]
+    assert len(writes) == 1
+    assert writes[0] & os.O_TRUNC == 0
+    assert writes[0] & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+
+
 def _reference(obj):
     """The report encoding's model: numpy values as Python ones, arrays as
     lists of rows, and every non-finite number as None."""
@@ -430,10 +507,33 @@ def _reference_text(obj) -> str:
     return json.dumps(_reference(obj), sort_keys=True, indent=2, allow_nan=False)
 
 
+class _Disguised:
+    """Overrides how a subclass of a built-in scalar prints itself; a report
+    must still hold the built-in value, as json.dumps writes it."""
+
+    def __repr__(self):
+        return "disguised"
+
+    __str__ = __repr__
+
+
+class _Float(_Disguised, float):
+    pass
+
+
+class _Int(_Disguised, int):
+    pass
+
+
+class _Str(_Disguised, str):
+    pass
+
+
 _FLOATS = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
            np.nan, np.inf, -np.inf]
 _SCALARS = [None, True, False, 0, -7, 2**70, "", "plain", "Σ, Γ and Θ*",
-            "tab\tquote\"back\\slash", "line\nbreak", "日本"]
+            "tab\tquote\"back\\slash", "line\nbreak", "日本",
+            _Float(2.5), _Float(-1e-300), _Float("nan"), _Int(42), _Int(2**70), _Str("shown")]
 _SHAPES = [(), (3,), (0,), (0, 3), (3, 0), (2, 3), (1, 1), (4, 2)]
 _KEYS = ["b", "a", "Z", "é", "10", "9", 3, "key with space"]
 
