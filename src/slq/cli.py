@@ -162,8 +162,9 @@ _SOLVER_FIELDS = tuple(
     f for cls in (GareConfig, FlowConfig) for f in fields(cls)
     if f.default is not MISSING and f.name != "reduction_stabilizer"
 )
-_DEFAULT_CONFIG = {
-    **{f.name: f.default for f in _SOLVER_FIELDS},
+_DEFAULT_CONFIG = {     # as a problem file writes it: a tuple is a list
+    **{f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+       for f in _SOLVER_FIELDS},
     "seed": 0,
     "simulate": {"paths": 10_000, "dt": 1e-3, "horizon": None},
 }
@@ -200,7 +201,8 @@ def _merge_options(cfg: dict, given: dict, prefix: str = "") -> None:
 
 
 def _resolve_config(problem: ProblemData, args) -> dict:
-    cfg = json.loads(json.dumps(_DEFAULT_CONFIG))  # deep copy
+    # options are replaced, never changed in place, except those of simulate
+    cfg = {**_DEFAULT_CONFIG, "simulate": dict(_DEFAULT_CONFIG["simulate"])}
     _merge_options(cfg, problem.solver)
     if getattr(args, "eps_schedule", None):
         try:

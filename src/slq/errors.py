@@ -16,9 +16,10 @@ class InvalidTerminalError(InvalidInputError):
 class LyapunovUnsolvableError(SlqError):
     """The Lyapunov solver could not certify the pair mean-square stable.
 
-    The message names the failed condition: a drift that is not Hurwitz, a
-    noise map that does not contract (no iterate meets Lyapunov's inequality),
-    or a fixed point that does not settle.
+    The message names the failed condition: a drift that is not Hurwitz,
+    eigenvalues of the drift near the imaginary axis, or a noise map that
+    does not contract (neither the first sweep nor a solution meets
+    Lyapunov's inequality).
     """
 
 

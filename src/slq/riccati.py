@@ -23,10 +23,10 @@ Where a stabilizing gain is known -- the strictly convex problems over a
 certified stable pair -- the ARE is solved by Newton-Kleinman (Kleinman
 1968; Damm & Hinrichsen 2001): from P, the gain Theta = -N(P)^{-1} L(P)' is
 certified mean-square stabilizing and P becomes its cost, the solution of
-the closed-loop generalized Lyapunov equation.  That is the Bartels-Stewart
-fixed point of ``stability``, the package's one generalized Lyapunov solver,
-certified by Lyapunov's inequality at one of its own iterates, warm-started
-from P and settled only as far as the ARE residual at P calls for (inexact
+the closed-loop generalized Lyapunov equation.  That is the GMRES solve of
+``stability``, the package's one generalized Lyapunov solver, certified by
+Lyapunov's inequality at its first sweep or its solution, warm-started from
+P and solved only as far as the ARE residual at P calls for (inexact
 Newton); when n = m = 1 it is one float division (``_maps`` picks the float
 or the matrix maps).  Its limit is accepted on the flow's own certificate,
 and Newton alone decides: when a stabilizing solution with R + D'PD > 0
@@ -367,8 +367,8 @@ _NEWTON_MAX_STEPS = 60   # Newton steps before the solve counts as failed
 
 
 def _newton_forcing(r: float) -> float:
-    """Relative settling tolerance of a gain's value at relative ARE residual
-    r: ~r^2 keeps Newton quadratic (Feitzinger, Hylla & Sachs 2009)."""
+    """Relative tolerance of a gain's value (its Lyapunov solve) at relative
+    ARE residual r: ~r^2 keeps Newton quadratic (Feitzinger, Hylla & Sachs 2009)."""
     return min(1e-3, 0.01 * r * r)
 
 
@@ -495,8 +495,8 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     Lyapunov witness: with unit weights the closed loop maps P to
     -(I + Gamma'Gamma) plus the ARE residual, below ``stat_tol`` relative,
     so P certifies its gain with two Cholesky factors and no Schur form, and
-    the check falls back to the certificate's fixed point only where
-    rounding defeats that.  With Q > 0, Newton from a stabilizing gain
+    the check falls back to the Lyapunov solve on I only where rounding
+    defeats that.  With Q > 0, Newton from a stabilizing gain
     reaches the unique PSD solution, the flow's limit, so a failure there
     raises :class:`InternalInconsistencyError`, whose message ends with the
     cause.  A flow of k steps that certifies no gain makes at most

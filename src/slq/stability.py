@@ -10,16 +10,17 @@ and [A, C; B, D] the controlled one
 
 Stability is decided constructively.  [A, C] is L2-stable iff some X > 0
 has X A + A'X + C'X C < 0 (Damm 2004); the one generalized Lyapunov solver
-``solve_lyapunov`` runs the fixed point X A + A'X + C'X C + Lambda = 0 in
-real Schur coordinates, reads that inequality off its iterates, and raises
-for every pair it cannot certify.  ``is_l2_stable`` runs the fixed point on
-I only to its certificate for n >= 2, and first tries a witness X when the
-caller has one -- a Riccati solution is its own gain's -- which certifies
-the pair with two Cholesky factors and no Schur form.
+``solve_lyapunov`` solves X A + A'X + C'X C + Lambda = 0 by GMRES with a
+Bartels-Stewart sweep as preconditioner, tests that inequality on its first
+sweep or its solution, and raises for every pair it cannot certify.
+``is_l2_stable`` stops a solve on I at a first sweep that certifies, and
+first tries a witness X when the caller has one -- a Riccati solution is
+its own gain's -- which certifies with two Cholesky factors and no Schur form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +107,7 @@ class ControlledSystem:
         return SystemPair(self.A + self.B @ Th, self.C + self.D @ Th)
 
 
-_FP_MAX_ITERS = 200      # sweeps to reach the certificate, and to settle before it sets a deadline
-_FP_TOL = 1e-13          # relative settling of the fixed point
-_FP_FLOOR = 0.01         # the settling rule never asks for a step below _FP_FLOOR * _FP_TOL
+_FP_TOL = 1e-13          # the tightest relative tolerance of a Lyapunov solve
 
 _NOT_HURWITZ = "not mean-square stable: the drift is not Hurwitz"
 _NO_CONTRACTION = "not certified mean-square stable: the noise map does not contract"
@@ -150,99 +149,97 @@ def _schur_sweep(A):
     return Z, T, sweep
 
 
-def _fixed_point(sweep, T, C_s, Lam_s, X, tol):
-    """Run X <- sweep(Lam_s + C_s'X C_s) from X until it settles to ``tol``;
-    returns (X, (X_c, G_c)), the last iterate and the certificate.
+def _gmres(sweep, T, C_s, Lam_s, X, tol):
+    """GMRES (Saad & Schultz 1986) from X on X - sweep(C_s'X C_s) =
+    sweep(Lam_s), the Lyapunov equation preconditioned by the sweep (Damm
+    2008); returns (X, certified).
 
-    Sweep k leaves G_k = Lam_s - C_s'(X_k - X_{k-1}) C_s = -(X_k T + T'X_k +
-    C_s'X_k C_s).  The first G_k, less a rounding allowance on its diagonal,
-    and X_k that both have Cholesky factors meet Lyapunov's strict
-    inequality, which holds iff the pair is mean-square stable (Damm 2004).
-    Where the iterates pass ||Lam_s|| / ``_FP_TOL`` or ``_FP_MAX_ITERS``
-    sweeps uncertified (one sweep when Lam_s is not positive definite), the
-    run on I from 0 with ``tol`` None, which stops at its certificate,
-    certifies the pair instead.  That run refuses at those limits, as does a
-    run from 0 on a positive multiple of I, which it would repeat to scale.
+    The start's residual is the step X_1 - X of the first sweep, and each
+    Krylov step makes one more sweep.  The run stops once the residual is
+    below 0.3 max(``tol``, ``_FP_TOL``) (1 + ||X_1||), or when the Krylov
+    space, of symmetric matrices, is exhausted after n(n+1)/2 steps.  The
+    first step's product gives -L(X_1) = Lam_s - C_s'(X_1 - X) C_s, so X_1
+    is tested as a certificate at no extra sweep, and where it fails the
+    solution is, as a witness; with ``tol`` None the run stops at X_1 when
+    it certifies.  Lyapunov's strict inequality holds iff the pair is
+    mean-square stable (Damm 2004).
     """
-    from scipy.linalg.lapack import dpotrf
+    from scipy.linalg.lapack import dtrtrs
 
-    n, eps = X.shape[0], np.finfo(float).eps
-    lam_norm, t_norm, c_norm2 = fro(Lam_s), fro(T), fro(C_s) ** 2
-    limit = _FP_MAX_ITERS if tol is None or dpotrf(Lam_s)[1] == 0 else 1
-    alone = tol is None or limit > 1 and not X.any() and (
-        fro(Lam_s - np.trace(Lam_s) / n * np.eye(n)) <= 4.0 * n * eps * lam_norm)
-    CXC = C_s.T @ X @ C_s
-    cert, start, k, step, deadline = None, 0, 0, 0.0, np.inf
-    while True:
-        k += 1
-        X_prev, X = X, sweep(Lam_s + CXC)
-        CXC_prev, CXC = CXC, C_s.T @ X @ C_s
-        x_norm = fro(X)
-        prev_step, step = step, fro(X - X_prev)
-        if cert is None:
-            G = Lam_s - CXC + CXC_prev
-            G.flat[::n + 1] -= 4.0 * n * eps * (
-                2.0 * (t_norm + c_norm2) * x_norm + c_norm2 * step + lam_norm)
-            if dpotrf(G)[1] == 0 and dpotrf(X)[1] == 0:
-                cert, start = (X, G), k
-                if tol is None:
-                    return X, cert
-            elif x_norm * _FP_TOL <= lam_norm and k < limit:       # false for a NaN
-                continue
-            elif alone:
-                raise LyapunovUnsolvableError(
-                    f"{_NO_CONTRACTION}: no certificate in {k} sweeps, ||X|| = {x_norm:.3g}")
-            else:
-                cert, start = _fixed_point(sweep, T, C_s, np.eye(n), np.zeros((n, n)), None)[1], k
-        if not np.isfinite(x_norm):
-            raise LyapunovUnsolvableError("the Lyapunov fixed point is not finite")
-        settle = max(tol, _FP_TOL) * (1.0 + x_norm)
-        r = step / prev_step if prev_step > 0.0 else 0.0
-        if step <= settle and (step * r <= settle * (1.0 - r) or step <= _FP_FLOOR * settle):
-            return X, cert
-        if k == start + _FP_MAX_ITERS:
-            # map(X_c) = X_c - sweep(G_c) <= q X_c, as sweep(G_c) >= lambda_min(G_c) / (2 ||T||) I,
-            # and a step E, within +-||E|| / lambda_min(X_c) X_c, shrinks by q per sweep
-            g_min, x_eig = np.linalg.eigvalsh(cert[1])[0], np.linalg.eigvalsh(cert[0])
-            rate = np.clip(g_min / (2.0 * t_norm * x_eig[-1]), eps, 0.5)    # 1 - q, off 0 and 1
-            gap = np.sqrt(n) / max(x_eig[0] / x_eig[-1], eps) * step / (_FP_FLOOR * settle)
-            deadline = min(start + _FP_MAX_ITERS ** 2, k + np.log(gap) / -np.log1p(-rate))
-        if not k < deadline:
-            raise LyapunovUnsolvableError(f"the Lyapunov fixed point did not settle in {k} sweeps")
+    n = X.shape[0]
+    dim = n * (n + 1) // 2
+    X1 = sweep(Lam_s + C_s.T @ X @ C_s)
+    beta = fro(X1 - X)
+    stop = 0.3 * max(tol or 0.0, _FP_TOL) * (1.0 + fro(X1))
+    if not beta > stop:                 # true for a NaN
+        return X1, _witnessed(T, C_s, X1)
+    V = np.empty((dim + 1, n * n))      # the orthonormal Krylov basis, a matrix a row
+    V[0] = (X1 - X).ravel() / beta
+    R, rotations, g = [], [], [beta]    # Arnoldi's Hessenberg matrix, rotated by Givens
+    for k in range(dim):
+        W = V[k].reshape(n, n)
+        CWC = C_s.T @ W @ C_s
+        if k == 0:
+            certified = _witnessed(T, C_s, X1, Lam_s - beta * CWC)
+            if certified and tol is None:
+                return X1, True
+        w = (W - sweep(CWC)).ravel()
+        h = V[:k + 1] @ w               # classical Gram-Schmidt, one pass
+        w -= h @ V[:k + 1]
+        h, h_next = h.tolist(), math.sqrt(w @ w)
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        rho = math.hypot(h[k], h_next)
+        if rho == 0.0:                  # the operator is singular: no solution
+            return X1, certified
+        c, s = h[k] / rho, h_next / rho
+        rotations.append((c, s))
+        h[k] = rho
+        R.append(h)
+        g[k:] = c * g[k], -s * g[k]
+        if not abs(g[k + 1]) > stop:    # true for a NaN
+            break
+        V[k + 1] = w / h_next
+    m = len(R)
+    y = dtrtrs(np.array([r + [0.0] * (m - len(r)) for r in R]).T, g[:m])[0]
+    X = X + (y @ V[:m]).reshape(n, n)
+    return X, certified or _witnessed(T, C_s, X)
 
 
 def _stable_lyapunov(A, C, Lam, X0=None, tol: float | None = _FP_TOL) -> np.ndarray:
     """Solve X A + A'X + C'X C + Lam = 0 and certify [A, C] mean-square stable.
 
     Bartels-Stewart: A = Z T Z' is reduced to real Schur form once, and the
-    solve runs in Schur coordinates, where each sweep of the fixed point
+    solve runs in Schur coordinates, where each sweep
 
         T'X + X T = -(Lam + C'X C)
 
     is one triangular Sylvester solve (``_schur_sweep``, which also tests
     that A is Hurwitz).  With C = 0 that settles stability and the solve is
-    one sweep.  Otherwise the fixed point runs from X0 (default 0) and
-    certifies the pair from its own iterates (``_fixed_point``); with
-    ``tol`` None it stops there.  From the certifying sweep on it stops once
-    settled: the step is below ``tol`` relative, never below ``_FP_TOL``,
-    and, as the steps shrink about geometrically by their ratio r, so is the
-    remaining distance step * r / (1 - r), down to ``_FP_FLOOR`` times that
-    tolerance, which stays above rounding.  After ``_FP_MAX_ITERS`` sweeps
-    unsettled, the certificate bounds the sweeps left until the step passes
-    under that floor, and never past ``_FP_MAX_ITERS`` squared.
+    one sweep.  Otherwise GMRES (``_gmres``) solves from X0 (default 0) to
+    ``tol`` relative, never below ``_FP_TOL``, in at most n(n+1)/2 + 1
+    sweeps, and certifies the pair by its first sweep or by its solution.
+    Where neither does -- Lam need not be positive definite, nor a loose
+    ``tol`` accurate enough -- the same solve on I from 0 decides the pair;
+    ``tol`` None asks for that solve alone (Lam = I, X0 None), stopped at
+    its first sweep's certificate.
 
     Raises :class:`LyapunovUnsolvableError`, naming the failed condition, when
-    A is not Hurwitz, no iterate is certified, a value is not finite, the
-    Sylvester solve reports near-common eigenvalues, or the iterate does not
-    settle within those sweeps.
+    A is not Hurwitz, the Sylvester solve reports near-common eigenvalues, or
+    nothing certifies the pair.
     """
     Z, T, sweep = _schur_sweep(A)
     Lam_s = Z.T @ Lam @ Z
     if not C.any():
         X = sweep(Lam_s)
     else:
+        n, C_s = A.shape[0], Z.T @ C @ Z
         X = np.zeros_like(Lam_s) if X0 is None else Z.T @ X0 @ Z
-        X = _fixed_point(sweep, T, Z.T @ C @ Z, Lam_s, X, tol)[0]
+        X, certified = _gmres(sweep, T, C_s, Lam_s, X, tol)
+        if not certified and tol is not None:
+            certified = _gmres(sweep, T, C_s, np.eye(n), np.zeros((n, n)), None)[1]
+        if not certified:
+            raise LyapunovUnsolvableError(_NO_CONTRACTION)
     X = Z @ X @ Z.T
     return (X + X.T) / 2.0
 
@@ -252,8 +249,8 @@ def solve_lyapunov(sys: SystemPair, Lambda) -> np.ndarray:
 
     The solution is returned only for a pair certified mean-square stable:
     for n = 1 it is -Lambda / (2A + C^2) when 2A + C^2 < 0, otherwise the
-    Bartels-Stewart fixed point of :func:`_stable_lyapunov`, certified by a
-    Hurwitz drift and Lyapunov's inequality at an iterate.  Raises
+    GMRES solution of :func:`_stable_lyapunov`, certified by a Hurwitz drift
+    and Lyapunov's inequality at its first sweep or at a solution.  Raises
     :class:`LyapunovUnsolvableError`, naming the condition that failed, for
     every pair it cannot certify, the marginal ones included.
     """
@@ -270,19 +267,20 @@ def solve_lyapunov(sys: SystemPair, Lambda) -> np.ndarray:
     return _stable_lyapunov(sys.A, sys.C, Lam)
 
 
-def _witnessed(A, C, X) -> bool:
-    """True when X proves [A, C] mean-square stable: X and
-    -(X A + A'X + C'X C), less the rounding allowance of ``_fixed_point``'s
-    certificate on its diagonal (with ||A|| for ||T|| and no sweep terms),
-    both have Cholesky factors.  Lyapunov's strict inequality then holds,
-    and X A + A'X < -C'X C <= 0 with X > 0 makes A Hurwitz as well."""
+def _witnessed(A, C, X, G=None) -> bool:
+    """True when X proves [A, C] mean-square stable: X and G = -(X A + A'X +
+    C'X C) (formed unless given), less 8n eps (||A|| + ||C||^2) ||X|| on its
+    diagonal for rounding, both have Cholesky factors.  Lyapunov's strict
+    inequality then holds, and X A + A'X < -C'X C <= 0 with X > 0 makes A
+    Hurwitz as well."""
     from scipy.linalg.lapack import dpotrf
 
     n, eps = X.shape[0], np.finfo(float).eps
     if dpotrf(X)[1] != 0:
         return False
-    XA = X @ A
-    G = -(XA + XA.T + C.T @ X @ C)
+    if G is None:
+        XA = X @ A
+        G = -(XA + XA.T + C.T @ X @ C)
     G.flat[::n + 1] -= 8.0 * n * eps * (fro(A) + fro(C) ** 2) * fro(X)
     return bool(np.isfinite(G).all()) and dpotrf(G)[1] == 0
 
@@ -291,8 +289,8 @@ def is_l2_stable(sys: SystemPair, witness=None) -> bool:
     """Decide L2-stability of [A, C] via the Lyapunov certificate.
 
     True iff ``solve_lyapunov(sys, I)`` certifies the pair: Hurwitz drift
-    and an iterate X > 0 with X A + A'X + C'X C < 0; for n >= 2 the fixed
-    point stops at that certificate and settles no value.  Pairs it cannot
+    and an X > 0 with X A + A'X + C'X C < 0; for n >= 2 the solve stops at
+    its first sweep when that certifies, and settles no value.  Pairs it cannot
     certify, the marginal ones (2A + C^2 = 0 in the scalar case) included,
     classify as unstable.
 

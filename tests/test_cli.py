@@ -663,6 +663,27 @@ def test_solve_config_round_trip(tmp_path):
     assert read(out2)["config"] == doc["config"]
 
 
+def test_solver_overrides_do_not_leak_into_the_next_call(tmp_path):
+    # each call starts from its own copy of the defaults: the problem file's
+    # options and the flags of one call, simulate's nested ones among them,
+    # leave the next call's configuration as it was
+    plain, out = write_problem(tmp_path), str(tmp_path / "r.json")
+    assert main(["solve", plain, "--out", out]) == 0
+    defaults = read(out)["config"]
+    tuned = write_problem(tmp_path, name="tuned.json",
+                          solver={"epsilon_schedule": [0.5, 0.25], "res_tol": 1e-6,
+                                  "simulate": {"paths": 7, "dt": 0.01}})
+    tuned_out = str(tmp_path / "t.json")
+    assert main(["solve", tuned, "--simulate", "10", "--seed", "3", "--tol", "1e-7",
+                 "--eps-schedule", "0.4,0.2", "--out", tuned_out]) == 0
+    cfg = read(tuned_out)["config"]
+    assert cfg["simulate"]["paths"] == 10 and cfg["simulate"]["dt"] == 0.01
+    assert cfg["epsilon_schedule"] == [0.4, 0.2] and cfg["seed"] == 3
+    assert cfg["res_tol"] == cfg["path_tol"] == 1e-7
+    assert main(["solve", plain, "--out", out]) == 0
+    assert read(out)["config"] == defaults
+
+
 def test_flow_res_tol_is_not_an_option(tmp_path, capsys):
     # a converged flow is its own certificate: no residual bound to configure
     prob = write_problem(tmp_path, solver={"flow_res_tol": 1e-8})

@@ -113,13 +113,19 @@ def _counting_lapack(monkeypatch, name):
     return calls
 
 
+def _krylov_sweeps(n):
+    """The most Sylvester sweeps one GMRES run makes: the first sweep and one
+    per Krylov step, in a space of n(n+1)/2 symmetric matrices."""
+    return n * (n + 1) // 2 + 1
+
+
 def test_lyapunov_settles_after_an_early_certificate(monkeypatch):
     # In the basis Q, A is upper triangular and C diagonal, so the noise map
     # has the eigenvalues c_i c_j / (|a_i| + |a_j|), the largest
-    # c_1^2 / (2 |a_1|) = 0.95.  The first iterate already meets Lyapunov's
-    # inequality, but the fixed point from 0 settles only after about 580
-    # sweeps, far past the 200 after which the certificate sets the
-    # deadline.  A sweep makes one Sylvester solve.
+    # c_1^2 / (2 |a_1|) = 0.95.  The first sweep already meets Lyapunov's
+    # inequality; the fixed point from 0 would settle only after about 580
+    # sweeps, but GMRES solves it within its Krylov space.  A sweep makes
+    # one Sylvester solve.
     Q, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(3, 3)))
     T = np.diag([-1.0, -1.5, -2.0]) + np.triu(np.full((3, 3), 0.3), 1)
     A = Q @ T @ Q.T
@@ -130,7 +136,7 @@ def test_lyapunov_settles_after_an_early_certificate(monkeypatch):
     assert is_l2_stable(pair)
     sylvester.clear()
     P = solve_lyapunov(pair, Lam)
-    assert len(sylvester) > 2 * slq.stability._FP_MAX_ITERS
+    assert len(sylvester) <= _krylov_sweeps(3)
     P_ref = _kronecker_solution(pair, Lam)
     assert fro(P - P_ref) <= 1e-12 * fro(P_ref)
 
@@ -143,67 +149,58 @@ def _single_mode_pair(radius):
                       Q @ np.diag([np.sqrt(2.0 * radius), 0.0]) @ Q.T)
 
 
+def _conditioned_tol(radius):
+    """Relative accuracy asked of a solve at noise-map radius < 1: the
+    equation's condition grows as 1 / (1 - radius)."""
+    return 1e-13 / (1.0 - radius)
+
+
 def test_slow_noise_map_is_certified_at_once_and_settles_by_its_certificate(monkeypatch):
     # noise-map radius c_1^2 / (2 |a_1|) = 0.999: ||map^k(I)|| stays above
-    # 1/2 for about 690 sweeps, but the first iterate meets Lyapunov's
-    # inequality.  The value solve settles after about 26 000 sweeps, long
-    # after the 200 at which the certificate sets its deadline
+    # 1/2 for about 690 sweeps, and the fixed point would settle after about
+    # 26 000, but the first sweep meets Lyapunov's inequality and GMRES
+    # solves the value within its Krylov space
     pair = _single_mode_pair(0.999)
     sylvester = _counting_lapack(monkeypatch, "dtrsyl")
     assert is_l2_stable(pair)
-    assert len(sylvester) <= 2
-    P_ref = _kronecker_solution(pair, np.eye(2))
-    assert fro(solve_lyapunov(pair, np.eye(2)) - P_ref) <= 1e-9 * fro(P_ref)
-
-
-def test_a_near_marginal_pair_is_refused_within_a_bounded_number_of_sweeps(monkeypatch):
-    # radius 1 - 1e-8: the first iterate is certified, but the steps shrink
-    # by about 1 - 1e-8 a sweep, so settling would take some 1e9 sweeps; the
-    # certificate's deadline stops at _FP_MAX_ITERS squared
-    pair = _single_mode_pair(1.0 - 1e-8)
-    sylvester = _counting_lapack(monkeypatch, "dtrsyl")
-    assert is_l2_stable(pair)
-    assert len(sylvester) <= 2
+    assert len(sylvester) <= _krylov_sweeps(2)
     sylvester.clear()
-    with pytest.raises(LyapunovUnsolvableError, match="did not settle"):
-        solve_lyapunov(pair, np.eye(2))
-    assert len(sylvester) <= slq.stability._FP_MAX_ITERS ** 2 + 1
-
-
-def test_a_rounded_certificate_eigenvalue_only_lengthens_the_deadline(monkeypatch):
-    # G_c passed its Cholesky test, but an eigenvalue solve may still put
-    # lambda_min(G_c) just below 0; the deadline then runs to its cap and
-    # the radius-0.999 solve still settles, as without the rounding
-    pair = _single_mode_pair(0.999)
-    eigvalsh = np.linalg.eigvalsh
-    seen = []
-
-    def rounded(M):
-        w = eigvalsh(M)
-        seen.append(1)
-        if len(seen) == 1:
-            w[0] = -1e-18
-        return w
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", rounded)
+    P = solve_lyapunov(pair, np.eye(2))
+    assert len(sylvester) <= _krylov_sweeps(2)
     P_ref = _kronecker_solution(pair, np.eye(2))
-    assert fro(solve_lyapunov(pair, np.eye(2)) - P_ref) <= 1e-9 * fro(P_ref)
-    assert len(seen) == 2
+    assert fro(P - P_ref) <= 1e-9 * fro(P_ref)
 
 
-def test_a_refusal_on_a_multiple_of_i_makes_no_second_run(monkeypatch):
-    # radius 1.01: no iterate is certified.  From 0 on 3 I the run on I
-    # would repeat the value's own iterates to scale, so the refusal makes
-    # the sweeps of one run only; another weight takes the run on I as well
+def test_a_near_marginal_pair_is_solved_within_a_bounded_number_of_sweeps(monkeypatch):
+    # radius 1 - 1e-8: the pair is stable, and the fixed point's steps would
+    # shrink by about 1 - 1e-8 a sweep; GMRES certifies and solves it within
+    # its Krylov space, as accurately as its condition allows
+    radius = 1.0 - 1e-8
+    pair = _single_mode_pair(radius)
+    sylvester = _counting_lapack(monkeypatch, "dtrsyl")
+    assert is_l2_stable(pair)
+    assert len(sylvester) <= _krylov_sweeps(2)
+    sylvester.clear()
+    P = solve_lyapunov(pair, np.eye(2))
+    assert len(sylvester) <= _krylov_sweeps(2)
+    P_ref = _kronecker_solution(pair, np.eye(2))
+    assert fro(P - P_ref) <= _conditioned_tol(radius) * fro(P_ref)
+
+
+def test_a_refusal_makes_at_most_two_krylov_runs(monkeypatch):
+    # radius 1.01: nothing certifies.  The run on the weight, then the run
+    # on I from 0, each makes at most n(n+1)/2 + 1 sweeps, whatever the
+    # weight is
     pair = _single_mode_pair(1.01)
     sylvester = _counting_lapack(monkeypatch, "dtrsyl")
-    with pytest.raises(LyapunovUnsolvableError, match="does not contract"):
-        solve_lyapunov(pair, 3.0 * np.eye(2))
-    assert len(sylvester) <= slq.stability._FP_MAX_ITERS
+    for Lam in (3.0 * np.eye(2), np.diag([1.0, 2.0]), np.array([[1.0, 2.0], [2.0, -1.0]])):
+        sylvester.clear()
+        with pytest.raises(LyapunovUnsolvableError, match="does not contract"):
+            solve_lyapunov(pair, Lam)
+        assert 0 < len(sylvester) <= 2 * _krylov_sweeps(2)
     sylvester.clear()
-    with pytest.raises(LyapunovUnsolvableError, match="does not contract"):
-        solve_lyapunov(pair, np.diag([1.0, 2.0]))
-    assert len(sylvester) > slq.stability._FP_MAX_ITERS
+    assert not is_l2_stable(pair)
+    assert 0 < len(sylvester) <= _krylov_sweeps(2)
 
 
 def test_lyapunov_without_noise_matches_scipy(rng):
@@ -356,20 +353,12 @@ def test_certificate_alone_gives_the_verdict_of_the_value_solve(rng):
     assert 0 < sum(verdicts) < len(verdicts)
 
 
-def test_a_pair_certified_on_i_is_solved_for_every_positive_weight(rng, monkeypatch):
-    # near radius 1 the iterates of Lambda = I + Theta'Theta may reach no
-    # certificate within _FP_MAX_ITERS sweeps where those of I do; the
-    # solve then certifies on I and goes on, so that its verdict does not
-    # depend on Lambda
-    runs_on_i = []
-    fixed_point = slq.stability._fixed_point
-
-    def recording(sweep, T, C_s, Lam_s, X, tol):
-        runs_on_i.append(tol is None)
-        return fixed_point(sweep, T, C_s, Lam_s, X, tol)
-
-    monkeypatch.setattr(slq.stability, "_fixed_point", recording)
-    certified = fell_back = 0
+def test_a_pair_certified_on_i_is_solved_for_every_positive_weight(rng):
+    # near radius 1 the first sweep on Lambda = I + Theta'Theta may not meet
+    # Lyapunov's inequality where that on I does; the solution, or else the
+    # run on I, certifies the pair, so that the verdict does not depend on
+    # Lambda
+    certified = 0
     for radius in (0.99, 0.995):
         for n in (2, 3, 4, 6):
             for _ in range(4):
@@ -377,10 +366,8 @@ def test_a_pair_certified_on_i_is_solved_for_every_positive_weight(rng, monkeypa
                 Theta = rng.standard_normal((n, n))
                 if is_l2_stable(pair):
                     certified += 1
-                    runs_on_i.clear()
                     solve_lyapunov(pair, np.eye(n) + Theta.T @ Theta)
-                    fell_back += any(runs_on_i)
-    assert certified >= 16 and fell_back >= 4
+    assert certified == 32
 
 
 def test_certificate_keeps_the_sylvester_test_of_a_noiseless_drift(monkeypatch):
@@ -501,3 +488,52 @@ def test_a_scalar_witness_is_ignored(monkeypatch):
     assert not is_stabilizer(ControlledSystem([[0.0]], [[0.0]], [[1.0]], [[0.0]]), [[0.0]],
                              witness=[[1.0]])
     assert cholesky == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 16])
+def test_slow_stable_pairs_are_solved_and_unstable_ones_refused(n, monkeypatch):
+    # seeded pairs at noise-map radius up to 1 - 1e-4 are certified and
+    # solved to the Kronecker solution, and those just past 1 refused, each
+    # Lyapunov run within its Krylov space
+    rng = np.random.default_rng([27, n])
+    sylvester = _counting_lapack(monkeypatch, "dtrsyl")
+    for radius in (0.99, 0.995, 0.999, 0.9999):
+        for _ in range(5):
+            pair = _pair_at_noise_radius(rng, n, radius)
+            sylvester.clear()
+            assert is_l2_stable(pair)
+            P = solve_lyapunov(pair, np.eye(n))
+            assert len(sylvester) <= 2 * _krylov_sweeps(n)
+            P_ref = _kronecker_solution(pair, np.eye(n))
+            assert fro(P - P_ref) <= _conditioned_tol(radius) * fro(P_ref)
+    for radius in (1.0001, 1.01):
+        for _ in range(5):
+            pair = _pair_at_noise_radius(rng, n, radius)
+            assert not is_l2_stable(pair)
+            with pytest.raises(LyapunovUnsolvableError):
+                solve_lyapunov(pair, np.eye(n))
+
+
+def test_a_change_of_coordinates_moves_the_solution_and_keeps_the_verdict(rng):
+    # with x = Tz, [A, C] becomes [T^-1 A T, T^-1 C T] and the weight
+    # Lambda becomes T'Lambda T: the pair's stability does not move, and the
+    # solution P becomes T'P T.  T is not orthogonal, cond(T) = 3
+    from test_riccati import _coordinate_change     # test_riccati imports this module
+
+    for radius in (0.999, 1.01):
+        for n in (2, 3, 4, 6, 8):
+            for _ in range(2):
+                pair = _pair_at_noise_radius(rng, n, radius)
+                Lam = _positive_definite(rng, n)
+                T = _coordinate_change(rng, n)
+                Ti = np.linalg.inv(T)
+                moved = SystemPair(Ti @ pair.A @ T, Ti @ pair.C @ T)
+                assert is_l2_stable(moved) == is_l2_stable(pair) == (radius < 1.0)
+                if radius > 1.0:
+                    for sys_, weight in ((pair, Lam), (moved, T.T @ Lam @ T)):
+                        with pytest.raises(LyapunovUnsolvableError):
+                            solve_lyapunov(sys_, weight)
+                    continue
+                P_ref = T.T @ solve_lyapunov(pair, Lam) @ T
+                P = solve_lyapunov(moved, T.T @ Lam @ T)
+                assert fro(P - P_ref) <= 9.0 * _conditioned_tol(radius) * fro(P_ref)

@@ -196,6 +196,21 @@ def test_certification_budget_on_a_diverging_flow(monkeypatch):
     assert 1 <= len(calls) <= int(np.log2(report.flow_steps)) + 2
 
 
+@pytest.mark.parametrize("rho", [1.01, 1.1, 2.0])
+def test_a_refused_flow_checkpoint_costs_two_krylov_runs_at_most(monkeypatch, rho):
+    # dx_1 = -x_1 dt + sqrt(2 rho) x_1 dW is not mean-square stable for
+    # rho > 1 and no control reaches it, so every checkpoint's gain is
+    # refused.  Each refusal makes two GMRES runs of at most n(n+1)/2 + 1 = 4
+    # sweeps, on Q_cl from the flow state and on I from 0, and the checks stay
+    # logarithmic in the flow's steps
+    sys2 = ControlledSystem(np.diag([-1.0, 0.05]), np.diag([np.sqrt(2.0 * rho), 0.2]),
+                            [[0.0], [1.0]], [[0.0], [0.0]])
+    sylvester = _counting_lapack(monkeypatch, "dtrsyl")
+    report = stabilizability_report(sys2)
+    assert not report.stabilizable and report.flow_status == "diverged"
+    assert len(sylvester) <= 8 * (np.log2(report.flow_steps) + 2)
+
+
 def _route_systems():
     # n = 1 takes the float maps, n = 3 the matrix ones; neither flow
     # certifies its gain at step 0

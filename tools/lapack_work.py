@@ -18,7 +18,7 @@ and of `numpy.linalg.eigvalsh`.  Prints
 per problem (workload, seed, index, exit code, counts), then one line per
 workload and seed, the work of one benchmark cycle:
 
-    matrix-ladder/61 cycle schur 78 dtrsyl 303 dpotrf 300 eigvalsh 9
+    matrix-ladder/61 cycle schur 78 dtrsyl 316 dpotrf 247 eigvalsh 9
 
 The counts do not depend on timing or load, so two checkouts compare by
 them where timings are too noisy to tell:
