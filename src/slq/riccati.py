@@ -49,12 +49,24 @@ failed Newton means there is none.  On top of these sit:
   ``verify_static_stabilizing``;
 * ``verify_static_stabilizing`` -- the one check of a candidate P against the
   GARE conditions, which also picks its stabilizing feedback.
+
+Each of these is written once, over an arithmetic that ``_arithmetic``
+picks by n = m = 1 alone: ``_Matrices`` for every other size, and
+``_Floats`` for the scalar problem, on which the flow, Newton-Kleinman, the
+reduction by Sigma, the epsilon path (each epsilon's weights, its change,
+extrapolation and settling test) and the verifier's four findings run on
+Python floats.  Only the restricted feedback search of a singular N(P), and
+the Lyapunov value G (``solve_lyapunov``'s closed form), take 1 x 1
+matrices there.  ``_Floats`` reproduces every 1 x 1 numpy evaluation it
+stands for bit for bit, the errors of non-finite values included, so the
+two give the same reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +79,13 @@ from .errors import (
     NotStableError,
 )
 from .linalg import as_matrix, fro, symmetrize
-from .stability import ControlledSystem, _stable_lyapunov, is_stabilizer, solve_lyapunov
+from .stability import (
+    ControlledSystem,
+    SystemPair,
+    _stable_lyapunov,
+    is_stabilizer,
+    solve_lyapunov,
+)
 
 __all__ = [
     "CostWeights",
@@ -306,20 +324,34 @@ def _matrix_are(sys: ControlledSystem, w: CostWeights):
     return are
 
 
+class _ScalarSystem(NamedTuple):
+    """[A, C; B, D] with n = m = 1, as Python floats."""
+
+    A: float
+    C: float
+    B: float
+    D: float
+    n = m = 1
+
+
+class _ScalarWeights(NamedTuple):
+    """Cost weights Q, S, R with n = m = 1, as Python floats."""
+
+    Q: float
+    S: float
+    R: float
+    n = m = 1
+
+
 # n = m = 1 keeps its own maps on Python floats.  Through _matrix_are and
 # _matrix_gain_value, whose 1x1 arrays and LAPACK calls cost far more than
 # the arithmetic, scalar-sweep's median solve took about 8x as long (17 to
 # 20 ms instead of 2.1 ms, seed 61, in-process through slq.cli.main with
 # one BLAS thread on a 2-core x86_64 VM).
-def _scalar_are(sys: ControlledSystem, w: CostWeights):
+def _scalar_are(sys: _ScalarSystem, w: _ScalarWeights):
     """``_matrix_are`` for n = m = 1, on floats."""
-    a = float(sys.A[0, 0])
-    b = float(sys.B[0, 0])
-    c = float(sys.C[0, 0])
-    d = float(sys.D[0, 0])
-    q = float(w.Q[0, 0])
-    s = float(w.S[0, 0])
-    r = float(w.R[0, 0])
+    a, c, b, d = sys
+    q, s, r = w
     two_a_c2 = 2.0 * a + c * c
 
     def are(sig):
@@ -351,8 +383,8 @@ def integrate_riccati_flow(
     if G0.shape != (sys.n, sys.n):
         raise InvalidInputError("G must be n x n")
 
-    rhs, _, _, norm, sym, state = _maps(sys, w)
-    status, times, vals, dnorm = _adaptive_flow(rhs, sym, norm, state(G0), cfg)
+    ar, rhs, _, _ = _maps(sys, w)
+    status, times, vals, dnorm = _adaptive_flow(rhs, ar.flow_sym, ar.norm, ar.state(G0), cfg)
     values = np.asarray(vals, dtype=float).reshape(-1, sys.n, sys.n)
     return RiccatiFlow(
         times=np.asarray(times, dtype=float),
@@ -416,14 +448,9 @@ def _matrix_gain_value(sys: ControlledSystem, w: CostWeights):
     return gain_value
 
 
-def _scalar_gain_value(sys: ControlledSystem, w: CostWeights):
-    a = float(sys.A[0, 0])
-    b = float(sys.B[0, 0])
-    c = float(sys.C[0, 0])
-    d = float(sys.D[0, 0])
-    q = float(w.Q[0, 0])
-    s = float(w.S[0, 0])
-    r = float(w.R[0, 0])
+def _scalar_gain_value(sys: _ScalarSystem, w: _ScalarWeights):
+    a, c, b, d = sys
+    q, s, r = w
 
     def gain_value(theta, p, tol=None):     # exact on floats: tol goes unused
         c_cl = c + d * theta
@@ -435,33 +462,256 @@ def _scalar_gain_value(sys: ControlledSystem, w: CostWeights):
     return gain_value
 
 
+def _checked(x: float, name: str) -> float:
+    """``as_matrix``'s test of a 1 x 1 matrix, on its one entry."""
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{name} has non-finite entries")
+    return x
+
+
+def _halved(x: float, name: str = "matrix") -> float:
+    """``symmetrize`` of a 1 x 1 matrix: (x + x) / 2, which overflows above
+    half the largest float."""
+    x = _checked(x, name)
+    return (x + x) / 2.0
+
+
+def _mm(x: float, y: float) -> float:
+    """The 1 x 1 product [x] @ [y], whose sum starts at +0.0: a product -0.0
+    comes out 0.0."""
+    return 0.0 + x * y
+
+
+def _fro(x: float) -> float:
+    """``fro`` of [x]: the root of x^2, which overflows and underflows where
+    abs(x) would not."""
+    return math.sqrt(x * x)
+
+
+class _Matrices:
+    """The GARE pipeline's arithmetic on n x n matrices: problems are
+    (ControlledSystem, CostWeights) pairs and values ndarrays."""
+
+    norm = fro                      # the flow's and Newton's norm
+    fro = fro
+    symmetrize = symmetrize
+    stabilizes = is_stabilizer
+
+    @staticmethod
+    def problem(sys, w):
+        return sys, w
+
+    @staticmethod
+    def maps(sys, w):
+        return _matrix_are(sys, w), _matrix_gain_value(sys, w)
+
+    @staticmethod
+    def flow_sym(y):
+        return (y + y.T) / 2.0
+
+    @staticmethod
+    def state(X):
+        return np.asarray(X, dtype=float)
+
+    @staticmethod
+    def matrix(X):
+        return X
+
+    @staticmethod
+    def reduce(sys, w, Sigma):
+        return _transform(sys, w, Sigma)
+
+    @staticmethod
+    def lyapunov_value(tsys, tw):
+        return solve_lyapunov(tsys.pair(), tw.Q)
+
+    @staticmethod
+    def regularized(tw, eps):
+        return CostWeights(tw.Q, tw.S, tw.R + eps * np.eye(tw.m))
+
+    @staticmethod
+    def unit_weights(n: int, m: int):
+        return CostWeights(np.eye(n), np.zeros((m, n)), np.eye(m))
+
+    @staticmethod
+    def gare_terms(sys, w, Pm, psd_tol):
+        """(N, N^+, U0, residual, range defect, least eigenvalue of N,
+        Theta_0) at the symmetrized P: see ``verify_static_stabilizing``."""
+        maps = GareMaps(sys, w)
+        N = maps.control_part(Pm)
+        L = maps.cross_part(Pm)
+        N_dag, U0 = control_pseudoinverse(N, psd_tol)
+        res_norm = fro(symmetrize(maps.lyapunov_part(Pm) - L @ N_dag @ L.T))
+        rdefect = fro(N @ (N_dag @ L.T) - L.T) / (1.0 + fro(L))
+        n_min = float(np.linalg.eigvalsh(N)[0])
+        return N, N_dag, U0, res_norm, rdefect, n_min, -N_dag @ L.T
+
+    @staticmethod
+    def positive_definite(P) -> bool:
+        # a Cholesky factor: a margin relative to ||P|| would refuse a
+        # correct P that is ill-conditioned, as near-marginal pairs give
+        try:
+            np.linalg.cholesky(P)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+
+class _Floats:
+    """The same arithmetic for n = m = 1, on Python floats: problems are
+    (_ScalarSystem, _ScalarWeights) pairs and values floats.
+
+    Each operation gives the bits of the 1 x 1 numpy evaluation it stands
+    for, its errors included: ``_halved`` is ``symmetrize``, ``_fro`` is
+    ``fro``, ``_mm`` a matmul, the SVD of [x] is U = sign(x), Vt = 1 and
+    s = |x| (from LAPACK where it scales x), and eigvalsh([x]) is x; sums
+    run left to right, as numpy's binary operators do, and every non-finite
+    value raises the :class:`InvalidInputError` that ``as_matrix`` raises,
+    under its name.
+    """
+
+    norm = abs                      # the flow's and Newton's norm
+    fro = _fro
+    flow_sym = float                # a float is its own symmetrization
+
+    @staticmethod
+    def problem(sys, w):
+        """The problem on floats, from 1 x 1 matrices or as it is."""
+        if isinstance(sys, ControlledSystem):
+            sys = _ScalarSystem(*(float(M[0, 0]) for M in (sys.A, sys.C, sys.B, sys.D)))
+        if isinstance(w, CostWeights):
+            if (w.n, w.m) != (1, 1):
+                raise InvalidInputError("cost weights do not match system dimensions")
+            w = _ScalarWeights(*(float(M[0, 0]) for M in (w.Q, w.S, w.R)))
+        return sys, w
+
+    @staticmethod
+    def maps(sys, w):
+        return _scalar_are(sys, w), _scalar_gain_value(sys, w)
+
+    @staticmethod
+    def state(X) -> float:
+        return X if type(X) is float else float(X[0, 0])
+
+    @staticmethod
+    def matrix(x) -> np.ndarray:
+        return np.reshape(x, (1, 1))
+
+    @staticmethod
+    def symmetrize(X, name: str = "matrix") -> float:
+        if type(X) is float:
+            return _halved(X, name)
+        Xm = symmetrize(X, name)
+        if Xm.shape != (1, 1):
+            raise InvalidInputError(f"{name} must be n x n")
+        return float(Xm[0, 0])
+
+    @staticmethod
+    def reduce(sys, w, Sigma):
+        """``_transform``; its names for the failed checks are those of the
+        ControlledSystem and CostWeights it builds."""
+        Sig = as_matrix(Sigma, "Sigma")
+        if Sig.shape != (1, 1):
+            raise InvalidInputError("Sigma must be m x n")
+        sig = float(Sig[0, 0])
+        (a, c, b, d), (q, s, r) = _Floats.problem(sys, w)
+        at = a + _mm(b, sig)
+        ct = c + _mm(d, sig)
+        qt = _halved(q + _mm(s, sig) + _mm(sig, s) + _mm(_mm(sig, r), sig))
+        st = s + _mm(r, sig)
+        tsys = _ScalarSystem(_checked(at, "A"), _checked(ct, "C"), b, d)
+        return tsys, _ScalarWeights(_halved(qt, "Q"), _checked(st, "S"), _halved(r, "R"))
+
+    @staticmethod
+    def lyapunov_value(tsys, tw) -> float:
+        return float(solve_lyapunov(SystemPair(tsys.A, tsys.C), tw.Q)[0, 0])
+
+    @staticmethod
+    def regularized(tw, eps):
+        q, s, r = tw
+        return _ScalarWeights(_halved(q, "Q"), _checked(s, "S"), _halved(r + eps, "R"))
+
+    @staticmethod
+    def unit_weights(n: int, m: int):
+        return _ScalarWeights(1.0, 0.0, 1.0)
+
+    @staticmethod
+    def gare_terms(sys, w, pm, psd_tol):
+        (a, c, b, d), (q, s, r) = sys, w
+        n_val = _halved(r + _mm(_mm(d, pm), d))
+        l_val = _mm(pm, b) + _mm(_mm(c, pm), d) + s
+        # control_pseudoinverse: one more symmetrize, and the SVD of [nm]
+        nm = _halved(n_val)
+        s0 = abs(nm)
+        if not _SVD_UNSCALED[0] <= s0 <= _SVD_UNSCALED[1] and s0 != 0.0:
+            s0 = float(np.linalg.svd(np.array([[nm]]), full_matrices=False)[1][0])
+        if s0 > max(1e-10 * s0, psd_tol * (1.0 + _fro(nm))):
+            n_dag, U0 = (1.0 / s0) * math.copysign(1.0, nm), _REGULAR
+            n_dag = (n_dag + n_dag) / 2.0
+        else:
+            n_dag, U0 = 0.0, _SINGULAR
+        lyap = _mm(pm, a) + _mm(a, pm) + _mm(_mm(c, pm), c) + q
+        res_norm = _fro(_halved(lyap - _mm(_mm(l_val, n_dag), l_val)))
+        rdefect = _fro(_mm(n_val, _mm(n_dag, l_val)) - l_val) / (1.0 + _fro(l_val))
+        return n_val, n_dag, U0, res_norm, rdefect, n_val, _mm(-n_dag, l_val)
+
+    @staticmethod
+    def stabilizes(sys, theta, witness=None) -> bool:
+        """``is_stabilizer`` on floats: 2 (A + B theta) + (C + D theta)^2 < 0."""
+        _checked(theta, "Theta")
+        a_cl = _checked(sys.A + _mm(sys.B, theta), "A")
+        c_cl = _checked(sys.C + _mm(sys.D, theta), "C")
+        return 2.0 * a_cl + c_cl * c_cl < 0.0
+
+    @staticmethod
+    def positive_definite(P) -> bool:
+        return _Floats.state(P) > 0.0       # [p] has a Cholesky factor iff p > 0
+
+
+_REGULAR, _SINGULAR = np.empty((1, 0)), np.ones((1, 1))     # U0 of a 1 x 1 N(P)
+# LAPACK's dgesdd scales a matrix whose largest entry lies outside
+# [2^-459, 2^459] (sqrt(safe minimum) / eps and its inverse) into that range
+# and its singular values back, which can move |x| by an ulp: there the SVD
+# of [x] is taken from numpy
+_SVD_UNSCALED = (2.0 ** -459, 2.0 ** 459)
+
+
+def _arithmetic(sys):
+    """The arithmetic of the problems of [A, C; B, D]: ``_Floats`` when
+    n = m = 1, ``_Matrices`` otherwise.  Every float/matrix choice of the
+    package's Riccati and GARE solvers is this one."""
+    return _Floats if sys.n == 1 and sys.m == 1 else _Matrices
+
+
 def _maps(sys: ControlledSystem, w: CostWeights):
-    """(rhs, are, gain_value, norm, sym, state): the flow's right-hand side
-    (the ARE residual alone), the ARE and gain-value maps, the norm and
-    symmetrization of a flow state, and ``state(X)``, the state of an n x n
-    matrix X -- on floats when n = m = 1, on matrices otherwise.  A float is
-    its own symmetrization."""
-    if sys.n == 1 and sys.m == 1:
-        are, *rest = (_scalar_are(sys, w), _scalar_gain_value(sys, w), abs, float,
-                      lambda X: float(X[0, 0]))
-    else:
-        are, *rest = (_matrix_are(sys, w), _matrix_gain_value(sys, w), fro,
-                      lambda y: (y + y.T) / 2.0, lambda X: np.asarray(X, dtype=float))
-    return (lambda y: are(y)[0]), are, *rest
+    """(ar, rhs, are, gain_value): the arithmetic of the system, the flow's
+    right-hand side (the ARE residual alone), and the ARE and gain-value
+    maps, in that arithmetic."""
+    ar = _arithmetic(sys)
+    are, gain_value = ar.maps(*ar.problem(sys, w))
+    return ar, (lambda y: are(y)[0]), are, gain_value
+
+
+def _newton_solve(ar, sys, w, P0, stat_tol: float):
+    """Newton-Kleinman for the strictly convex ARE from P0, in the
+    arithmetic ``ar`` of the problem (sys, w); see ``_newton``.
+
+    Returns (P, solve): P is the limit or None, and solve is {"steps": k},
+    with "failed": the cause when P is None.
+    """
+    are, gain_value = ar.maps(sys, w)
+    P, steps, cause = _newton(are, gain_value, ar.norm, P0, stat_tol)
+    return P, {"steps": steps} if cause is None else {"steps": steps, "failed": cause}
 
 
 def _newton_limit(
     sys: ControlledSystem, w: CostWeights, P0, stat_tol: float
 ) -> tuple[np.ndarray | None, dict]:
-    """Newton-Kleinman for the strictly convex ARE from P0; see ``_newton``.
-
-    Returns (P, solve): P is the limit or None, and solve is {"steps": k},
-    with "failed": the cause when P is None.
-    """
-    _, are, gain_value, norm, _, state = _maps(sys, w)
-    P, steps, cause = _newton(are, gain_value, norm, state(P0), stat_tol)
-    P = None if P is None else np.reshape(P, (sys.n, sys.n))
-    return P, {"steps": steps} if cause is None else {"steps": steps, "failed": cause}
+    """``_newton_solve`` on a problem of matrices, from an n x n P0; P is an
+    n x n matrix."""
+    ar = _arithmetic(sys)
+    P, solve = _newton_solve(ar, *ar.problem(sys, w), ar.state(P0), stat_tol)
+    return (None if P is None else ar.matrix(P)), solve
 
 
 def _least_cost_scalar_gain(sys: ControlledSystem) -> float:
@@ -515,8 +765,9 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     certified, 'refuted' or 'unsettled' as above, and the flow's own status
     otherwise.
     """
-    rhs, are, gain_value, norm, sym, state = _maps(sys, w)
-    if sys.n == sys.m == 1:
+    ar, rhs, are, gain_value = _maps(sys, w)
+    norm = ar.norm
+    if ar is _Floats:
         theta = _least_cost_scalar_gain(sys)
         P = gain_value(theta, None)
         route = {"status": "certified", "flow_steps": 0, "newton_steps": 0}
@@ -532,7 +783,8 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
         start = gain_value(-K, y, _newton_forcing(norm(residual) / (1.0 + norm(y))))
         return start is not None
 
-    status, times, values, _ = _adaptive_flow(rhs, sym, norm, state(np.zeros((sys.n, sys.n))),
+    status, times, values, _ = _adaptive_flow(rhs, ar.flow_sym, norm,
+                                              ar.state(np.zeros((sys.n, sys.n))),
                                               cfg, stop=certified)
     route = {"status": status, "flow_steps": len(times) - 1, "newton_steps": 0}
     if status == "stopped":
@@ -665,29 +917,29 @@ def control_pseudoinverse(N, psd_tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
     return (N_dag + N_dag.T) / 2.0, Vt[~kept].T
 
 
-def _select_feedback(sys: ControlledSystem, N: np.ndarray, Lt: np.ndarray,
-                     N_dag: np.ndarray, U0: np.ndarray, flow_cfg: FlowConfig,
-                     witness: np.ndarray):
+def _select_feedback(ar, sys: ControlledSystem, psys, N, N_dag, U0, Theta0,
+                     flow_cfg: FlowConfig, witness):
     """Pick Theta = -N^+ L' + (I - N^+N) Pi stabilizing, trying Pi = 0 first.
 
-    ``N_dag`` and ``U0`` are ``control_pseudoinverse(N)``, and ``witness``
-    is the candidate P, tried as the Lyapunov witness of Pi = 0 (see
+    ``N_dag`` and ``U0`` are ``control_pseudoinverse(N)``, Theta0 = -N^+ L'
+    and ``psys`` the system, all in the arithmetic ``ar``; ``witness`` is
+    the candidate P, tried as the Lyapunov witness of Pi = 0 (see
     ``is_l2_stable``): with weights [[Q, S'], [S, R]] > 0 the closed loop
     maps P to minus its positive definite cost weight plus the GARE
     residual, so P certifies the gain without a Schur form; otherwise the
     check runs as without it.  When N is singular and Pi = 0 fails, the
-    search reduces to stabilizing the system restricted to the control
-    directions U0 in the null space of N (deterministic and complete, since
-    the restricted search is itself the full stabilizability test).
-    Returns (Theta, Pi) or None.
+    search reduces, on matrices, to stabilizing the system restricted to the
+    control directions U0 in the null space of N (deterministic and
+    complete, since the restricted search is itself the full
+    stabilizability test).  Returns (Theta, Pi) as matrices, or None.
     """
     from .stabilizability import find_stabilizer
 
-    Theta0 = -N_dag @ Lt
-    if is_stabilizer(sys, Theta0, witness):
-        return Theta0, np.zeros_like(Theta0)
+    if ar.stabilizes(psys, Theta0, witness):
+        return ar.matrix(Theta0), np.zeros((sys.m, sys.n))
     if U0.shape[1] == 0:
         return None
+    N, N_dag, Theta0 = ar.matrix(N), ar.matrix(N_dag), ar.matrix(Theta0)
     restricted = ControlledSystem(
         sys.A + sys.B @ Theta0, sys.C + sys.D @ Theta0, sys.B @ U0, sys.D @ U0
     )
@@ -701,29 +953,31 @@ def _select_feedback(sys: ControlledSystem, N: np.ndarray, Lt: np.ndarray,
     return Theta, Pi
 
 
-def _epsilon_path(tsys: ControlledSystem, tw: CostWeights, G, cfg: GareConfig,
-                  diagnostics: dict):
+def _epsilon_path(tsys, tw, G, cfg: GareConfig, diagnostics: dict):
     """Follow the strictly convex solutions P_eps of the reduced problem with
     control weight R + eps I down ``cfg.epsilon_schedule`` to their limit.
 
-    The reduced pair is certified stable and G is its Lyapunov value.  Each
-    epsilon is solved by Newton-Kleinman (``_newton_limit``), starting from G
-    at the first epsilon and from the previous P_eps after it.  The path has
+    The reduced pair (tsys, tw), as matrices or in the arithmetic of its
+    size, is certified stable and G is its Lyapunov value.  Each epsilon is
+    solved by Newton-Kleinman (``_newton_solve``), starting from G at the
+    first epsilon and from the previous P_eps after it.  The path has
     settled when P_eps, or its extrapolated limit, stops moving.  Records in
     ``diagnostics`` the ``epsilon_solves`` entries, each after the first
     solve with ``"change"``, ||P_eps - P_prev||, and on success
     ``settled_at_epsilon``, the first epsilon from which every later one
     settled, and ``extrapolation_norm``.  Returns (P, reason): P is the
-    symmetrized limit, or None with ``reason`` saying where the path broke
-    down and, at a failed solve, why Newton failed.
+    symmetrized limit, an n x n matrix, or None with ``reason`` saying where
+    the path broke down and, at a failed solve, why Newton failed.
     """
-    eye_m = np.eye(tsys.m)
+    ar = _arithmetic(tsys)
+    tsys, tw = ar.problem(tsys, tw)
+    fro = ar.fro
     prev = limit = settled_at = None
     solves: list[dict] = []
     diagnostics["epsilon_solves"] = solves
     for eps in cfg.epsilon_schedule:
-        w_eps = CostWeights(tw.Q, tw.S, tw.R + eps * eye_m)
-        P_eps, solve = _newton_limit(tsys, w_eps, G if prev is None else prev[1],
+        w_eps = ar.regularized(tw, eps)
+        P_eps, solve = _newton_solve(ar, tsys, w_eps, ar.state(G) if prev is None else prev[1],
                                      cfg.flow.stat_tol)
         entry = {"epsilon": eps, **solve}
         solves.append(entry)
@@ -756,10 +1010,10 @@ def _epsilon_path(tsys: ControlledSystem, tw: CostWeights, G, cfg: GareConfig,
     if settled_at is None:
         return None, ("epsilon path did not settle by the end of the schedule; "
                       "problem unsolvable or ill-conditioned")
-    P = symmetrize(limit)
+    P = ar.symmetrize(limit)
     diagnostics["settled_at_epsilon"] = settled_at
     diagnostics["extrapolation_norm"] = fro(P - prev[1])
-    return P, None
+    return ar.matrix(P), None
 
 
 def solve_gare(
@@ -804,9 +1058,10 @@ def solve_gare(
         if Sigma is None:
             raise NotStabilizableError("system [A,C;B,D] is not L2-stabilizable")
 
-    tsys, tw = _transform(sys, w, Sigma)
+    ar = _arithmetic(sys)
+    tsys, tw = ar.reduce(sys, w, Sigma)
     try:
-        G = solve_lyapunov(tsys.pair(), tw.Q)   # certifies Sigma, as transform_problem would
+        G = ar.lyapunov_value(tsys, tw)     # certifies Sigma, as transform_problem would
     except LyapunovUnsolvableError as exc:
         # a failure that depends on Q, not on the pair, is the solver's own
         if is_stabilizer(sys, Sigma):
@@ -814,7 +1069,7 @@ def solve_gare(
         raise InvalidInputError(_NOT_A_STABILIZER) from exc
 
     diagnostics: dict = {"sigma": Sigma}
-    P, solve = _newton_limit(tsys, tw, G, cfg.flow.stat_tol)
+    P, solve = _newton_solve(ar, tsys, tw, G, cfg.flow.stat_tol)
     check = None if P is None else verify_static_stabilizing(sys, w, P, cfg)
     if check is not None and check.passed:
         diagnostics["epsilon_solves"] = [{"epsilon": 0.0, **solve}]
@@ -827,7 +1082,7 @@ def solve_gare(
                        n_min_eig=check.n_min_eig)
     if check.reason is not None:
         return GareUnsolvable(check.reason, diagnostics)
-    return GareSolution(P=P, Theta=check.theta, Pi=check.pi, diagnostics=diagnostics)
+    return GareSolution(P=ar.matrix(P), Theta=check.theta, Pi=check.pi, diagnostics=diagnostics)
 
 
 @dataclass
@@ -863,15 +1118,12 @@ def verify_static_stabilizing(
     the findings still depend on the inputs alone.
     """
     cfg = cfg or GareConfig()
-    Pm = symmetrize(P, "P")
-    maps = GareMaps(sys, w)
-    N = maps.control_part(Pm)
-    L = maps.cross_part(Pm)
-    N_dag, U0 = control_pseudoinverse(N, cfg.psd_tol)
-    res_norm = fro(symmetrize(maps.lyapunov_part(Pm) - L @ N_dag @ L.T))
-    rdefect = fro(N @ (N_dag @ L.T) - L.T) / (1.0 + fro(L))
-    n_min = float(np.linalg.eigvalsh(N)[0])
-    picked = _select_feedback(sys, N, L.T, N_dag, U0, cfg.flow, Pm)
+    ar = _arithmetic(sys)
+    Pm = ar.symmetrize(P, "P")
+    psys, pw = ar.problem(sys, w)
+    N, N_dag, U0, res_norm, rdefect, n_min, Theta0 = ar.gare_terms(psys, pw, Pm, cfg.psd_tol)
+    picked = _select_feedback(ar, sys, psys, N, N_dag, U0, Theta0, cfg.flow, Pm)
+    fro = ar.fro
     failures = (
         (res_norm > cfg.res_tol * (1.0 + fro(Pm)), "limit fails the ARE residual check"),
         (rdefect > cfg.range_tol, "limit fails the range condition"),

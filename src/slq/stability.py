@@ -222,7 +222,8 @@ def _stable_lyapunov(A, C, Lam, X0=None, tol: float | None = _FP_TOL) -> np.ndar
     Where neither does -- Lam need not be positive definite, nor a loose
     ``tol`` accurate enough -- the same solve on I from 0 decides the pair;
     ``tol`` None asks for that solve alone (Lam = I, X0 None), stopped at
-    its first sweep's certificate.
+    its first sweep's certificate, and a solve that already was that one, on
+    Lam exactly I from 0 to ``_FP_TOL``, is not run again.
 
     Raises :class:`LyapunovUnsolvableError`, naming the failed condition, when
     A is not Hurwitz, the Sylvester solve reports near-common eigenvalues, or
@@ -236,7 +237,10 @@ def _stable_lyapunov(A, C, Lam, X0=None, tol: float | None = _FP_TOL) -> np.ndar
         n, C_s = A.shape[0], Z.T @ C @ Z
         X = np.zeros_like(Lam_s) if X0 is None else Z.T @ X0 @ Z
         X, certified = _gmres(sweep, T, C_s, Lam_s, X, tol)
-        if not certified and tol is not None:
+        # on Lam = I from 0 to _FP_TOL this run was the one on I, up to the
+        # rounding of Z'IZ
+        if not certified and tol is not None and not (
+                X0 is None and tol <= _FP_TOL and np.array_equal(Lam, np.eye(n))):
             certified = _gmres(sweep, T, C_s, np.eye(n), np.zeros((n, n)), None)[1]
         if not certified:
             raise LyapunovUnsolvableError(_NO_CONTRACTION)

@@ -18,7 +18,9 @@ From that gain's value, or from the flow's limit if it converges first,
 Newton-Kleinman finishes the solve; since Q = I > 0, the solution it
 reaches is the unique positive one, the flow's limit.  For n = m = 1
 neither runs: the gain of the solution has a closed form, and when it is
-refused no gain is stabilizing.
+refused no gain is stabilizing.  The scalar decision runs on Python floats
+(``riccati._Floats``): its unit weights, its gain and value, and the test
+P > 0 that stands for the Cholesky factor of a matrix P.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError, UnsupportedInputError
-from .riccati import CostWeights, FlowConfig, _stabilizing_limit
+from .riccati import FlowConfig, _arithmetic, _stabilizing_limit
 from .stability import ControlledSystem
 
 __all__ = [
@@ -81,21 +83,15 @@ def stabilizability_report(
     that overflows ('unsettled'), the system is classified not stabilizable.
     """
     cfg = cfg or FlowConfig()
-    n, m = sys.n, sys.m
-    w = CostWeights(np.eye(n), np.zeros((m, n)), np.eye(m))
-    P, gamma, residual, route = _stabilizing_limit(sys, w, cfg)
+    ar = _arithmetic(sys)
+    P, gamma, residual, route = _stabilizing_limit(sys, ar.unit_weights(sys.n, sys.m), cfg)
     steps = (route["flow_steps"], route["newton_steps"])
     if P is None:
         return StabilizabilityReport(False, None, None, route["status"], None, *steps)
     # the limit's residual, I + D'PD > 0 and its gain are certified; P > 0
-    # follows from Q = I for a certified gain, and a Cholesky factor checks
-    # exactly that: a margin relative to ||P|| would refuse a correct P that
-    # is ill-conditioned, as near-marginal pairs give
-    try:
-        np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        raise InternalInconsistencyError(
-            "the unit-weight ARE solution is not positive definite") from None
+    # follows from Q = I for a certified gain, and that alone is checked
+    if not ar.positive_definite(P):
+        raise InternalInconsistencyError("the unit-weight ARE solution is not positive definite")
     return StabilizabilityReport(True, gamma, P, route["status"], residual, *steps)
 
 

@@ -203,6 +203,17 @@ def test_a_refusal_makes_at_most_two_krylov_runs(monkeypatch):
     assert 0 < len(sylvester) <= _krylov_sweeps(2)
 
 
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_a_refusal_on_the_identity_from_zero_makes_one_krylov_run(n, monkeypatch):
+    # radius 1.01: the run on I from 0 refuses, and the run on I from 0 that
+    # decides a refused value solve would only repeat it
+    pair = _pair_at_noise_radius(np.random.default_rng(n), n, 1.01)
+    sylvester = _counting_lapack(monkeypatch, "dtrsyl")
+    with pytest.raises(LyapunovUnsolvableError, match="does not contract"):
+        solve_lyapunov(pair, np.eye(n))
+    assert 0 < len(sylvester) <= _krylov_sweeps(n)
+
+
 def test_lyapunov_without_noise_matches_scipy(rng):
     # C = 0: P A + A'P = -Lambda is a standard Lyapunov equation.
     for n in range(1, 9):

@@ -29,7 +29,12 @@ with the largest relative change max|new - old| / max|old| over the
 entries of P, Theta, V and the simulation estimate, where both reports have
 them (inf where an entry became or stopped being null), and the fields of
 the `stabilizability` block that changed; `verdict` is named when the
-verdict changed.  A last line sums up the moved reports.
+verdict changed.  A last line sums up the moved reports, and the exit
+status is 1 when any report moved and 0 otherwise, so that
+
+    python3 tools/report_digest.py --against OLD > /dev/null
+
+alone says whether every report kept its bytes.
 """
 
 from __future__ import annotations
@@ -114,7 +119,8 @@ def _moves(old: dict, new: dict) -> tuple[dict, list]:
     return changes, fields
 
 
-def digest(root: Path, seeds, keep: Path | None, against: Path | None) -> None:
+def digest(root: Path, seeds, keep: Path | None, against: Path | None) -> int:
+    """Print the lines described above; return the number of moved reports."""
     main, workloads = _load(root)
     moved, largest, field_counts = 0, {}, collections.Counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -147,6 +153,7 @@ def digest(root: Path, seeds, keep: Path | None, against: Path | None) -> None:
               + (", ".join(f"{k} {v:.2g}" for k, v in largest.items()) or "-")
               + "; changed fields "
               + (", ".join(f"{k} {n}" for k, n in sorted(field_counts.items())) or "-"))
+    return moved
 
 
 def main(argv=None) -> int:
@@ -159,8 +166,8 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, default=None,
                         help="directory kept by an earlier run: report what moved")
     args = parser.parse_args(argv)
-    digest(args.root.resolve(), args.seeds, args.keep, args.against)
-    return 0
+    moved = digest(args.root.resolve(), args.seeds, args.keep, args.against)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
