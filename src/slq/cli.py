@@ -6,6 +6,15 @@ initial state, and optional solver overrides.  Reports are JSON with sorted
 keys and no environmental input (every random stream is seeded from the file
 or flags), so identical invocations produce byte-identical output.
 
+A problem file is checked in one place, ``load_problem``: each matrix once
+(present, rectangular, of its shape, finite; Q and R symmetrized), in the
+order A, C, B, D, Q, S, R, then the forcing block, x0, the solver block and
+whether the symmetrized Q and R overflow.  The arrays go to
+``ControlledSystem`` and ``CostWeights`` as they are, without a second
+check.  ``_resolve_config`` checks the solver options against their
+defaults.  The Monte Carlo, closed-form and forcing modules are imported on
+first use by the commands that need them.
+
 Exit codes: 0 success/solvable, 1 input error (command-line usage errors
 included), 2 not stabilizable (or a supplied gain fails the stabilizer test),
 3 unsolvable.
@@ -22,6 +31,7 @@ import stat
 import sys as _sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,9 +43,7 @@ from .errors import (
     SlqError,
     UnsupportedInputError,
 )
-from .inhomogeneous import InhomogeneityGrid, assemble_value, solve_eta
-from .montecarlo import SimConfig, simulate_closed_loop
-from .oracle1d import solve_1d
+from .linalg import all_finite
 from .riccati import (
     CostWeights,
     FlowConfig,
@@ -46,6 +54,10 @@ from .riccati import (
 )
 from .stability import ControlledSystem, solve_lyapunov
 from .stabilizability import stabilizability_report
+
+if TYPE_CHECKING:
+    from .inhomogeneous import InhomogeneityGrid
+    from .montecarlo import SimConfig
 
 __all__ = ["ProblemData", "load_problem", "main"]
 
@@ -81,15 +93,19 @@ def _matrix_field(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
         arr = arr.reshape(-1, 1)
     if arr.shape != shape:
         raise ProblemFileError(f"dimension mismatch: {key}")
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise ProblemFileError(f"non-finite entries: {key}")
     return arr
 
 
 def _symmetrized(name: str, arr: np.ndarray) -> np.ndarray:
-    gap = np.linalg.norm(arr - arr.T)
-    if gap > 1e-12 * (1.0 + np.linalg.norm(arr)):
-        print(f"warning: {name} symmetrized (asymmetry {gap:.3e})", file=_sys.stderr)
+    """(arr + arr')/2, with a warning when ||arr - arr'|| exceeds 1e-12
+    (1 + ||arr||); the norms are taken only when some entry differs from its
+    mirror, as without one the gap is zero."""
+    if np.count_nonzero(arr != arr.T):
+        gap = np.linalg.norm(arr - arr.T)
+        if gap > 1e-12 * (1.0 + np.linalg.norm(arr)):
+            print(f"warning: {name} symmetrized (asymmetry {gap:.3e})", file=_sys.stderr)
     return (arr + arr.T) / 2.0
 
 
@@ -117,6 +133,8 @@ def load_problem(path: str) -> ProblemData:
 
     grid = None
     if doc.get("inhomogeneity"):
+        from .inhomogeneous import InhomogeneityGrid
+
         sub = doc["inhomogeneity"]
         try:
             grid = InhomogeneityGrid(
@@ -141,15 +159,20 @@ def load_problem(path: str) -> ProblemData:
             raise ProblemFileError("x0 must be a rectangular array of numbers") from exc
         if x0.size != n:
             raise ProblemFileError("dimension mismatch: x0")
-        if not np.isfinite(x0).all():
+        if not all_finite(x0):
             raise ProblemFileError("non-finite entries: x0")
 
     solver = doc.get("solver", {})
     if not isinstance(solver, dict):
         raise ProblemFileError("'solver' must be an object")
+    # last, where building the weights checked it: a symmetrized Q or R
+    # overflows where an entry and its mirror sum past the largest float
+    for name, M in (("Q", Q), ("R", R)):
+        if not all_finite(M):
+            raise InvalidInputError(f"{name} has non-finite entries")
     return ProblemData(
-        sys=ControlledSystem(A, C, B, D),
-        w=CostWeights(Q, S, R),
+        sys=ControlledSystem._checked(A, C, B, D),
+        w=CostWeights._checked(Q, S, R),
         grid=grid,
         x0=x0,
         solver=solver,
@@ -167,6 +190,11 @@ _DEFAULT_CONFIG = {     # as a problem file writes it: a tuple is a list
        for f in _SOLVER_FIELDS},
     "seed": 0,
     "simulate": {"paths": 10_000, "dt": 1e-3, "horizon": None},
+}
+# each config class's solver options, as (name, whether the default is a tuple)
+_CONFIG_OPTIONS = {
+    cls: tuple((f.name, isinstance(f.default, tuple)) for f in fields(cls) if f in _SOLVER_FIELDS)
+    for cls in (GareConfig, FlowConfig)
 }
 
 
@@ -224,9 +252,12 @@ def _check_ranges(cfg: dict) -> None:
     all finite and positive, whose epsilon schedule has fewer than two
     entries (the path settles only by comparing consecutive solutions),
     whose seed is outside [0, 2**64) (the Philox key), or whose path count
-    is below 1."""
+    is below 1.  An option left at its default (the default object itself)
+    is not checked again."""
     for f in _SOLVER_FIELDS:
         value = cfg[f.name]
+        if value is _DEFAULT_CONFIG[f.name]:
+            continue
         if not all(0.0 < v < math.inf for v in (value if isinstance(value, list) else [value])):
             raise ProblemFileError(f"solver option {f.name} must be finite and positive")
     if len(cfg["epsilon_schedule"]) < 2:
@@ -240,11 +271,9 @@ def _check_ranges(cfg: dict) -> None:
 def _from_config(cls, cfg: dict, **given):
     """``cls`` with its solver options taken from ``cfg``, as floats (tuples
     of floats where the default is a tuple), and the rest from ``given``."""
-    for f in fields(cls):
-        if f in _SOLVER_FIELDS:
-            value = cfg[f.name]
-            given[f.name] = (tuple(float(v) for v in value) if isinstance(f.default, tuple)
-                             else float(value))
+    for name, is_tuple in _CONFIG_OPTIONS[cls]:
+        value = cfg[name]
+        given[name] = tuple(map(float, value)) if is_tuple else float(value)
     return cls(**given)
 
 
@@ -252,54 +281,124 @@ _string = json.encoder.encode_basestring_ascii
 _NON_FINITE = re.compile(r"-?inf|nan")     # how repr writes the non-finite floats
 
 
-def _lines(items: list[str], indent: str, brackets: str = "[]") -> str:
-    """``items`` between ``brackets``, one to a line at ``indent`` plus two spaces."""
-    if not items:
-        return brackets
-    inner = "\n" + indent + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+_FLOAT64 = np.dtype(float)
 
 
-def _encode(obj, indent: str = "") -> str:
+def _float(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else "null"
+
+
+# the text of a node of exactly one of these types; subclasses and numpy
+# scalars take the chain in _write
+_LEAF = {
+    float: _float,
+    str: _string,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _encode(obj) -> str:
     """``obj`` as the JSON text of ``json.dumps(obj, sort_keys=True,
-    indent=2)``, its nested lines indented by ``indent`` plus two spaces per
-    level.  Dict keys are written as ``str(k)``, tuples as lists, numpy
+    indent=2)``.  Dict keys are written as ``str(k)``, tuples as lists, numpy
     scalars as Python numbers, arrays as lists of rows of floats (a 1-D
     array is one row), and every non-finite number as null."""
-    # most nodes are exactly one of these; subclasses take the chain below
-    kind = type(obj)
-    if kind is float:
-        return float.__repr__(obj) if math.isfinite(obj) else "null"
-    if kind is str:
-        return _string(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if isinstance(obj, str):
-        return _string(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return int.__repr__(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        return float.__repr__(value) if math.isfinite(value) else "null"
+    out: list[str] = []
+    _write(obj, out, "")
+    return "".join(out)
+
+
+def _write(obj, out: list[str], indent: str) -> None:
+    """Append the pieces of ``obj``'s text (see ``_encode``) to ``out``; its
+    nested lines are indented by ``indent`` plus two spaces per level."""
+    leaf = _LEAF.get(type(obj))
+    if leaf is not None:
+        out.append(leaf(obj))
+    elif isinstance(obj, dict):
+        _write_dict(obj, out, indent)
+    elif isinstance(obj, (list, tuple)):
+        _write_list(obj, out, indent)
+    elif isinstance(obj, np.ndarray):
+        _write_array(obj, out, indent)
+    elif isinstance(obj, str):
+        out.append(_string(obj))
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float(float(obj)))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_dict(obj: dict, out: list[str], indent: str) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    if set(map(type, obj)) == {str}:
+        items = sorted(obj.items())     # keys are unique, so no value is compared
+    else:
+        items = sorted({str(k): v for k, v in obj.items()}.items())
     inner = indent + "  "
-    if isinstance(obj, dict):
-        keyed = {str(k): v for k, v in obj.items()}
-        return _lines([_string(k) + ": " + _encode(v, inner) for k, v in sorted(keyed.items())],
-                      indent, "{}")
-    if isinstance(obj, (list, tuple)):
-        return _lines([_encode(v, inner) for v in obj], indent)
-    if isinstance(obj, np.ndarray):
-        # one repr per row writes its floats in C; a float's repr holds no ", "
-        rows = np.atleast_2d(obj).astype(float)
-        texts = [repr(row)[1:-1] for row in rows.tolist()]
-        if not np.isfinite(rows).all():
-            texts = [_NON_FINITE.sub("null", text) for text in texts]
-        return _lines([_lines(text.split(", ") if text else [], inner) for text in texts], indent)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    sep = "{\n" + inner
+    for key, value in items:
+        leaf = _LEAF.get(type(value))
+        if leaf is None:
+            out.append(sep + _string(key) + ": ")
+            _write(value, out, inner)
+        else:
+            out.append(sep + _string(key) + ": " + leaf(value))
+        sep = ",\n" + inner
+    out.append("\n" + indent + "}")
+
+
+def _write_list(obj: list | tuple, out: list[str], indent: str) -> None:
+    if not obj:
+        out.append("[]")
+        return
+    inner = indent + "  "
+    if type(obj) is list and set(map(type, obj)) == {float}:
+        _write_floats(repr(obj)[1:-1], out, indent)
+        return
+    sep = "[\n" + inner
+    for value in obj:
+        out.append(sep)
+        _write(value, out, inner)
+        sep = ",\n" + inner
+    out.append("\n" + indent + "]")
+
+
+def _write_floats(text: str, out: list[str], indent: str) -> None:
+    """Append a list of floats, written as ``repr`` writes a list of them
+    less its brackets, one float to a line.  A float's repr holds no ", ",
+    and only those of inf and nan hold an "n"."""
+    if not text:
+        out.append("[]")
+        return
+    if "n" in text:
+        text = _NON_FINITE.sub("null", text)
+    inner = indent + "  "
+    out.append("[\n" + inner + text.replace(", ", ",\n" + inner) + "\n" + indent + "]")
+
+
+def _write_array(obj: np.ndarray, out: list[str], indent: str) -> None:
+    # one repr per row writes its floats in C
+    if obj.ndim == 2 and obj.dtype is _FLOAT64:
+        rows = obj.tolist()
+    else:
+        rows = np.atleast_2d(obj).astype(float).tolist()
+    if not rows:
+        out.append("[]")
+        return
+    inner = indent + "  "
+    sep = "[\n" + inner
+    for row in rows:
+        out.append(sep)
+        _write_floats(repr(row)[1:-1], out, inner)
+        sep = ",\n" + inner
+    out.append("\n" + indent + "]")
 
 
 def _emit(report: dict, out_path: str | None):
@@ -359,6 +458,8 @@ def _strategy_block(strategy) -> dict | None:
 
 
 def _oracle_block(problem: ProblemData, sol: GareSolution | None) -> dict:
+    from .oracle1d import solve_1d
+
     coeffs = (
         problem.sys.A[0, 0], problem.sys.C[0, 0], problem.sys.B[0, 0],
         problem.sys.D[0, 0], problem.w.Q[0, 0], problem.w.S[0, 0], problem.w.R[0, 0],
@@ -410,6 +511,8 @@ def _closed_loop_time_constant(sys: ControlledSystem, Theta: np.ndarray) -> floa
 
 def _sim_config(cfg: dict, sys: ControlledSystem, Theta: np.ndarray,
                 grid: InhomogeneityGrid | None) -> SimConfig:
+    from .montecarlo import SimConfig
+
     sim = cfg["simulate"]
     horizon = sim["horizon"]
     if horizon is None:
@@ -425,6 +528,8 @@ def _sim_config(cfg: dict, sys: ControlledSystem, Theta: np.ndarray,
 
 def _simulation_block(problem: ProblemData, cfg: dict, Theta: np.ndarray,
                       terms, value: float | None) -> dict:
+    from .montecarlo import simulate_closed_loop
+
     sim_cfg = _sim_config(cfg, problem.sys, Theta, problem.grid)
     result = simulate_closed_loop(
         problem.sys, problem.w, Theta, problem.x0, sim_cfg,
@@ -506,6 +611,8 @@ def _run_solve(problem: ProblemData, cfg: dict, args):
 
     terms = None
     if problem.grid is not None:
+        from .inhomogeneous import assemble_value, solve_eta
+
         terms = solve_eta(sol, problem.sys, problem.w, problem.grid, gare_cfg)
         check = terms.range_check
         doc["inhomogeneous"] = {

@@ -20,6 +20,7 @@ constant part of the value function follow pointwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -259,7 +260,11 @@ def check_range_ez(terms: AffineTerms, tol: float = GareConfig.range_tol) -> Ran
     return RangeCheck(worst[0] <= tol, worst[0], worst[1])
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 8-point Gauss-Legendre nodes and weights on [-1, 1], computed on
+    first use: ``numpy.polynomial`` is not imported before."""
+    return np.polynomial.legendre.leggauss(8)
 
 
 def assemble_value(terms: AffineTerms, x) -> float:
@@ -294,7 +299,7 @@ def assemble_value(terms: AffineTerms, x) -> float:
         sig_k, b_k = g.sigma[k], g.b[k]
         const_part = float(sig_k @ P @ sig_k)
         acc = 0.0
-        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        for node, weight in zip(*_gauss_legendre()):
             t = mid + half * node
             eta_t = terms.eta_at(t)
             w_vec = terms._w(t, eta_t)

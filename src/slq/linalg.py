@@ -16,6 +16,7 @@ from .errors import InvalidInputError
 __all__ = [
     "DEFAULT_PSD_TOL",
     "DEFAULT_RANK_TOL",
+    "all_finite",
     "as_matrix",
     "fro",
     "is_psd",
@@ -30,6 +31,12 @@ DEFAULT_RANK_TOL = 1e-10
 DEFAULT_PSD_TOL = 1e-9
 
 
+def all_finite(A: np.ndarray) -> bool:
+    """``np.isfinite(A).all()``, at half its cost on small arrays:
+    ``ndarray.all`` passes through a layer of Python, ``count_nonzero`` not."""
+    return np.count_nonzero(np.isfinite(A)) == A.size
+
+
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-d float array; 1-d input becomes a column."""
     A = np.asarray(M, dtype=float)
@@ -39,7 +46,7 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
         A = A.reshape(-1, 1)
     elif A.ndim != 2:
         raise InvalidInputError(f"{name} must be at most 2-dimensional")
-    if not np.isfinite(A).all():
+    if not all_finite(A):
         raise InvalidInputError(f"{name} has non-finite entries")
     return A
 

@@ -123,6 +123,17 @@ class CostWeights:
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "R", R)
 
+    @classmethod
+    def _checked(cls, Q, S, R) -> CostWeights:
+        """The weights of arrays that are already what ``__post_init__``
+        makes of its input -- 2-d, float, finite, Q and R symmetrized, of
+        matching shapes -- taken as they are, without a second check."""
+        weights = object.__new__(cls)
+        object.__setattr__(weights, "Q", Q)
+        object.__setattr__(weights, "S", S)
+        object.__setattr__(weights, "R", R)
+        return weights
+
     @property
     def n(self) -> int:
         return self.Q.shape[0]
@@ -1119,6 +1130,10 @@ def verify_static_stabilizing(
     """
     cfg = cfg or GareConfig()
     ar = _arithmetic(sys)
+    if ar is _Matrices:     # the float route checks P's shape as it symmetrizes
+        P = as_matrix(P, "P")
+        if P.shape != (sys.n, sys.n):
+            raise InvalidInputError("P must be n x n")
     Pm = ar.symmetrize(P, "P")
     psys, pw = ar.problem(sys, w)
     N, N_dag, U0, res_norm, rdefect, n_min, Theta0 = ar.gare_terms(psys, pw, Pm, cfg.psd_tol)

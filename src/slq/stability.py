@@ -87,6 +87,18 @@ class ControlledSystem:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "D", D)
 
+    @classmethod
+    def _checked(cls, A, C, B, D) -> ControlledSystem:
+        """The system of arrays that are already what ``__post_init__`` makes
+        of its input -- 2-d, float, finite, of matching shapes -- taken as
+        they are, without a second check."""
+        system = object.__new__(cls)
+        object.__setattr__(system, "A", A)
+        object.__setattr__(system, "C", C)
+        object.__setattr__(system, "B", B)
+        object.__setattr__(system, "D", D)
+        return system
+
     @property
     def n(self) -> int:
         return self.A.shape[0]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import slq.riccati
 import slq.stability
 import slq.stabilizability
 from conftest import ladder_plain_problem
+from slq import ControlledSystem, CostWeights, FlowConfig, GareConfig
 from slq.cli import main
 
 
@@ -70,7 +72,12 @@ def test_schema_error_dimension_mismatch(tmp_path, capsys):
     ("inhomogeneity", lambda x: {"grid": [0.0, 1.0], "b": [[x]]}, "b has non-finite entries"),
     ("inhomogeneity", lambda x: {"grid": [0.0, 1.0, x], "b": [[0.0], [0.0]]},
      "grid must be finite and strictly increasing"),
-], ids=["A", "R", "x0", "forcing", "grid"])
+    ("C", lambda x: [[x]], "non-finite entries: C"),
+    ("B", lambda x: [[x]], "non-finite entries: B"),
+    ("D", lambda x: [[x]], "non-finite entries: D"),
+    ("Q", lambda x: [[x]], "non-finite entries: Q"),
+    ("S", lambda x: [[x]], "non-finite entries: S"),
+], ids=["A", "R", "x0", "forcing", "grid", "C", "B", "D", "Q", "S"])
 def test_non_finite_problem_entries_exit_1(tmp_path, capsys, field, value, message, bad):
     prob = write_problem(tmp_path, **{field: value(bad)})
     out = tmp_path / "r.json"
@@ -953,3 +960,192 @@ def test_unforced_scalar_commands_do_not_load_scipy(tmp_path):
     version = subprocess.run([sys.executable, "-m", "slq.cli", "--version"],
                              env=env, capture_output=True, text=True, timeout=120)
     assert version.returncode == 0 and version.stdout.strip() == slq.__version__
+
+
+_SPECIAL_ENTRIES = (-0.0, 5e-324, -2.5e-320, 1e-310)    # signed zero and subnormals
+
+
+def _random_entries(rng, shape):
+    M = rng.standard_normal(shape)
+    special = rng.random(shape) < 0.3
+    M[special] = rng.choice(_SPECIAL_ENTRIES, size=int(special.sum()))
+    return M
+
+
+def _random_weight(rng, k, kind):
+    """A k x k weight: exactly symmetric (a -0.0 may face a +0.0), off by an
+    ulp from symmetric, or asymmetric."""
+    M = _random_entries(rng, (k, k))
+    M = np.triu(M) + np.triu(M, 1).T
+    if k > 1 and kind == "ulp":
+        M[0, 1] = np.nextafter(M[0, 1], np.inf)
+    elif k > 1 and kind == "asymmetric":
+        M[0, 1] += 0.5
+    elif k > 1 and rng.random() < 0.5:
+        M[0, 1], M[1, 0] = -0.0, 0.0
+    return M
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_load_problem_gives_the_arrays_of_the_constructors(tmp_path, capsys):
+    # the file's matrices are checked once, and the arrays are bit for bit
+    # those that ControlledSystem and CostWeights make of the same lists;
+    # each matrix whose asymmetry passes the 1e-12 (1 + ||M||) bar is named
+    # in exactly one warning
+    rng = np.random.default_rng(2916)
+    for trial in range(60):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        doc = {"n": n, "m": m, "x0": rng.standard_normal(n).tolist()}
+        for key, shape in (("A", (n, n)), ("C", (n, n)), ("B", (n, m)), ("D", (n, m)),
+                           ("S", (m, n))):
+            doc[key] = _random_entries(rng, shape).tolist()
+        if m == 1 and rng.random() < 0.5:
+            doc["B"], doc["D"] = [row[0] for row in doc["B"]], [row[0] for row in doc["D"]]
+        for key, k in (("Q", n), ("R", m)):
+            doc[key] = _random_weight(rng, k, rng.choice(["symmetric", "ulp", "asymmetric"]))
+        warned = {}
+        for key in ("Q", "R"):
+            M = doc[key]
+            warned[key] = np.linalg.norm(M - M.T) > 1e-12 * (1.0 + np.linalg.norm(M))
+            doc[key] = M.tolist()
+        path = tmp_path / f"p{trial}.json"
+        path.write_text(json.dumps(doc))
+
+        problem = slq.cli.load_problem(str(path))
+        err = capsys.readouterr().err
+        for key in ("Q", "R"):
+            assert err.count(f"warning: {key} symmetrized") == warned[key], (trial, key)
+        sys_ref = ControlledSystem(doc["A"], doc["C"], doc["B"], doc["D"])
+        w_ref = CostWeights(doc["Q"], doc["S"], doc["R"])
+        for key in ("A", "C", "B", "D"):
+            assert _same_bits(getattr(problem.sys, key), getattr(sys_ref, key)), (trial, key)
+        for key in ("Q", "S", "R"):
+            assert _same_bits(getattr(problem.w, key), getattr(w_ref, key)), (trial, key)
+
+
+# where load_problem checks what, in its order: each matrix's own checks,
+# then x0, then the solver block, then whether the symmetrized Q and R
+# overflow (two entries that sum past the largest float)
+_CHECK_ORDER = ("A", "C", "B", "D", "Q", "S", "R", "x0", "solver", "Q-sum", "R-sum")
+
+
+def _spoil(doc, field, kind, rows, cols):
+    """Make ``field`` of ``doc`` fail its check as ``kind``; return the message."""
+    if field == "solver":
+        doc["solver"] = 5
+        return "'solver' must be an object"
+    if field.endswith("-sum"):
+        key = field[0]
+        doc[key] = (1.5e308 * np.eye(len(doc[key]))).tolist()
+        return f"{key} has non-finite entries"
+    if kind == "missing" and field != "x0":
+        del doc[field]
+        return f"missing field: {field}"
+    if kind == "text":
+        doc[field] = [["a"] * cols] * rows if field != "x0" else ["a"] * rows
+        return f"{field} must be a rectangular array of numbers"
+    if kind == "shape":
+        doc[field] = [[0.0] * cols] * (rows + 1) if field != "x0" else [0.0] * (rows + 1)
+        return f"dimension mismatch: {field}"
+    bad = np.zeros((rows, cols))
+    bad[-1, -1] = np.inf
+    doc[field] = bad.tolist() if field != "x0" else bad[:, 0].tolist()
+    return f"non-finite entries: {field}"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+def test_a_file_with_two_bad_fields_names_the_first(tmp_path, capsys):
+    # every field alone and every pair of fields, each spoilt in a random way
+    rng = np.random.default_rng(2917)
+    cases = [(first, second) for first in range(len(_CHECK_ORDER))
+             for second in range(first + 1, len(_CHECK_ORDER) + 1)]
+    for case, (first, second) in enumerate(cases):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        dims = {"A": (n, n), "C": (n, n), "B": (n, m), "D": (n, m), "Q": (n, n),
+                "S": (m, n), "R": (m, m), "x0": (n, 1)}
+        doc = {"n": n, "m": m, **{key: np.eye(*shape).tolist() for key, shape in dims.items()
+                                  if key != "x0"}, "x0": [1.0] * n}
+        spoilt = [_CHECK_ORDER[i] for i in (second, first) if i < len(_CHECK_ORDER)]
+        for field in spoilt:       # the later one first: a sum needs its field whole
+            kind = rng.choice(["missing", "text", "shape", "non-finite"])
+            message = _spoil(doc, field, kind, *dims.get(field, (1, 1)))
+        path = tmp_path / f"p{case}.json"
+        path.write_text(json.dumps(doc))
+        for command in ("solve", "check"):
+            assert main([command, str(path), "--out", str(tmp_path / "r.json")]) == 1
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("error: ")]
+            assert errors == [f"error: {message}"], (command, spoilt)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
+def test_every_solver_option_reaches_the_solve(tmp_path, monkeypatch, n, m):
+    # each GareConfig and FlowConfig field with a plain default (all but the
+    # computed reduction_stabilizer) is a solver option of the file: set to
+    # a value of its own, it reaches the configurations the solve receives
+    options = {}
+    for cls in (GareConfig, FlowConfig):
+        for f in fields(cls):
+            if f.default is MISSING or f.name == "reduction_stabilizer":
+                continue
+            if isinstance(f.default, tuple):
+                options[f.name] = [0.5, 0.05, 0.005]
+            else:
+                options[f.name] = 2 * f.default    # a JSON integer where the default is whole
+    seen = {}
+    stab_report, gare = slq.cli.stabilizability_report, slq.cli.solve_gare
+
+    def report(sys, cfg):
+        seen["flow"] = cfg
+        return stab_report(sys, cfg)
+
+    def solve(sys, w, cfg):
+        seen["gare"] = cfg
+        return gare(sys, w, cfg)
+
+    monkeypatch.setattr(slq.cli, "stabilizability_report", report)
+    monkeypatch.setattr(slq.cli, "solve_gare", solve)
+    doc = {"n": n, "m": m, "A": (-np.eye(n)).tolist(), "C": np.zeros((n, n)).tolist(),
+           "B": np.ones((n, m)).tolist(), "D": np.zeros((n, m)).tolist(),
+           "Q": np.eye(n).tolist(), "S": np.zeros((m, n)).tolist(), "R": np.eye(m).tolist(),
+           "solver": options}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert seen["gare"].flow is seen["flow"]
+    for name, value in options.items():
+        cfg = seen["gare"] if hasattr(seen["gare"], name) else seen["flow"]
+        got = getattr(cfg, name)
+        if isinstance(value, list):
+            assert type(got) is tuple and list(got) == value, name
+            assert all(type(v) is float for v in got), name
+        else:
+            assert type(got) is float and got == value, name
+
+
+_LAZY_IMPORTS = """
+import json, sys
+import slq.cli
+
+lazy = ("slq.montecarlo", "slq.oracle1d", "slq.inhomogeneous", "numpy.polynomial")
+loaded = [name for name in lazy if name in sys.modules]
+from slq import simulate_closed_loop, solve_1d, solve_eta
+import slq.inhomogeneous, slq.montecarlo, slq.oracle1d
+same = [simulate_closed_loop is slq.montecarlo.simulate_closed_loop,
+        solve_1d is slq.oracle1d.solve_1d, solve_eta is slq.inhomogeneous.solve_eta]
+print(json.dumps([loaded, same]))
+"""
+
+
+def test_import_of_the_cli_leaves_the_optional_modules_unloaded():
+    # the Monte Carlo, closed-form and forcing modules load with their first
+    # use, and the package's names still reach them
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [[], [True, True, True]]

@@ -649,3 +649,13 @@ def test_inexact_newton_keeps_the_steps_and_limit_of_the_exact_one(monkeypatch, 
     assert inexact[0][2] >= 2 and sum(inexact[0][3]) >= 2
     for P_inexact, P_exact in zip(inexact[1:], exact[1:]):
         assert fro(P_inexact - P_exact) <= 1e-12 * fro(P_exact)
+
+
+@pytest.mark.parametrize("P", [np.eye(3), np.ones((2, 3))], ids=["3x3", "2x3"])
+def test_verifier_names_a_p_of_the_wrong_shape(P):
+    # as the scalar route does: a P that is not n x n is an input error, not
+    # a failed product deep in the residual
+    sys2 = ControlledSystem(-np.eye(2), np.zeros((2, 2)), np.eye(2)[:, :1], np.zeros((2, 1)))
+    w = CostWeights(np.eye(2), np.zeros((1, 2)), np.eye(1))
+    with pytest.raises(InvalidInputError, match="P must be n x n"):
+        verify_static_stabilizing(sys2, w, P)
