@@ -27,10 +27,9 @@ the closed-loop generalized Lyapunov equation.  That is the GMRES solve of
 ``stability``, the package's one generalized Lyapunov solver, certified by
 Lyapunov's inequality at its first sweep or its solution, warm-started from
 P and solved only as far as the ARE residual at P calls for (inexact
-Newton); when n = m = 1 it is one float division (``_maps`` picks the float
-or the matrix maps).  Its limit is accepted on the flow's own certificate,
-and Newton alone decides: when a stabilizing solution with R + D'PD > 0
-exists, the Lyapunov value G of the stable pair lies above it, so Newton
+Newton); when n = m = 1 it is one float division.  Its limit is accepted
+on the flow's own certificate, and Newton alone decides: when a
+stabilizing solution with R + D'PD > 0 exists, the Lyapunov value G of the stable pair lies above it, so Newton
 from G stays certified and decreases to it (Damm & Hinrichsen 2001), and a
 failed Newton means there is none.  On top of these sit:
 
@@ -59,7 +58,10 @@ Python floats.  Only the restricted feedback search of a singular N(P), and
 the Lyapunov value G (``solve_lyapunov``'s closed form), take 1 x 1
 matrices there.  ``_Floats`` reproduces every 1 x 1 numpy evaluation it
 stands for bit for bit, the errors of non-finite values included, so the
-two give the same reports.
+two give the same reports.  Each public entry point converts its problem
+into its arithmetic once (``problem``), and everything below it takes the
+converted problem; the stabilizability decision builds its own unit
+weights, and tests its P > 0 itself.
 """
 
 from __future__ import annotations
@@ -394,8 +396,10 @@ def integrate_riccati_flow(
     if G0.shape != (sys.n, sys.n):
         raise InvalidInputError("G must be n x n")
 
-    ar, rhs, _, _ = _maps(sys, w)
-    status, times, vals, dnorm = _adaptive_flow(rhs, ar.flow_sym, ar.norm, ar.state(G0), cfg)
+    ar = _arithmetic(sys)
+    are, _ = ar.maps(*ar.problem(sys, w))
+    status, times, vals, dnorm = _adaptive_flow(lambda y: are(y)[0], ar.flow_sym, ar.norm,
+                                                ar.state(G0), cfg)
     values = np.asarray(vals, dtype=float).reshape(-1, sys.n, sys.n)
     return RiccatiFlow(
         times=np.asarray(times, dtype=float),
@@ -422,26 +426,28 @@ def _newton(are, gain_value, norm, P0, stat_tol: float):
     ``are`` is ``_matrix_are``/``_scalar_are``; ``gain_value(Theta, P, tol)``
     is the cost matrix of the feedback Theta, settled to ``_newton_forcing``
     of the relative residual at P, or None when it cannot certify Theta as
-    mean-square stabilizing.  Returns (P, steps, cause): on failure
-    P is None and cause says why -- R + D'PD is not positive definite, a gain
-    is not certified, a value is not finite, or ``_NEWTON_MAX_STEPS`` steps do
-    not converge; on success cause is None.
+    mean-square stabilizing.  Returns (P, solve): P is the limit or None,
+    and solve is {"steps": k}, with "failed": the cause when P is None --
+    R + D'PD is not positive definite, a gain is not certified, a value is
+    not finite, or ``_NEWTON_MAX_STEPS`` steps do not converge.
     """
     P = P0
     for step in range(_NEWTON_MAX_STEPS):
         try:
             residual, K = are(P)
         except _PositivityLost:
-            return None, step, "R + D'PD is not positive definite"
+            return None, {"steps": step, "failed": "R + D'PD is not positive definite"}
         p_norm = norm(P)
         if not math.isfinite(p_norm):
-            return None, step, "a Newton iterate is not finite"
+            return None, {"steps": step, "failed": "a Newton iterate is not finite"}
         if norm(residual) < stat_tol * (1.0 + p_norm):
-            return P, step, None
+            return P, {"steps": step}
         P = gain_value(-K, P, _newton_forcing(norm(residual) / (1.0 + p_norm)))
         if P is None:
-            return None, step + 1, "a Newton gain is not certified mean-square stabilizing"
-    return None, _NEWTON_MAX_STEPS, f"Newton did not converge in {_NEWTON_MAX_STEPS} steps"
+            return None, {"steps": step + 1,
+                          "failed": "a Newton gain is not certified mean-square stabilizing"}
+    return None, {"steps": _NEWTON_MAX_STEPS,
+                  "failed": f"Newton did not converge in {_NEWTON_MAX_STEPS} steps"}
 
 
 def _matrix_gain_value(sys: ControlledSystem, w: CostWeights):
@@ -541,10 +547,6 @@ class _Matrices:
         return CostWeights(tw.Q, tw.S, tw.R + eps * np.eye(tw.m))
 
     @staticmethod
-    def unit_weights(n: int, m: int):
-        return CostWeights(np.eye(n), np.zeros((m, n)), np.eye(m))
-
-    @staticmethod
     def gare_terms(sys, w, Pm, psd_tol):
         """(N, N^+, U0, residual, range defect, least eigenvalue of N,
         Theta_0) at the symmetrized P: see ``verify_static_stabilizing``."""
@@ -556,16 +558,6 @@ class _Matrices:
         rdefect = fro(N @ (N_dag @ L.T) - L.T) / (1.0 + fro(L))
         n_min = float(np.linalg.eigvalsh(N)[0])
         return N, N_dag, U0, res_norm, rdefect, n_min, -N_dag @ L.T
-
-    @staticmethod
-    def positive_definite(P) -> bool:
-        # a Cholesky factor: a margin relative to ||P|| would refuse a
-        # correct P that is ill-conditioned, as near-marginal pairs give
-        try:
-            np.linalg.cholesky(P)
-        except np.linalg.LinAlgError:
-            return False
-        return True
 
 
 class _Floats:
@@ -584,17 +576,15 @@ class _Floats:
     norm = abs                      # the flow's and Newton's norm
     fro = _fro
     flow_sym = float                # a float is its own symmetrization
+    symmetrize = _halved
 
     @staticmethod
     def problem(sys, w):
-        """The problem on floats, from 1 x 1 matrices or as it is."""
-        if isinstance(sys, ControlledSystem):
-            sys = _ScalarSystem(*(float(M[0, 0]) for M in (sys.A, sys.C, sys.B, sys.D)))
-        if isinstance(w, CostWeights):
-            if (w.n, w.m) != (1, 1):
-                raise InvalidInputError("cost weights do not match system dimensions")
-            w = _ScalarWeights(*(float(M[0, 0]) for M in (w.Q, w.S, w.R)))
-        return sys, w
+        """The problem of 1 x 1 matrices, on floats."""
+        if (w.n, w.m) != (1, 1):
+            raise InvalidInputError("cost weights do not match system dimensions")
+        return (_ScalarSystem(*(float(M[0, 0]) for M in (sys.A, sys.C, sys.B, sys.D))),
+                _ScalarWeights(*(float(M[0, 0]) for M in (w.Q, w.S, w.R))))
 
     @staticmethod
     def maps(sys, w):
@@ -602,30 +592,21 @@ class _Floats:
 
     @staticmethod
     def state(X) -> float:
-        return X if type(X) is float else float(X[0, 0])
+        return float(X[0, 0])
 
     @staticmethod
     def matrix(x) -> np.ndarray:
         return np.reshape(x, (1, 1))
 
     @staticmethod
-    def symmetrize(X, name: str = "matrix") -> float:
-        if type(X) is float:
-            return _halved(X, name)
-        Xm = symmetrize(X, name)
-        if Xm.shape != (1, 1):
-            raise InvalidInputError(f"{name} must be n x n")
-        return float(Xm[0, 0])
-
-    @staticmethod
     def reduce(sys, w, Sigma):
-        """``_transform``; its names for the failed checks are those of the
-        ControlledSystem and CostWeights it builds."""
+        """``_transform`` of the problem on floats; its names for the failed
+        checks are those of the ControlledSystem and CostWeights it builds."""
         Sig = as_matrix(Sigma, "Sigma")
         if Sig.shape != (1, 1):
             raise InvalidInputError("Sigma must be m x n")
         sig = float(Sig[0, 0])
-        (a, c, b, d), (q, s, r) = _Floats.problem(sys, w)
+        (a, c, b, d), (q, s, r) = sys, w
         at = a + _mm(b, sig)
         ct = c + _mm(d, sig)
         qt = _halved(q + _mm(s, sig) + _mm(sig, s) + _mm(_mm(sig, r), sig))
@@ -641,10 +622,6 @@ class _Floats:
     def regularized(tw, eps):
         q, s, r = tw
         return _ScalarWeights(_halved(q, "Q"), _checked(s, "S"), _halved(r + eps, "R"))
-
-    @staticmethod
-    def unit_weights(n: int, m: int):
-        return _ScalarWeights(1.0, 0.0, 1.0)
 
     @staticmethod
     def gare_terms(sys, w, pm, psd_tol):
@@ -674,10 +651,6 @@ class _Floats:
         c_cl = _checked(sys.C + _mm(sys.D, theta), "C")
         return 2.0 * a_cl + c_cl * c_cl < 0.0
 
-    @staticmethod
-    def positive_definite(P) -> bool:
-        return _Floats.state(P) > 0.0       # [p] has a Cholesky factor iff p > 0
-
 
 _REGULAR, _SINGULAR = np.empty((1, 0)), np.ones((1, 1))     # U0 of a 1 x 1 N(P)
 # LAPACK's dgesdd scales a matrix whose largest entry lies outside
@@ -694,38 +667,17 @@ def _arithmetic(sys):
     return _Floats if sys.n == 1 and sys.m == 1 else _Matrices
 
 
-def _maps(sys: ControlledSystem, w: CostWeights):
-    """(ar, rhs, are, gain_value): the arithmetic of the system, the flow's
-    right-hand side (the ARE residual alone), and the ARE and gain-value
-    maps, in that arithmetic."""
-    ar = _arithmetic(sys)
-    are, gain_value = ar.maps(*ar.problem(sys, w))
-    return ar, (lambda y: are(y)[0]), are, gain_value
-
-
-def _newton_solve(ar, sys, w, P0, stat_tol: float):
-    """Newton-Kleinman for the strictly convex ARE from P0, in the
-    arithmetic ``ar`` of the problem (sys, w); see ``_newton``.
-
-    Returns (P, solve): P is the limit or None, and solve is {"steps": k},
-    with "failed": the cause when P is None.
-    """
-    are, gain_value = ar.maps(sys, w)
-    P, steps, cause = _newton(are, gain_value, ar.norm, P0, stat_tol)
-    return P, {"steps": steps} if cause is None else {"steps": steps, "failed": cause}
-
-
 def _newton_limit(
     sys: ControlledSystem, w: CostWeights, P0, stat_tol: float
 ) -> tuple[np.ndarray | None, dict]:
-    """``_newton_solve`` on a problem of matrices, from an n x n P0; P is an
-    n x n matrix."""
+    """``_newton`` for the strictly convex ARE of a problem of matrices, from
+    an n x n P0; P is an n x n matrix."""
     ar = _arithmetic(sys)
-    P, solve = _newton_solve(ar, *ar.problem(sys, w), ar.state(P0), stat_tol)
+    P, solve = _newton(*ar.maps(*ar.problem(sys, w)), ar.norm, ar.state(P0), stat_tol)
     return (None if P is None else ar.matrix(P)), solve
 
 
-def _least_cost_scalar_gain(sys: ControlledSystem) -> float:
+def _least_cost_scalar_gain(a: float, c: float, b: float, d: float) -> float:
     """For n = m = 1, the gain t of least unit-weight cost (1 + t^2) / -rate(t),
     rate(t) = 2(A + B t) + (C + D t)^2 = alpha + 2 beta t + delta t^2, among
     those of negative rate: the root of beta t^2 + (alpha - delta) t - beta
@@ -735,7 +687,6 @@ def _least_cost_scalar_gain(sys: ControlledSystem) -> float:
     cost is the unit-weight ARE solution.  Each branch adds terms of one
     sign, halved so that the sum stays in range.
     """
-    a, b, c, d = (float(M[0, 0]) for M in (sys.A, sys.B, sys.C, sys.D))
     beta, h = b + c * d, a + (c * c - d * d) / 2.0       # h = (alpha - delta) / 2
     s = math.hypot(h, beta)
     if h < 0.0:
@@ -743,9 +694,10 @@ def _least_cost_scalar_gain(sys: ControlledSystem) -> float:
     return 0.0 if beta == 0.0 else -(h + s) / beta
 
 
-def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
-    """The ARE solution that the flow from 0 reaches when Q > 0: the flow
-    until its first certified gain, then Newton-Kleinman.
+def _stabilizing_limit(sys: ControlledSystem, cfg: FlowConfig):
+    """The solution of the unit-weight ARE (Q = I, S = 0, R = I) that the
+    flow from 0 reaches: the flow until its first certified gain, then
+    Newton-Kleinman.
 
     At accepted steps 0, 1, 2, 4, 8, ... the flow hands its gain -K(Sig) to
     the certifying gain-value map, settled as in ``_newton``, and stops at
@@ -758,15 +710,18 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     so P certifies its gain with two Cholesky factors and no Schur form, and
     the check falls back to the Lyapunov solve on I only where rounding
     defeats that.  With Q > 0, Newton from a stabilizing gain
-    reaches the unique PSD solution, the flow's limit, so a failure there
-    raises :class:`InternalInconsistencyError`, whose message ends with the
-    cause.  A flow of k steps that certifies no gain makes at most
-    floor(log2 k) + 2 certification attempts.
+    reaches the unique PSD solution, the flow's limit, and that is positive
+    definite, so a failure there, or a P without a Cholesky factor, raises
+    :class:`InternalInconsistencyError`.  A flow of k steps that certifies
+    no gain makes at most floor(log2 k) + 2 certification attempts.
 
-    For n = m = 1 (unit weights) neither runs: Theta is
-    ``_least_cost_scalar_gain`` and P its value, with no bound on the
-    residual.  A refused gain means that none is stabilizing ('refuted'), a
-    value that overflows that every stabilizer's does ('unsettled').
+    For n = m = 1 neither runs: Theta is ``_least_cost_scalar_gain`` and P
+    its value, with no bound on the residual.  A refused gain means that
+    none is stabilizing ('refuted').  The value of a certified gain is
+    positive, and fails the test p > 0 (the Cholesky factor of [p]) or is
+    not finite only where floats cannot hold it: it overflows, or the
+    closed-loop rate does and the value rounds to 0.  Every stabilizer's
+    then does the same ('unsettled').
 
     Returns (P, Theta, residual, route).  P is the limit, Theta = -K(P) its
     certified gain and residual the norm of the ARE residual at P, below
@@ -776,13 +731,16 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     certified, 'refuted' or 'unsettled' as above, and the flow's own status
     otherwise.
     """
-    ar, rhs, are, gain_value = _maps(sys, w)
+    n, m = sys.n, sys.m
+    ar = _arithmetic(sys)
+    psys, w = ar.problem(sys, CostWeights._checked(np.eye(n), np.zeros((m, n)), np.eye(m)))
+    are, gain_value = ar.maps(psys, w)
     norm = ar.norm
     if ar is _Floats:
-        theta = _least_cost_scalar_gain(sys)
+        theta = _least_cost_scalar_gain(*psys)
         P = gain_value(theta, None)
         route = {"status": "certified", "flow_steps": 0, "newton_steps": 0}
-        if P is None or not math.isfinite(P):
+        if P is None or not 0.0 < P < math.inf:     # [p] has a Cholesky factor iff p > 0
             route["status"] = "refuted" if P is None else "unsettled"
             return None, None, None, route
         return np.array([[P]]), np.array([[theta]]), abs(are(P)[0]), route
@@ -794,9 +752,8 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
         start = gain_value(-K, y, _newton_forcing(norm(residual) / (1.0 + norm(y))))
         return start is not None
 
-    status, times, values, _ = _adaptive_flow(rhs, ar.flow_sym, norm,
-                                              ar.state(np.zeros((sys.n, sys.n))),
-                                              cfg, stop=certified)
+    status, times, values, _ = _adaptive_flow(lambda y: are(y)[0], ar.flow_sym, norm,
+                                              np.zeros((n, n)), cfg, stop=certified)
     route = {"status": status, "flow_steps": len(times) - 1, "newton_steps": 0}
     if status == "stopped":
         route["status"] = "certified"
@@ -804,7 +761,9 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
         start = values[-1]
     else:
         return None, None, None, route
-    P, route["newton_steps"], cause = _newton(are, gain_value, norm, start, cfg.stat_tol)
+    P, solve = _newton(are, gain_value, norm, start, cfg.stat_tol)
+    route["newton_steps"] = solve["steps"]
+    cause = solve.get("failed")
     if cause is None:
         residual, K = are(P)
         if not is_stabilizer(sys, -K, P):
@@ -812,8 +771,14 @@ def _stabilizing_limit(sys: ControlledSystem, w: CostWeights, cfg: FlowConfig):
     if cause is not None:
         raise InternalInconsistencyError(
             f"Newton-Kleinman from the unit-weight flow failed: {cause}")
-    return (np.reshape(P, (sys.n, sys.n)), np.reshape(-K, (sys.m, sys.n)),
-            float(norm(residual)), route)
+    # a Cholesky factor: a margin relative to ||P|| would refuse a correct P
+    # that is ill-conditioned, as near-marginal pairs give
+    try:
+        np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        raise InternalInconsistencyError(
+            "the unit-weight ARE solution is not positive definite") from None
+    return P, -K, float(norm(residual)), route
 
 
 def solve_are_strict(
@@ -968,28 +933,28 @@ def _epsilon_path(tsys, tw, G, cfg: GareConfig, diagnostics: dict):
     """Follow the strictly convex solutions P_eps of the reduced problem with
     control weight R + eps I down ``cfg.epsilon_schedule`` to their limit.
 
-    The reduced pair (tsys, tw), as matrices or in the arithmetic of its
-    size, is certified stable and G is its Lyapunov value.  Each epsilon is
-    solved by Newton-Kleinman (``_newton_solve``), starting from G at the
-    first epsilon and from the previous P_eps after it.  The path has
-    settled when P_eps, or its extrapolated limit, stops moving.  Records in
-    ``diagnostics`` the ``epsilon_solves`` entries, each after the first
-    solve with ``"change"``, ||P_eps - P_prev||, and on success
-    ``settled_at_epsilon``, the first epsilon from which every later one
-    settled, and ``extrapolation_norm``.  Returns (P, reason): P is the
-    symmetrized limit, an n x n matrix, or None with ``reason`` saying where
-    the path broke down and, at a failed solve, why Newton failed.
+    The reduced problem (tsys, tw), in the arithmetic of its size, has a
+    certified stable pair and G, in the same arithmetic, is its Lyapunov
+    value.  Each epsilon is solved by Newton-Kleinman (``_newton``),
+    starting from G at the first epsilon and from the previous P_eps after
+    it.  The path has settled when P_eps, or its extrapolated limit, stops
+    moving.  Records in ``diagnostics`` the ``epsilon_solves`` entries, each
+    after the first solve with ``"change"``, ||P_eps - P_prev||, and on
+    success ``settled_at_epsilon``, the first epsilon from which every later
+    one settled, and ``extrapolation_norm``.  Returns (P, reason): P is the
+    symmetrized limit, in the arithmetic of the problem, or None with
+    ``reason`` saying where the path broke down and, at a failed solve, why
+    Newton failed.
     """
     ar = _arithmetic(tsys)
-    tsys, tw = ar.problem(tsys, tw)
     fro = ar.fro
     prev = limit = settled_at = None
     solves: list[dict] = []
     diagnostics["epsilon_solves"] = solves
     for eps in cfg.epsilon_schedule:
         w_eps = ar.regularized(tw, eps)
-        P_eps, solve = _newton_solve(ar, tsys, w_eps, ar.state(G) if prev is None else prev[1],
-                                     cfg.flow.stat_tol)
+        P_eps, solve = _newton(*ar.maps(tsys, w_eps), ar.norm, G if prev is None else prev[1],
+                               cfg.flow.stat_tol)
         entry = {"epsilon": eps, **solve}
         solves.append(entry)
         if P_eps is None:
@@ -1024,7 +989,7 @@ def _epsilon_path(tsys, tw, G, cfg: GareConfig, diagnostics: dict):
     P = ar.symmetrize(limit)
     diagnostics["settled_at_epsilon"] = settled_at
     diagnostics["extrapolation_norm"] = fro(P - prev[1])
-    return ar.matrix(P), None
+    return P, None
 
 
 def solve_gare(
@@ -1038,12 +1003,14 @@ def solve_gare(
     cost of the gain 0.  Newton-Kleinman from G at epsilon = 0 (the direct
     route) reaches the stabilizing solution whenever it has
     R + D'PD > 0 (Damm & Hinrichsen 2001), and its limit is accepted through
-    :func:`verify_static_stabilizing` on the original (untransformed) data,
-    which also supplies the feedback.  Only when Newton fails or the verifier
-    rejects its limit -- singular R + D'PD, or no solution -- does the
-    epsilon path run (``_epsilon_path``): the strictly convex solutions P_eps
-    with control weight R + eps I, followed down the epsilon schedule until
-    they settle, whose limit goes through the same verifier.  Every pair is
+    the checks of :func:`verify_static_stabilizing` on the original
+    (untransformed) data, which also supply the feedback.  Only when Newton
+    fails or the verifier rejects its limit -- singular R + D'PD, or no
+    solution -- does the epsilon path run (``_epsilon_path``): the strictly
+    convex solutions P_eps with control weight R + eps I, followed down the
+    epsilon schedule until they settle, whose limit goes through the same
+    verifier.  The problem enters its arithmetic once, and the reduction,
+    both routes and the verifier take it as converted.  Every pair is
     certified once: the Lyapunov solve for G certifies the reduced pair,
     which neither route re-checks, and the verifier certifies the feedback.
 
@@ -1070,7 +1037,8 @@ def solve_gare(
             raise NotStabilizableError("system [A,C;B,D] is not L2-stabilizable")
 
     ar = _arithmetic(sys)
-    tsys, tw = ar.reduce(sys, w, Sigma)
+    psys, pw = ar.problem(sys, w)
+    tsys, tw = ar.reduce(psys, pw, Sigma)
     try:
         G = ar.lyapunov_value(tsys, tw)     # certifies Sigma, as transform_problem would
     except LyapunovUnsolvableError as exc:
@@ -1080,15 +1048,15 @@ def solve_gare(
         raise InvalidInputError(_NOT_A_STABILIZER) from exc
 
     diagnostics: dict = {"sigma": Sigma}
-    P, solve = _newton_solve(ar, tsys, tw, G, cfg.flow.stat_tol)
-    check = None if P is None else verify_static_stabilizing(sys, w, P, cfg)
+    P, solve = _newton(*ar.maps(tsys, tw), ar.norm, G, cfg.flow.stat_tol)
+    check = None if P is None else _verify(ar, sys, psys, pw, P, cfg)
     if check is not None and check.passed:
         diagnostics["epsilon_solves"] = [{"epsilon": 0.0, **solve}]
     else:
         P, reason = _epsilon_path(tsys, tw, G, cfg, diagnostics)
         if P is None:
             return GareUnsolvable(reason, diagnostics)
-        check = verify_static_stabilizing(sys, w, P, cfg)
+        check = _verify(ar, sys, psys, pw, P, cfg)
     diagnostics.update(are_residual=check.are_residual, range_defect=check.range_defect,
                        n_min_eig=check.n_min_eig)
     if check.reason is not None:
@@ -1128,14 +1096,17 @@ def verify_static_stabilizing(
     Theta_0 = -N^+ L', which a witness can only certify, never refuse, so
     the findings still depend on the inputs alone.
     """
-    cfg = cfg or GareConfig()
+    P = as_matrix(P, "P")
+    if P.shape != (sys.n, sys.n):
+        raise InvalidInputError("P must be n x n")
     ar = _arithmetic(sys)
-    if ar is _Matrices:     # the float route checks P's shape as it symmetrizes
-        P = as_matrix(P, "P")
-        if P.shape != (sys.n, sys.n):
-            raise InvalidInputError("P must be n x n")
+    return _verify(ar, sys, *ar.problem(sys, w), ar.state(P), cfg or GareConfig())
+
+
+def _verify(ar, sys: ControlledSystem, psys, pw, P, cfg: GareConfig) -> GareVerification:
+    """``verify_static_stabilizing`` of P in the arithmetic ``ar``, where the
+    problem of ``sys`` is (psys, pw)."""
     Pm = ar.symmetrize(P, "P")
-    psys, pw = ar.problem(sys, w)
     N, N_dag, U0, res_norm, rdefect, n_min, Theta0 = ar.gare_terms(psys, pw, Pm, cfg.psd_tol)
     picked = _select_feedback(ar, sys, psys, N, N_dag, U0, Theta0, cfg.flow, Pm)
     fro = ar.fro

@@ -18,9 +18,9 @@ From that gain's value, or from the flow's limit if it converges first,
 Newton-Kleinman finishes the solve; since Q = I > 0, the solution it
 reaches is the unique positive one, the flow's limit.  For n = m = 1
 neither runs: the gain of the solution has a closed form, and when it is
-refused no gain is stabilizing.  The scalar decision runs on Python floats
-(``riccati._Floats``): its unit weights, its gain and value, and the test
-P > 0 that stands for the Cholesky factor of a matrix P.
+refused no gain is stabilizing.  The decision, its unit weights and its
+test P > 0 (a Cholesky factor, or p > 0 on floats) are all
+``riccati._stabilizing_limit``'s; this module packs its outcome.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistencyError, UnsupportedInputError
-from .riccati import FlowConfig, _arithmetic, _stabilizing_limit
+from .errors import UnsupportedInputError
+from .riccati import FlowConfig, _stabilizing_limit
 from .stability import ControlledSystem
 
 __all__ = [
@@ -79,20 +79,14 @@ def stabilizability_report(
 
     For n = m = 1 neither runs: one closed-form gain is checked, whose rate
     is negative exactly when some gain's is.  Certified, it is gamma and its
-    value P, whose residual has no bound; refused ('refuted') or with a value
-    that overflows ('unsettled'), the system is classified not stabilizable.
+    value P, whose residual has no bound; refused ('refuted'), or with a value
+    that floats cannot hold ('unsettled': the value overflows, or the
+    closed-loop rate does and the value rounds to 0), the system is
+    classified not stabilizable.
     """
-    cfg = cfg or FlowConfig()
-    ar = _arithmetic(sys)
-    P, gamma, residual, route = _stabilizing_limit(sys, ar.unit_weights(sys.n, sys.m), cfg)
-    steps = (route["flow_steps"], route["newton_steps"])
-    if P is None:
-        return StabilizabilityReport(False, None, None, route["status"], None, *steps)
-    # the limit's residual, I + D'PD > 0 and its gain are certified; P > 0
-    # follows from Q = I for a certified gain, and that alone is checked
-    if not ar.positive_definite(P):
-        raise InternalInconsistencyError("the unit-weight ARE solution is not positive definite")
-    return StabilizabilityReport(True, gamma, P, route["status"], residual, *steps)
+    P, gamma, residual, route = _stabilizing_limit(sys, cfg or FlowConfig())
+    return StabilizabilityReport(P is not None, gamma, P, route["status"], residual,
+                                 route["flow_steps"], route["newton_steps"])
 
 
 def find_stabilizer(sys: ControlledSystem, cfg: FlowConfig | None = None) -> np.ndarray | None:

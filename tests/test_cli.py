@@ -191,6 +191,21 @@ def test_solve_oracle_without_control_authority(tmp_path, a, code):
     assert main(["oracle1d", prob, "--out", str(tmp_path / "o.json")]) == 1
 
 
+@pytest.mark.parametrize("a, b", [(-1e308, 1.0), (-9e307, 0.0)],
+                         ids=["controlled", "no-authority"])
+def test_a_closed_loop_rate_that_overflows_is_unsettled(tmp_path, a, b):
+    # 2(A + B theta) overflows to -inf, and the unit-weight value
+    # -(1 + theta^2) / rate rounds to 0: a value that floats cannot hold,
+    # not an internal inconsistency
+    prob = write_problem(tmp_path, A=[[a]], B=[[b]])
+    out = str(tmp_path / "r.json")
+    for command in (["check", prob], ["solve", prob, "--oracle"]):
+        assert main([*command, "--out", out]) == 2
+        doc = read(out)
+        assert doc["verdict"]["stabilizable"] is False
+        assert doc["stabilizability"]["flow_status"] == "unsettled"
+
+
 def test_solve_unsolvable_exit_code(tmp_path):
     # negative discriminant of the reduced quadratic
     prob = write_problem(tmp_path, A=[[-1.0]], Q=[[-2.0]])

@@ -176,12 +176,14 @@ def test_newton_refuses_a_gain_that_is_not_mean_square_stabilizing(A, C, q1, sta
 
 def _path_limit(sys_i, w_i):
     """The epsilon path of ``solve_gare``'s reduction, without the direct
-    route: its diagnostics and its limit (None where the path breaks down)."""
+    route: its diagnostics and its limit (None where the path breaks down).
+    The path runs in the arithmetic of the problem's size, as in the solver."""
     tsys, tw = transform_problem(sys_i, w_i, find_stabilizer(sys_i))
     G = solve_lyapunov(tsys.pair(), tw.Q)
+    ar = slq.riccati._arithmetic(tsys)
     diagnostics = {}
-    P, _ = _epsilon_path(tsys, tw, G, GareConfig(), diagnostics)
-    return diagnostics, P
+    P, _ = _epsilon_path(*ar.problem(tsys, tw), ar.state(G), GareConfig(), diagnostics)
+    return diagnostics, None if P is None else ar.matrix(P)
 
 
 def _assert_direct_route_matches_the_path(sys_i, w_i, out):
@@ -651,11 +653,14 @@ def test_inexact_newton_keeps_the_steps_and_limit_of_the_exact_one(monkeypatch, 
         assert fro(P_inexact - P_exact) <= 1e-12 * fro(P_exact)
 
 
-@pytest.mark.parametrize("P", [np.eye(3), np.ones((2, 3))], ids=["3x3", "2x3"])
-def test_verifier_names_a_p_of_the_wrong_shape(P):
-    # as the scalar route does: a P that is not n x n is an input error, not
-    # a failed product deep in the residual
-    sys2 = ControlledSystem(-np.eye(2), np.zeros((2, 2)), np.eye(2)[:, :1], np.zeros((2, 1)))
-    w = CostWeights(np.eye(2), np.zeros((1, 2)), np.eye(1))
-    with pytest.raises(InvalidInputError, match="P must be n x n"):
-        verify_static_stabilizing(sys2, w, P)
+@pytest.mark.parametrize("n, P", [
+    (2, np.eye(3)), (2, np.ones((2, 3))), (1, np.eye(2)), (1, np.ones((2, 3))),
+    (1, np.ones((1, 2))),
+], ids=["3x3", "2x3", "scalar-2x2", "scalar-2x3", "scalar-1x2"])
+def test_verifier_names_a_p_of_the_wrong_shape(n, P):
+    # on matrices and on floats alike: a P that is not n x n is an input
+    # error, not a failed product deep in the residual
+    sys_n = ControlledSystem(-np.eye(n), np.zeros((n, n)), np.eye(n)[:, :1], np.zeros((n, 1)))
+    w = CostWeights(np.eye(n), np.zeros((1, n)), np.eye(1))
+    with pytest.raises(InvalidInputError, match="^P must be n x n$"):
+        verify_static_stabilizing(sys_n, w, P)

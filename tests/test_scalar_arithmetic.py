@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import slq.riccati
+import slq.stabilizability
 from slq import (
     CostWeights,
     GareConfig,
@@ -28,6 +29,7 @@ from slq import (
     find_stabilizer,
     is_stabilizer,
     solve_gare,
+    stabilizability_report,
     verify_static_stabilizing,
 )
 from slq.errors import InvalidInputError, LyapunovUnsolvableError, NotStabilizableError
@@ -303,15 +305,49 @@ def test_the_verifier_agrees_where_values_leave_the_float_range():
                          f"verify{(a, c, b, d, q, s, r, P, cfg.psd_tol)}")
 
 
-def test_the_scalar_positivity_test_is_the_cholesky_factor():
-    positive = slq.riccati._Floats.positive_definite
+def test_the_scalar_positivity_test_is_the_cholesky_factor(monkeypatch):
+    # the decision accepts the value p of its certified gain exactly where
+    # [p] has a Cholesky factor; any other value is one that floats cannot
+    # hold ('unsettled')
+    sys1 = scalar_system(-1.0, 0.0, 1.0, 0.0)
     for p in (1.0, 5e-324, 1e308, 0.0, -0.0, -5e-324, -1.0):
+        monkeypatch.setattr(slq.riccati, "_scalar_gain_value",
+                            lambda sys, w: lambda theta, P, tol=None: p)
         try:
             np.linalg.cholesky(np.array([[p]]))
             factored = True
         except np.linalg.LinAlgError:
             factored = False
-        assert positive(np.array([[p]])) is factored, p
+        report = stabilizability_report(sys1)
+        assert report.stabilizable is factored, p
+        assert report.flow_status == ("certified" if factored else "unsettled"), p
+        if factored:
+            assert _bits(report.P[0, 0].item()) == _bits(p)
+
+
+def test_each_scalar_problem_enters_float_arithmetic_once(monkeypatch):
+    # one conversion to floats per decision (the restricted searches of the
+    # verifier included) and one per GARE solve, on every scalar-sweep draw
+    calls = {"problem": 0, "report": 0}
+    problem, report = slq.riccati._Floats.problem, slq.stabilizability.stabilizability_report
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(slq.riccati._Floats, "problem", staticmethod(counted("problem", problem)))
+    monkeypatch.setattr(slq.stabilizability, "stabilizability_report", counted("report", report))
+    draws, solves = _scalar_sweep_coeffs(11), 0
+    for coeffs in draws:
+        sys1, w = scalar_system(*coeffs[:4]), scalar_weights(*coeffs[4:])
+        gamma = slq.stabilizability.stabilizability_report(sys1).gamma
+        if gamma is not None:
+            solve_gare(sys1, w, GareConfig(reduction_stabilizer=gamma))
+            solves += 1
+        assert calls["problem"] == calls["report"] + solves, coeffs
+    assert solves > 0 and calls["report"] > len(draws)
 
 
 def test_the_float_route_raises_for_a_mismatched_candidate_or_weights():

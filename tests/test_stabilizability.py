@@ -14,7 +14,6 @@ from test_riccati import _coordinate_change
 from test_stability import _counting_lapack, _second_moment_operator
 
 import slq.riccati
-import slq.stabilizability
 from slq import (
     ControlledSystem,
     CostWeights,
@@ -251,7 +250,7 @@ def test_converged_flow_takes_the_same_finish(monkeypatch, index):
 
 
 def _failing_newton(are, gain_value, norm, P0, stat_tol):
-    return None, 2, "a Newton iterate is not finite"
+    return None, {"steps": 2, "failed": "a Newton iterate is not finite"}
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["n1", "n3"])
@@ -442,11 +441,11 @@ def test_a_slowly_contracting_stabilizable_system_is_decided():
 
 def test_a_certified_limit_that_is_not_positive_definite_raises(monkeypatch):
     # the check after a certified gain refuses only a P that has no Cholesky
-    # factor, such as one with a negative eigenvalue far below ||P||
+    # factor, such as one with a negative eigenvalue far below ||P||: Newton
+    # hands such a P back, whose gain 0 (B = D = 0) is still certified
     P = np.diag([1e15, -1e-3])
-    route = {"status": "certified", "flow_steps": 0, "newton_steps": 0}
-    monkeypatch.setattr(slq.stabilizability, "_stabilizing_limit",
-                        lambda sys, w, cfg: (P, np.zeros((1, 2)), 0.0, route))
+    monkeypatch.setattr(slq.riccati, "_newton",
+                        lambda are, gain_value, norm, P0, stat_tol: (P, {"steps": 1}))
     sys2 = ControlledSystem(-np.eye(2), np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((2, 1)))
     with pytest.raises(InternalInconsistencyError, match="not positive definite$"):
         stabilizability_report(sys2)

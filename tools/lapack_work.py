@@ -20,8 +20,11 @@ workload and seed, the work of one benchmark cycle:
 
     matrix-ladder/61 cycle schur 78 dtrsyl 316 dpotrf 247 eigvalsh 9
 
-The counts do not depend on timing or load, so two checkouts compare by
-them where timings are too noisy to tell:
+Each problem set is solved once, uncounted, before the pass that counts,
+so that work done only on a first call does not count and the blocks do
+not depend on the order of the runs.  The counts do not depend on timing
+or load either, so two checkouts compare by them where timings are too
+noisy to tell:
 
     diff <(python3 tools/lapack_work.py --root OLD) <(python3 tools/lapack_work.py)
 """
@@ -73,8 +76,11 @@ def count(root: Path, seeds, names) -> None:
         problem_path, report = Path(tmp) / "problem.json", Path(tmp) / "report.json"
         for name in names:
             for seed in seeds:
+                problems = workloads[name].generate(seed)
+                for problem in problems:
+                    _solve(main, problem, problem_path, report)
                 cycle = dict.fromkeys(counts, 0)
-                for i, problem in enumerate(workloads[name].generate(seed)):
+                for i, problem in enumerate(problems):
                     counts.update(dict.fromkeys(counts, 0))
                     code = _solve(main, problem, problem_path, report)
                     for key in cycle:
